@@ -38,8 +38,6 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
     "lahinv": lahmod.lah_inverse,
 }
 
-FRACTIONAL_FAMILIES = frozenset({"s1", "s1p"})
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

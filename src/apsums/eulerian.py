@@ -15,10 +15,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, OutOfTriangle, ShapeError
+from .errors import OutOfTriangle, ShapeError
 from .exact import Progression, integer_power
 from .sheffer import Triangle
-from .stirling import s2_triangle
+from .stirling import _recurrence_triangle, s2_triangle
 
 __all__ = [
     "reorder_b_to_a",
@@ -80,22 +80,10 @@ def reu_triangle(prog: Progression, size: int) -> Triangle:
 
     rEu(n,m) = (d*(n-m) + (d-a)) * rEu(n-1,m-1) + (a + d*m) * rEu(n-1,m).
     """
-    if size < 0:
-        raise DomainError("size must be non-negative")
     d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[-1]
-        row = []
-        for m in range(n + 1):
-            left = prev[m - 1] if m >= 1 else Fraction(0)
-            right = prev[m] if m < n else Fraction(0)
-            row.append((d * (n - m) + (d - a)) * left + (a + d * m) * right)
-        rows.append(row)
-    tri = Triangle(rows, family="reu", prog=prog)
-    if not tri.is_integer():
-        raise DomainError("rEu produced a non-integer entry")
-    return tri
+    return _recurrence_triangle(
+        size, lambda n, m: d * (n - m) + (d - a), lambda n, m: a + d * m, "reu", prog
+    )
 
 
 def reu_from_s2fac(prog: Progression, n: int, k: int) -> Fraction:

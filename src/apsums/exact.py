@@ -1,11 +1,14 @@
 """Exact scalars and arithmetic-progression primitives.
 
-Every quantity in this package is an exact rational.  The scalar type is
-:class:`fractions.Fraction` (re-exported as ``Rational``), which already
+Every quantity in this package is an exact rational, never a float.  The
+integer triangle families (s2, s2hat, s2fac, s1phat, reu, lah, lahinv)
+come from integer recurrences and hold plain ``int``; everything else
+holds :class:`fractions.Fraction` (re-exported as ``Rational``), which
 keeps the canonical reduced form gcd(num, den) = 1 with den >= 1 that
-bit-exact comparison relies on.  ``str`` of a value is the canonical text
-form ``p/q``, with ``/q`` omitted when q = 1; every exporter uses it
-verbatim via :func:`rational_str`.
+bit-exact comparison relies on.  An ``int`` equals the ``Fraction`` of
+the same value.  :func:`rational_str` gives the canonical text form
+``p/q`` of either type, with ``/q`` omitted when q = 1, and every
+exporter uses it verbatim.
 """
 
 from __future__ import annotations

@@ -63,32 +63,41 @@ def lah_column0(prog: Progression, size: int) -> list[Fraction]:
     return [g.coefficient_times_factorial(n) for n in range(size + 1)]
 
 
-def _as_lah(rows, prog: Progression, family: str = "lah") -> Triangle:
-    tri = Triangle(rows, family=family, prog=prog)
+def _as_lah(rows, prog: Progression) -> Triangle:
+    tri = Triangle(rows, family="lah", prog=prog)
     if not tri.is_integer():
         raise DomainError("Lah triangle produced a non-integer entry")
     return tri
 
 
 def lah_triangle(prog: Progression, size: int) -> Triangle:
-    """L[d,a] rows 0..size by the triangle product S1phat * S2hat.
-
-    The Sheffer-pair route is evaluated alongside and must agree; a
-    mismatch would mean one of the underlying builders broke.
-    """
-    if size < 0:
-        raise DomainError("size must be non-negative")
+    """L[d,a] rows 0..size by the triangle product S1phat * S2hat."""
     product = s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))
-    sheffer = lah_sheffer_triangle(prog, size)
-    if product != sheffer:
-        raise AssertionError("Lah product and Sheffer routes disagree")  # pragma: no cover
-    return _as_lah(product.rows, prog)
+    return Triangle(product.rows, family="lah", prog=prog)
 
 
 def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:
-    """L[d,a] materialized directly from its Sheffer pair."""
-    tri = lah_pair(prog, size).triangle(size, family="lah", prog=prog)
+    """L[d,a] materialized directly from its Sheffer pair.
+
+    The pair needs order >= 1 to hold f, even for the single row 0.
+    """
+    tri = lah_pair(prog, max(size, 1)).triangle(size)
     return _as_lah(tri.rows, prog)
+
+
+def _four_term(d: int, a: int, size: int, family: str, prog: Progression) -> Triangle:
+    """Rows 0..size of T(n,m) = T(n-1,m-1) + 2(a + d(n-1)) T(n-1,m)
+    - d(n-1)(2a + d(n-2)) T(n-2,m) from T(0,0) = 1, on int."""
+    if size < 0:
+        raise DomainError("size must be non-negative")
+    rows = [[1]]
+    for n in range(1, size + 1):
+        prev = [0, *rows[n - 1], 0]
+        prev2 = [*rows[n - 2], 0, 0] if n >= 2 else [0, 0]
+        grow = 2 * (a + d * (n - 1))
+        back = d * (n - 1) * (2 * a + d * (n - 2))
+        rows.append([prev[m] + grow * prev[m + 1] - back * prev2[m] for m in range(n + 1)])
+    return Triangle(rows, family=family, prog=prog)
 
 
 def lah_four_term(prog: Progression, size: int) -> Triangle:
@@ -97,23 +106,7 @@ def lah_four_term(prog: Progression, size: int) -> Triangle:
     L(n,m) = L(n-1,m-1) + 2(a + d(n-1)) L(n-1,m)
              - d(n-1)(2a + d(n-2)) L(n-2,m).
     """
-    if size < 0:
-        raise DomainError("size must be non-negative")
-    d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[n - 1]
-        prev2 = rows[n - 2] if n >= 2 else []
-        row = []
-        for m in range(n + 1):
-            acc = prev[m - 1] if m >= 1 else Fraction(0)
-            if m < n:
-                acc += 2 * (a + d * (n - 1)) * prev[m]
-            if m < n - 1:
-                acc -= d * (n - 1) * (2 * a + d * (n - 2)) * prev2[m]
-            row.append(acc)
-        rows.append(row)
-    return _as_lah(rows, prog)
+    return _four_term(prog.d, prog.a, size, "lah", prog)
 
 
 def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Triangle:
@@ -157,20 +150,4 @@ def lah_inverse_four_term(prog: Progression, size: int) -> Triangle:
     L^(-1)(n,m) = L^(-1)(n-1,m-1) - 2(a + d(n-1)) L^(-1)(n-1,m)
                   - d(n-1)(2a + d(n-2)) L^(-1)(n-2,m).
     """
-    if size < 0:
-        raise DomainError("size must be non-negative")
-    d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[n - 1]
-        prev2 = rows[n - 2] if n >= 2 else []
-        row = []
-        for m in range(n + 1):
-            acc = prev[m - 1] if m >= 1 else Fraction(0)
-            if m < n:
-                acc -= 2 * (a + d * (n - 1)) * prev[m]
-            if m < n - 1:
-                acc -= d * (n - 1) * (2 * a + d * (n - 2)) * prev2[m]
-            row.append(acc)
-        rows.append(row)
-    return _as_lah(rows, prog, family="lahinv")
+    return _four_term(-prog.d, -prog.a, size, "lahinv", prog)

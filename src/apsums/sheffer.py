@@ -25,16 +25,19 @@ from .exact import Progression, rational_str
 from .fps import Fps
 from .poly import Polynomial
 
-__all__ = ["ShefferPair", "Triangle", "identity_pair", "identity_triangle", "INTEGER_FAMILIES"]
-
-# Families whose entries are provably integers; their builders verify it.
-INTEGER_FAMILIES = frozenset({"s2", "s2hat", "s2fac", "s1phat", "reu", "lah", "lahinv"})
+__all__ = ["ShefferPair", "Triangle", "identity_pair", "identity_triangle"]
 
 _ZERO = Fraction(0)
 
 
 class Triangle:
-    """Finite lower-triangular array of exact rationals, rows 0..N."""
+    """Finite lower-triangular array of exact rationals, rows 0..N.
+
+    Entries are stored as given: the integer families built from integer
+    recurrences hold ``int``, everything else holds ``Fraction``, and no
+    entry is ever a float.  ``int`` and ``Fraction`` compare, hash and
+    print alike, so triangles from different routes compare bit-exactly.
+    """
 
     __slots__ = ("_rows", "family", "prog")
 
@@ -46,7 +49,7 @@ class Triangle:
     ):
         converted = []
         for n, row in enumerate(rows):
-            row = tuple(Fraction(c) for c in row)
+            row = tuple(row)
             if len(row) != n + 1:
                 raise ShapeError(f"row {n} must have {n + 1} entries, got {len(row)}")
             converted.append(row)
@@ -57,7 +60,7 @@ class Triangle:
         self.prog = prog
 
     @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
         return self._rows
 
     @property
@@ -65,7 +68,7 @@ class Triangle:
         """Largest row index N."""
         return len(self._rows) - 1
 
-    def entry(self, n: int, m: int) -> Fraction:
+    def entry(self, n: int, m: int) -> Fraction | int:
         """Entry (n, m); entries above the diagonal are zero."""
         if n < 0 or m < 0 or n > self.size:
             raise DomainError(f"row {n}, column {m} outside triangle of size {self.size}")
@@ -73,7 +76,7 @@ class Triangle:
             return _ZERO
         return self._rows[n][m]
 
-    def row(self, n: int) -> tuple[Fraction, ...]:
+    def row(self, n: int) -> tuple[Fraction | int, ...]:
         if n < 0 or n > self.size:
             raise DomainError(f"row {n} outside triangle of size {self.size}")
         return self._rows[n]
@@ -98,21 +101,6 @@ class Triangle:
         """sum_m entry(n, m) * x^m."""
         return Polynomial(self.row(n))
 
-    def scaled_columns(self, factor_for_column) -> Triangle:
-        """Entry (n, m) multiplied by factor_for_column(m); family turns generic."""
-        return Triangle(
-            [
-                [c * Fraction(factor_for_column(m)) for m, c in enumerate(row)]
-                for row in self._rows
-            ]
-        )
-
-    def scaled_rows(self, factor_for_row) -> Triangle:
-        """Entry (n, m) multiplied by factor_for_row(n); family turns generic."""
-        return Triangle(
-            [[c * Fraction(factor_for_row(n)) for c in row] for n, row in enumerate(self._rows)]
-        )
-
     def signed(self) -> Triangle:
         """Checkerboard signs: entry (n, m) times (-1)^(n-m)."""
         return Triangle(
@@ -133,7 +121,7 @@ class Triangle:
         for n in range(self.size + 1):
             row = []
             for m in range(n + 1):
-                acc = _ZERO
+                acc = 0
                 for k in range(m, n + 1):
                     acc += self._rows[n][k] * other._rows[k][m]
                 row.append(acc)
@@ -148,7 +136,7 @@ class Triangle:
         inv: list[list[Fraction]] = []
         for n in range(self.size + 1):
             row = [_ZERO] * (n + 1)
-            row[n] = 1 / self._rows[n][n]
+            row[n] = Fraction(1) / self._rows[n][n]
             for m in range(n - 1, -1, -1):
                 acc = _ZERO
                 for k in range(m, n):

@@ -9,8 +9,8 @@ Its Sheffer pair is (e^(a*t), e^(d*t) - 1).  The column-scaled variant
 S2hat divides column m by d^m; the row-factorial variant S2fac multiplies
 column m by m!.  On the first-kind side, S1[d,a] is the group inverse of
 S2[d,a], and the non-negative integer triangle S1phat scales the unsigned
-rows by d^n.  Every family is built canonically from its recurrence, with
-the closed forms (alternating sums, basis changes, the two Schloemilch
+rows by d^n.  The integer families are built from their recurrences on
+plain int and S1 from its Sheffer pair, with the closed forms (alternating sums, basis changes, the two Schloemilch
 triple sums, symmetric functions) kept as independent cross-check routes.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainError, OutOfTriangle
 from .exact import Progression, binomial_general, integer_power, risefac
@@ -54,54 +55,52 @@ def _require_in_triangle(n: int, m: int) -> None:
         raise OutOfTriangle(f"entry ({n}, {m}) lies outside the triangle")
 
 
-def _require_integer(tri: Triangle) -> Triangle:
-    if not tri.is_integer():
-        raise DomainError(f"family {tri.family!r} produced a non-integer entry")
-    return tri
+def _recurrence_triangle(
+    size: int,
+    left: Callable[[int, int], int],
+    right: Callable[[int, int], int],
+    family: str,
+    prog: Progression,
+) -> Triangle:
+    """Rows 0..size of T(n,m) = left(n,m) T(n-1,m-1) + right(n,m) T(n-1,m)
+    from T(0,0) = 1, on int: integer coefficients keep every entry integral."""
+    if size < 0:
+        raise DomainError("size must be non-negative")
+    rows = [[1]]
+    for n in range(1, size + 1):
+        prev = [0, *rows[-1], 0]
+        rows.append([left(n, m) * prev[m] + right(n, m) * prev[m + 1] for m in range(n + 1)])
+    return Triangle(rows, family=family, prog=prog)
 
 
 # -- second kind ---------------------------------------------------------------
 
 
 def s2_triangle(prog: Progression, size: int) -> Triangle:
-    """S2[d,a] rows 0..size from the three-term recurrence."""
-    if size < 0:
-        raise DomainError("size must be non-negative")
+    """S2[d,a] rows 0..size from the three-term recurrence.
+
+    The entries are plain ints:
+
+    >>> s2_triangle(Progression(2, 1), 2).rows
+    ((1,), (1, 2), (1, 8, 4))
+    """
     d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[-1]
-        row = []
-        for m in range(n + 1):
-            left = prev[m - 1] if m >= 1 else Fraction(0)
-            right = prev[m] if m < n else Fraction(0)
-            row.append(d * left + (a + d * m) * right)
-        rows.append(row)
-    return _require_integer(Triangle(rows, family="s2", prog=prog))
+    return _recurrence_triangle(size, lambda n, m: d, lambda n, m: a + d * m, "s2", prog)
 
 
 def s2hat_triangle(prog: Progression, size: int) -> Triangle:
-    """Column-scaled S2hat(n,m) = S2(n,m) / d^m; integer valued."""
-    base = s2_triangle(prog, size)
-    scaled = base.scaled_columns(lambda m: Fraction(1, prog.d**m))
-    return _require_integer(Triangle(scaled.rows, family="s2hat", prog=prog))
+    """Column-scaled S2hat(n,m) = S2(n,m) / d^m, from its own recurrence
+
+    S2hat(n,m) = S2hat(n-1,m-1) + (a + d*m) * S2hat(n-1,m).
+    """
+    d, a = prog.d, prog.a
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: a + d * m, "s2hat", prog)
 
 
 def s2fac_triangle(prog: Progression, size: int) -> Triangle:
     """S2fac(n,m) = S2(n,m) * m!, built from its own recurrence."""
-    if size < 0:
-        raise DomainError("size must be non-negative")
     d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[-1]
-        row = []
-        for m in range(n + 1):
-            left = prev[m - 1] if m >= 1 else Fraction(0)
-            right = prev[m] if m < n else Fraction(0)
-            row.append(m * d * left + (a + d * m) * right)
-        rows.append(row)
-    return _require_integer(Triangle(rows, family="s2fac", prog=prog))
+    return _recurrence_triangle(size, lambda n, m: m * d, lambda n, m: a + d * m, "s2fac", prog)
 
 
 def s2_explicit(prog: Progression, n: int, m: int) -> Fraction:
@@ -160,25 +159,16 @@ def s1phat_triangle(prog: Progression, size: int) -> Triangle:
 
     S1phat(n,m) = S1phat(n-1,m-1) + (d*n - (d-a)) * S1phat(n-1,m).
     """
-    if size < 0:
-        raise DomainError("size must be non-negative")
     d, a = prog.d, prog.a
-    rows = [[Fraction(1)]]
-    for n in range(1, size + 1):
-        prev = rows[-1]
-        row = []
-        for m in range(n + 1):
-            left = prev[m - 1] if m >= 1 else Fraction(0)
-            right = prev[m] if m < n else Fraction(0)
-            row.append(left + (d * n - (d - a)) * right)
-        rows.append(row)
-    return _require_integer(Triangle(rows, family="s1phat", prog=prog))
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: d * n - (d - a), "s1phat", prog)
 
 
 def s1_triangle(prog: Progression, size: int) -> Triangle:
-    """Signed fractional S1[d,a], the matrix inverse of S2[d,a]."""
-    tri = s1_pair(prog, size).triangle(size, family="s1", prog=prog)
-    return tri
+    """Signed fractional S1[d,a], the matrix inverse of S2[d,a].
+
+    The pair needs order >= 1 to hold f, even for the single row 0.
+    """
+    return s1_pair(prog, max(size, 1)).triangle(size, family="s1", prog=prog)
 
 
 def s1p_triangle(prog: Progression, size: int) -> Triangle:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from apsums import powersum
-from apsums.cli import main
+from apsums.cli import FAMILY_BUILDERS, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
@@ -31,11 +31,18 @@ class TestTriangleCommand:
         assert code == 0
         assert out == "1\n1,1\n"
 
-    def test_csv_single_row(self, capsys):
-        code, out, _ = run_cli(capsys, "triangle", "--family", "reu", "--d", "1", "--a", "0",
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_csv_single_row(self, capsys, family):
+        code, out, _ = run_cli(capsys, "triangle", "--family", family, "--d", "1", "--a", "0",
                                "--rows", "0", "--format", "csv")
         assert code == 0
         assert out == "1\n"
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_builders_yield_no_floats(self, family):
+        for prog in (Progression(1, 0), Progression(2, 1), Progression(3, 2)):
+            tri = FAMILY_BUILDERS[family](prog, 5)
+            assert all(type(c) in (int, Fraction) for row in tri.rows for c in row)
 
     def test_pretty(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--family", "s2hat", "--d", "2", "--a", "1",
@@ -223,6 +230,12 @@ class TestExportBfile:
                                "--a", "1", "--count", "6", "--offset", "0")
         assert code == 0
         assert out == "0 1\n1 1\n2 1\n3 3\n4 4\n5 1\n"
+
+    def test_single_line_of_sheffer_built_family(self, capsys):
+        code, out, _ = run_cli(capsys, "export-bfile", "--family", "s1", "--d", "2", "--a", "1",
+                               "--count", "1")
+        assert code == 0
+        assert out == "0 1\n"
 
     def test_bernoulli_numerators(self, capsys):
         code, out, _ = run_cli(capsys, "export-bfile", "--sequence", "bernoulli-num", "--d", "1",

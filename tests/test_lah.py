@@ -74,10 +74,11 @@ class TestRecurrences:
 
     def test_all_routes_agree(self):
         for prog in progressions(3):
-            tri = lah_triangle(prog, 10)
-            assert lah_sheffer_triangle(prog, 10) == tri
-            assert lah_four_term(prog, 10) == tri
-            assert lah_three_term(prog, 10) == tri
+            for size in (0, 10):
+                tri = lah_triangle(prog, size)
+                assert lah_sheffer_triangle(prog, size) == tri
+                assert lah_four_term(prog, size) == tri
+                assert lah_three_term(prog, size) == tri
 
     def test_printed_variant_agrees_only_for_unit_step(self):
         for a in (0, 1):

@@ -120,6 +120,11 @@ class TestTriangleAlgebra:
         assert tri.multiply(tri.inverse()) == identity_triangle(4)
         assert tri.inverse().multiply(tri) == identity_triangle(4)
 
+    def test_inverse_of_non_unit_diagonal_is_exact(self):
+        inv = Triangle([[3], [1, 3]]).inverse()
+        assert inv.rows == ((F(1, 3),), (F(-1, 9), F(1, 3)))
+        assert all(type(c) is Fraction for row in inv.rows for c in row)
+
     def test_inverse_is_signed_first_kind(self):
         prog = Progression(2, 1)
         assert s2hat_triangle(prog, 4).inverse() == s1phat_triangle(prog, 4).signed()

@@ -140,9 +140,11 @@ class TestSecondKindGeneratingFunctions:
     def test_complete_homogeneous_identity(self):
         for prog in progressions(3):
             scaled = s2hat_triangle(prog, 9)
+            s2 = s2_triangle(prog, 9)
             for n in range(10):
                 for m in range(n + 1):
                     assert scaled.entry(n, m) == complete_h(Alphabet(prog, m + 1), n - m)
+                    assert scaled.entry(n, m) * prog.d**m == s2.entry(n, m)
 
     def test_s2fac_row_sum_egf(self):
         for prog in (Progression(1, 0), Progression(2, 1)):
