@@ -7,8 +7,9 @@ alternating factorial-weighted sum over the S2[d,a] row, or equivalently
 from the binomial a/d expansion of the ordinary numbers.  The
 one-parameter family B(d;n) = d^n B(n), whose polynomials drive the
 generalized Faulhaber formula, is the a-independent contraction of the
-two-parameter one.  Everything is pure and uncached; callers who loop
-should memoize on their side.
+two-parameter one.  Everything is pure and uncached; callers that need
+B(d,a;n) for every n up to some bound take the whole list from
+:func:`b_gen_numbers`, which builds the ordinary numbers once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "bernoulli_numbers",
     "bernoulli_poly",
     "b_gen",
+    "b_gen_numbers",
     "b_gen_via_ordinary",
     "b_gen_poly",
     "b_gen_poly_via_ordinary",
@@ -70,22 +72,36 @@ def b_gen(prog: Progression, n: int) -> Fraction:
     return acc
 
 
+def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
+    """B(d,a;0..n_max) by the binomial a/d expansion over one table of B(0..n_max):
+
+    B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m).
+
+    >>> print(", ".join(map(str, b_gen_numbers(Progression(2, 1), 4))))
+    1, 0, -1/3, 0, 7/15
+    """
+    if n_max < 0:
+        raise DomainError("index must be non-negative")
+    numbers = bernoulli_numbers(n_max)
+    values = []
+    for n in range(n_max + 1):
+        acc = Fraction(0)
+        for m in range(n + 1):
+            acc += math.comb(n, m) * integer_power(prog.a, n - m) * prog.d**m * numbers[m]
+        values.append(acc)
+    return values
+
+
 def b_gen_via_ordinary(prog: Progression, n: int) -> Fraction:
     """B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m); must agree with b_gen."""
-    if n < 0:
-        raise DomainError("index must be non-negative")
-    numbers = bernoulli_numbers(n)
-    acc = Fraction(0)
-    for m in range(n + 1):
-        acc += math.comb(n, m) * integer_power(prog.a, n - m) * prog.d**m * numbers[m]
-    return acc
+    return b_gen_numbers(prog, n)[n]
 
 
 def b_gen_poly(prog: Progression, n: int) -> Polynomial:
     """B(d,a;n,x) = sum_m C(n,m) B(d,a;n-m) x^m."""
     if n < 0:
         raise DomainError("degree must be non-negative")
-    values = [b_gen_via_ordinary(prog, k) for k in range(n + 1)]
+    values = b_gen_numbers(prog, n)
     return Polynomial([math.comb(n, m) * values[n - m] for m in range(n + 1)])
 
 

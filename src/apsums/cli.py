@@ -173,7 +173,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         values = bern.b_d_numbers(args.d, args.count - 1)
     else:
         prog = Progression(args.d, args.a)
-        values = [bern.b_gen_via_ordinary(prog, n) for n in range(args.count)]
+        values = bern.b_gen_numbers(prog, args.count - 1)
     for value in values:
         sys.stdout.write(rational_str(value) + "\n")
     return 0
@@ -214,7 +214,7 @@ def _bfile_sequence(args: argparse.Namespace) -> list[Fraction]:
             values = bern.b_d_numbers(args.d, max(needed - 1, 0))
         else:
             prog = Progression(args.d, args.a)
-            values = [bern.b_gen_via_ordinary(prog, n) for n in range(needed)]
+            values = bern.b_gen_numbers(prog, needed - 1)
         part = "numerator" if args.sequence == "bernoulli-num" else "denominator"
         return [Fraction(getattr(v, part)) for v in values]
     prog = Progression(args.d, args.a if args.a is not None else 0)

@@ -50,9 +50,10 @@ class Progression:
     a: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        # bool subclasses int, so True/False would pass as 1/0 unnoticed
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"common difference d must be a positive integer, got {self.d!r}")
-        if not isinstance(self.a, int) or self.a < 0:
+        if isinstance(self.a, bool) or not isinstance(self.a, int) or self.a < 0:
             raise DomainError(f"initial term a must be a non-negative integer, got {self.a!r}")
 
     def term(self, j: int) -> int:

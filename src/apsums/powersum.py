@@ -7,6 +7,17 @@ the one-parameter Bernoulli polynomials, and coefficient extraction from
 the exponential and ordinary generating functions.  Route disagreement is
 the package's primary diagnostic signal, so all of them stay public and
 the CLI exposes each one by name.
+
+The generating-function routes read coefficient m off a binomial closed
+form over one integer row, summed in ``int``:
+
+* e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!:  PS = sum_j C(m,j) SigmaS2(n,j);
+* stacked o.g.f. sum_k S2(n,k) k! x^k/(1-x)^(k+2), since
+  [x^m] x^k/(1-x)^(k+2) = C(m+1,k+1):  PS = sum_k S2(n,k) k! C(m+1,k+1);
+* Eulerian o.g.f. sum_k rEu(n,k) x^k/(1-x)^(n+2), since
+  [x^m] x^k/(1-x)^(n+2) = C(m-k+n+1,n+1):  PS = sum_k rEu(n,k) C(m-k+n+1,n+1).
+
+The series forms themselves are checked by the faulhaber verify suite.
 """
 
 from __future__ import annotations
@@ -14,11 +25,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import b_d_poly, bernoulli_poly
+from .bernoulli import b_d_poly, bernoulli_numbers
 from .errors import DomainError
 from .exact import Progression, integer_power
 from .eulerian import reu_triangle
-from .fps import Fps
 from .stirling import s2_triangle
 
 __all__ = [
@@ -51,14 +61,18 @@ def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     """
     if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
+    numbers = bernoulli_numbers(n + 1)
     acc = Fraction(0)
     for k in range(n + 1):
         weight = math.comb(n, k) * integer_power(prog.a, n - k) * prog.d**k
         if weight == 0:
             continue
-        poly = bernoulli_poly(k + 1)
-        bracket = Fraction(1 if k == 0 else 0)
-        bracket += (poly.evaluate(m + 1) - poly.evaluate(1)) / (k + 1)
+        # B(k+1, m+1) - B(k+1, 1), with B(k+1, x) = sum_j C(k+1,j) B(k+1-j) x^j
+        top = k + 1
+        diff = sum(
+            math.comb(top, j) * numbers[top - j] * ((m + 1) ** j - 1) for j in range(1, top + 1)
+        )
+        bracket = Fraction(1 if k == 0 else 0) + diff / top
         acc += weight * bracket
     return acc
 
@@ -83,6 +97,17 @@ def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
     return value / (d * (n + 1))
 
 
+def _s2_factorial_row(prog: Progression, n: int) -> list[int]:
+    """S2(n,k) k! for k = 0..n, from one S2 triangle, in int."""
+    return [value * math.factorial(k) for k, value in enumerate(s2_triangle(prog, n).row(n))]
+
+
+def _sigma_row(prog: Progression, n: int) -> list[int]:
+    """SigmaS2(n, 0..n+1), in int."""
+    row = _s2_factorial_row(prog, n)
+    return [(row[j] if j <= n else 0) + (row[j - 1] if j >= 1 else 0) for j in range(n + 2)]
+
+
 def sigma_s2(prog: Progression, n: int, j: int) -> Fraction:
     """The stacked-coefficient combination S2(n,j) j! + S2(n,j-1) (j-1)!.
 
@@ -90,49 +115,51 @@ def sigma_s2(prog: Progression, n: int, j: int) -> Fraction:
     """
     if n < 0 or j < 0 or j > n + 1:
         raise DomainError(f"index j must lie in 0..{n + 1}, got {j}")
-    tri = s2_triangle(prog, n)
-    acc = Fraction(0)
-    if j <= n:
-        acc += tri.entry(n, j) * math.factorial(j)
-    if 1 <= j <= n + 1:
-        acc += tri.entry(n, j - 1) * math.factorial(j - 1)
-    return acc
+    return Fraction(_sigma_row(prog, n)[j])
 
 
 def eps_coefficients(prog: Progression, n: int, m_max: int) -> list[Fraction]:
-    """PS(d,a;n,0..m_max) read off the e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!."""
-    if n < 0 or m_max < 0:
-        raise DomainError("indices must be non-negative")
-    sigma = [sigma_s2(prog, n, j) / math.factorial(j) for j in range(n + 2)]
-    egf = Fps.exp_of(1, m_max) * Fps(sigma, order=m_max)
-    return [egf.coefficient_times_factorial(m) for m in range(m_max + 1)]
+    """PS(d,a;n,0..m_max) read off the e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!.
 
-
-def gps_coefficients(prog: Progression, n: int, m_max: int, route: str = "stacked") -> list[Fraction]:
-    """PS(d,a;n,0..m_max) from the o.g.f., by either closed form.
-
-    route "stacked":  sum_k S2(n,k) k! x^k / (1-x)^(k+2)
-    route "eulerian": (sum_k rEu(n,k) x^k) / (1-x)^(n+2)
+    m! [t^m] of that series is sum_j C(m,j) SigmaS2(n,j).
     """
     if n < 0 or m_max < 0:
         raise DomainError("indices must be non-negative")
-    geom = Fps.geometric(1, m_max)  # 1/(1-x)
+    sigma = _sigma_row(prog, n)
+    return [
+        Fraction(sum(math.comb(m, j) * s for j, s in enumerate(sigma)))
+        for m in range(m_max + 1)
+    ]
+
+
+def gps_coefficients(
+    prog: Progression, n: int, m_max: int, route: str = "stacked"
+) -> list[Fraction]:
+    """PS(d,a;n,0..m_max) from the o.g.f., by either closed form.
+
+    route "stacked":  sum_k S2(n,k) k! x^k / (1-x)^(k+2),
+                      so PS = sum_k S2(n,k) k! C(m+1,k+1)
+    route "eulerian": (sum_k rEu(n,k) x^k) / (1-x)^(n+2),
+                      so PS = sum_k rEu(n,k) C(m-k+n+1,n+1)
+
+    >>> [int(v) for v in gps_coefficients(Progression(2, 1), 2, 2, "eulerian")]
+    [1, 10, 35]
+    """
+    if n < 0 or m_max < 0:
+        raise DomainError("indices must be non-negative")
     if route == "stacked":
-        tri = s2_triangle(prog, n)
-        ogf = Fps.zero(m_max)
-        power = geom * geom
-        for k in range(n + 1):
-            ogf = ogf + (power.shifted_up(k) * (tri.entry(n, k) * math.factorial(k)))
-            power = power * geom
-    elif route == "eulerian":
-        numerator = Fps(reu_triangle(prog, n).row(n), order=m_max)
-        denominator = Fps.one(m_max)
-        for _ in range(n + 2):
-            denominator = denominator * geom
-        ogf = numerator * denominator
-    else:
-        raise DomainError(f"unknown o.g.f. route {route!r}")
-    return list(ogf.coefficients)
+        row = _s2_factorial_row(prog, n)
+        return [
+            Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
+            for m in range(m_max + 1)
+        ]
+    if route == "eulerian":
+        row = reu_triangle(prog, n).row(n)
+        return [
+            Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
+            for m in range(m_max + 1)
+        ]
+    raise DomainError(f"unknown o.g.f. route {route!r}")
 
 
 METHOD_NAMES = ("direct", "ordinary", "faulhaber", "egf", "ogf-stacked", "ogf-eulerian")

@@ -706,16 +706,17 @@ def suite_bernoulli(depth: int) -> list[CheckResult]:
 
     bad = []
     for prog in _progressions(4):
+        binomial_route = bern.b_gen_numbers(prog, n_cap)
         for n in range(n_cap + 1):
             lhs = bern.b_gen(prog, n)
-            rhs = bern.b_gen_via_ordinary(prog, n)
+            rhs = binomial_route[n]
             if lhs != rhs:
                 bad.append(f"{prog} n={n}: alternating-sum route {lhs} != binomial route {rhs}")
     rec.compare("two-parameter numbers agree along both routes", bad)
 
     bad = []
     for prog in _progressions(4):
-        lhs = _egf_from_values([bern.b_gen_via_ordinary(prog, n) for n in range(order + 1)], order)
+        lhs = _egf_from_values(bern.b_gen_numbers(prog, order), order)
         rhs = bern.b_gen_egf(prog, order)
         if lhs != rhs:
             bad.append(f"{prog}: number e.g.f. mismatch; {_series_diff(lhs, rhs)}")
@@ -754,13 +755,13 @@ def suite_bernoulli(depth: int) -> list[CheckResult]:
     for d in range(1, 5):
         expected = bern.b_d_numbers(d, n_cap)
         for a in range(0, 5):
-            prog = Progression(d, a)
+            values = bern.b_gen_numbers(Progression(d, a), n_cap)
             for n in range(n_cap + 1):
                 acc = Fraction(0)
                 for m in range(n + 1):
                     acc += (
                         math.comb(n, m)
-                        * bern.b_gen_via_ordinary(prog, n - m)
+                        * values[n - m]
                         * integer_power(Fraction(-a), m)
                     )
                 if acc != expected[n]:
@@ -777,9 +778,11 @@ def suite_bernoulli(depth: int) -> list[CheckResult]:
     bad = []
     for d in range(2, 6):
         for a in range(1, d):
+            flipped = bern.b_gen_numbers(Progression(d, d - a), n_cap)
+            values = bern.b_gen_numbers(Progression(d, a), n_cap)
             for n in range(n_cap + 1):
-                lhs = bern.b_gen_via_ordinary(Progression(d, d - a), n)
-                rhs = (-1) ** n * bern.b_gen_via_ordinary(Progression(d, a), n)
+                lhs = flipped[n]
+                rhs = (-1) ** n * values[n]
                 if lhs != rhs:
                     bad.append(f"d={d} a={a} n={n}: parity relation fails")
     rec.compare("parameter flip a -> d-a flips odd-index signs only", bad)
@@ -835,6 +838,7 @@ def suite_faulhaber(depth: int) -> list[CheckResult]:
     bad = []
     for prog in _progressions(3):
         tri = st.s2_triangle(prog, size_n)
+        reu = eul.reu_triangle(prog, size_n)
         for n in range(size_n + 1):
             row = [tri.entry(n, k) * math.factorial(k) for k in range(n + 1)]
             egf = Fps.exp_of(1, 10) * Fps(
@@ -846,6 +850,10 @@ def suite_faulhaber(depth: int) -> list[CheckResult]:
             for k in range(n + 1):
                 ogf = ogf + power.shifted_up(k) * row[k]
                 power = power * geom
+            # sum_k rEu(n,k) x^k / (1-x)^(n+1)
+            eulerian = Fps(reu.row(n), order=10)
+            for _ in range(n + 1):
+                eulerian = eulerian * geom
             for m in range(10 + 1):
                 want = integer_power(prog.term(m), n)
                 if egf.coefficient_times_factorial(m) != want:
@@ -853,6 +861,9 @@ def suite_faulhaber(depth: int) -> list[CheckResult]:
                     break
                 if ogf[m] != want:
                     bad.append(f"{prog} n={n} m={m}: powers o.g.f. fails")
+                    break
+                if eulerian[m] != want:
+                    bad.append(f"{prog} n={n} m={m}: powers Eulerian o.g.f. fails")
                     break
     rec.compare("single powers come out of both generating functions", bad)
 

@@ -2,10 +2,12 @@ import doctest
 
 import pytest
 
-from apsums import exact, fps, powersum, stirling
+from apsums import bernoulli, exact, fps, powersum, stirling
 
 
-@pytest.mark.parametrize("module", [exact, fps, powersum, stirling], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [bernoulli, exact, fps, powersum, stirling], ids=lambda m: m.__name__
+)
 def test_module_doctests(module):
     result = doctest.testmod(module, extraglobs={}, verbose=False)
     assert result.failed == 0

@@ -106,6 +106,11 @@ class TestProgression:
         with pytest.raises(DomainError):
             Progression(2, -1)
 
+    @pytest.mark.parametrize("d, a", [(True, False), (True, 0), (1, False), (2, True)])
+    def test_bool_is_not_an_integer_parameter(self, d, a):
+        with pytest.raises(DomainError):
+            Progression(d, a)
+
     def test_coprimality_not_required(self):
         assert Progression(4, 2).term(1) == 6
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
+from apsums import cli
 from apsums.errors import DomainError
 from apsums.eulerian import reorder_a_to_b, reu_explicit
 from apsums.exact import Progression, integer_power
@@ -127,6 +128,32 @@ class TestUniversalOracle:
                 for m in (0, 3, 10):
                     assert ps_via_ordinary(prog, n, m) == direct[m]
                     assert ps_faulhaber(prog, n, m) == direct[m]
+
+    @given(stn.integers(1, 5), stn.integers(0, 4), stn.integers(0, 20), stn.integers(0, 200))
+    def test_every_method_matches_direct_at_larger_sizes(self, d, a, n, m):
+        prog = Progression(d, a)
+        direct = ps_direct(prog, n, m)
+        for name in METHOD_NAMES:
+            assert evaluate_method(name, prog, n, m) == direct, name
+
+    def test_coefficient_rows_at_size_30_by_300(self):
+        prog = Progression(3, 2)
+        direct = [ps_direct(prog, 30, m) for m in range(301)]
+        rows = [
+            eps_coefficients(prog, 30, 300),
+            gps_coefficients(prog, 30, 300, "stacked"),
+            gps_coefficients(prog, 30, 300, "eulerian"),
+        ]
+        for row in rows:
+            assert row == direct
+            assert all(type(value) is Fraction for value in row)
+
+    def test_cli_all_methods_at_n60_m600(self, capsys):
+        argv = ["powersum", "--d", "3", "--a", "2", "--n", "60", "--m", "600", "--all-methods"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(METHOD_NAMES)
+        assert len({line.split()[1] for line in lines}) == 1
 
     def test_evaluate_method_dispatch(self):
         prog = Progression(2, 1)
