@@ -22,7 +22,7 @@ from . import stirling as st
 from .errors import DomainError
 from .exact import Progression, rational_str
 from .sheffer import Triangle
-from .verification import SUITE_NAMES, run_suites
+from .verification import MAX_DEPTH, SUITE_NAMES, run_suites
 
 DEFAULT_MAX_ROWS = 64
 
@@ -53,12 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--family", required=True, choices=sorted(FAMILY_BUILDERS))
     tri.add_argument("--d", type=int, required=True, help="common difference d >= 1")
     tri.add_argument("--a", type=int, default=0, help="initial term a >= 0 (default 0)")
-    tri.add_argument("--rows", type=int, required=True, help="largest row index N")
+    tri.add_argument(
+        "--rows", type=int, required=True, help=f"largest row index N, 0..{DEFAULT_MAX_ROWS}"
+    )
     tri.add_argument(
         "--format", choices=("pretty", "csv", "json", "bfile"), default="pretty"
     )
     tri.add_argument("--rational", action="store_true", help="allow non-integer b-file values")
-    tri.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
 
     pw = sub.add_parser("powersum", help="evaluate a power sum over a progression")
     pw.add_argument("--d", type=int, required=True)
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the exact identity suites")
     ver.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    ver.add_argument("--depth", type=int, default=8, help="row/order scale (default 8)")
+    ver.add_argument(
+        "--depth", type=int, default=8, help=f"row/order scale, 1..{MAX_DEPTH} (default 8)"
+    )
     ver.add_argument("--explain", action="store_true", help="show the first mismatch per failure")
     ver.add_argument(
         "--include-printed-three-term",
@@ -125,8 +128,8 @@ def _triangle_lines(tri: Triangle, fmt: str, rational_ok: bool) -> str:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    if args.rows < 0 or args.rows > args.max_rows:
-        raise DomainError(f"--rows must lie in 0..{args.max_rows}")
+    if not 0 <= args.rows <= DEFAULT_MAX_ROWS:
+        raise DomainError(f"--rows must lie in 0..{DEFAULT_MAX_ROWS}")
     prog = Progression(args.d, args.a)
     tri = FAMILY_BUILDERS[args.family](prog, args.rows)
     sys.stdout.write(_triangle_lines(tri, args.format, args.rational))
@@ -180,8 +183,8 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.depth < 1:
-        raise DomainError("--depth must be at least 1")
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise DomainError(f"--depth must lie in 1..{MAX_DEPTH}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, args.depth, args.include_printed_three_term)
     failed = 0

@@ -51,7 +51,7 @@ def ps_direct(prog: Progression, n: int, m: int) -> Fraction:
     """
     if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
-    return sum((integer_power(prog.term(j), n) for j in range(m + 1)), Fraction(0))
+    return Fraction(sum(prog.term(j) ** n for j in range(m + 1)))  # 0 ** 0 == 1
 
 
 def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:

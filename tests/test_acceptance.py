@@ -2,7 +2,9 @@
 independent routes and requires bit-exact agreement (tolerance zero
 throughout; these are identities of exact rationals, not approximations).
 Each test prints one PASS line on success; a pytest failure is the FAIL
-line for that criterion.
+line for that criterion.  A criterion that an identity registry entry
+covers names that entry (``identity`` fixture, see conftest.py) instead of
+restating it; ``tests/test_identities.py`` runs every entry on its own.
 """
 
 import math
@@ -17,11 +19,10 @@ from apsums import eulerian as eul
 from apsums import lah as lahmod
 from apsums import powersum as ps
 from apsums import stirling as st
-from apsums.exact import Progression, integer_power
+from apsums.exact import Progression
 from apsums.fps import Fps, reverse_coefficient_lagrange
-from apsums.poly import Polynomial, fallfac_poly, risefac_poly
-from apsums.sheffer import identity_triangle
 from apsums.symfunc import Alphabet, complete_h, cuboid_volume_oracle, elementary_sigma
+from apsums.verification import IDENTITIES
 
 F = Fraction
 
@@ -38,23 +39,10 @@ def egf_of(values, order):
     return Fps([F(v) / math.factorial(k) for k, v in enumerate(values)], order=order)
 
 
-def test_criterion_01_faulhaber_equivalence():
-    start = time.time()
-    for prog in progressions(4):
-        for n in range(9):
-            direct = [ps.ps_direct(prog, n, m) for m in range(13)]
-            assert ps.eps_coefficients(prog, n, 12) == direct
-            assert ps.gps_coefficients(prog, n, 12, "stacked") == direct
-            assert ps.gps_coefficients(prog, n, 12, "eulerian") == direct
-            for m in range(13):
-                assert ps.ps_via_ordinary(prog, n, m) == direct[m]
-                assert ps.ps_faulhaber(prog, n, m) == direct[m]
-    # spot value through the generalized formula and its cubic polynomial
-    assert bern.b_d_poly(2, 3) == Polynomial([0, 2, -3, 1])
-    assert ps.ps_faulhaber(Progression(2, 1), 2, 2) == 35
-    elapsed = time.time() - start
-    assert elapsed < 10, f"criterion 1 exceeded its 10 s budget: {elapsed:.1f}s"
-    _passed(1, f"six power-sum routes identical over the full grid ({elapsed:.1f}s)")
+def test_criterion_01_faulhaber_equivalence(identity):
+    identity("faulhaber: all five formula routes equal direct summation")
+    identity("faulhaber: spot value: odd squares 1+9+25 through the generalized formula")
+    _passed(1, "six power-sum routes identical over the full grid")
 
 
 def test_criterion_02_worked_volume_examples():
@@ -81,12 +69,9 @@ def test_criterion_02_worked_volume_examples():
     _passed(2, "all six worked hyper-cuboid values reproduced by >= 3 routes each")
 
 
-def test_criterion_03_sheffer_group_closure():
+def test_criterion_03_sheffer_group_closure(identity):
+    identity("s1: group inverse: S2 and S1 triangles multiply to the identity")
     for prog in progressions(4):
-        s2 = st.s2_triangle(prog, 12)
-        s1 = st.s1_triangle(prog, 12)
-        assert s2.multiply(s1) == identity_triangle(12)
-        assert s1.multiply(s2) == identity_triangle(12)
         s1hat = st.s1hat_pair(prog, 12).triangle(12)
         s1phat = st.s1phat_triangle(prog, 12)
         for n in range(13):
@@ -96,14 +81,8 @@ def test_criterion_03_sheffer_group_closure():
     _passed(3, "S2*S1 = identity at N=12 and the scaled inverse is the signed triangle")
 
 
-def test_criterion_04_triple_sum_formulas():
-    for prog in progressions(3):
-        tri = st.s1phat_triangle(prog, 8)
-        for n in range(9):
-            for m in range(n + 1):
-                want = tri.entry(n, m)
-                assert st.s1phat_schlomilch(prog, n, m) == want
-                assert st.s1phat_schlomilch_v2(prog, n, m) == want
+def test_criterion_04_triple_sum_formulas(identity):
+    identity("s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)")
     _passed(4, "both triple-sum closed forms match the first-kind recurrence exactly")
 
 
@@ -196,76 +175,28 @@ def test_criterion_05_generating_function_suite():
     _passed(5, f"ten generating-function identities verified to order 10 ({elapsed:.1f}s)")
 
 
-def test_criterion_06_eulerian_suite():
-    for prog in progressions(3):
-        tri = eul.reu_triangle(prog, 10)
-        for n in range(11):
-            for k in range(n + 1):
-                want = tri.entry(n, k)
-                assert eul.reu_explicit(prog, n, k) == want
-                assert eul.reu_from_s2fac(prog, n, k) == want
-                assert eul.reu_from_ordinary(prog, n, k) == want
-            assert sum(tri.row(n), F(0)) == F(prog.d) ** n * math.factorial(n)
-    for d in range(2, 6):
-        for a in range(1, d):
-            flipped = eul.reu_triangle(Progression(d, d - a), 8)
-            tri = eul.reu_triangle(Progression(d, a), 8)
-            for n in range(9):
-                assert list(flipped.row(n)) == list(reversed(tri.row(n)))
+def test_criterion_06_eulerian_suite(identity):
+    identity("eulerian: four routes agree (recurrence, explicit, from S2fac, from ordinary)")
+    identity("eulerian: row sums equal d^n n! independently of a")
+    identity("eulerian: parameter flip a -> d-a reverses every row")
     _passed(6, "Eulerian formulas agree entrywise; row sums and reversal symmetry hold")
 
 
-def test_criterion_07_bernoulli_suite():
-    first_13 = [
-        F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0), F(1, 42), F(0),
-        F(-1, 30), F(0), F(5, 66), F(0), F(-691, 2730),
-    ]
-    assert bern.bernoulli_numbers(12) == first_13
-    for d in range(1, 5):
-        expected = bern.b_d_numbers(d, 12)
-        for a in range(0, 5):
-            prog = Progression(d, a)
-            for n in range(13):
-                acc = F(0)
-                for m in range(n + 1):
-                    acc += (
-                        math.comb(n, m)
-                        * bern.b_gen_via_ordinary(prog, n - m)
-                        * integer_power(F(-a), m)
-                    )
-                assert acc == expected[n]
-        for n in range(1, 13):
-            assert bern.b_d_poly(d, n).derivative() == n * bern.b_d_poly(d, n - 1)
-    for d in range(2, 6):
-        for a in range(1, d):
-            for n in range(13):
-                assert bern.b_gen_via_ordinary(Progression(d, d - a), n) == (
-                    (-1) ** n * bern.b_gen_via_ordinary(Progression(d, a), n)
-                )
+def test_criterion_07_bernoulli_suite(identity):
+    identity("bernoulli: recursion reproduces the canonical first thirteen numbers")
+    identity("bernoulli: the (-a)-convolution contracts to the a-independent numbers")
+    identity("bernoulli: one-parameter polynomials satisfy P' = n P(n-1)")
+    identity("bernoulli: parameter flip a -> d-a flips odd-index signs only")
     _passed(7, "Bernoulli recursion, a-independence, parity and Appell property exact")
 
 
-def test_criterion_08_lah_suite():
-    for prog in progressions(3):
-        tri = lahmod.lah_triangle(prog, 10)
-        assert lahmod.lah_sheffer_triangle(prog, 10) == tri
-        assert lahmod.lah_four_term(prog, 10) == tri
-        assert lahmod.lah_three_term(prog, 10) == tri
-        inv = lahmod.lah_inverse(prog, 10)
-        assert tri.multiply(inv) == identity_triangle(10)
-        for n in range(9):
-            rise = Polynomial()
-            fall = Polynomial()
-            for m in range(n + 1):
-                rise = rise + fallfac_poly(prog, m) * tri.entry(n, m)
-                fall = fall + risefac_poly(prog, m) * inv.entry(n, m)
-            assert rise == risefac_poly(prog, n)
-            assert fall == fallfac_poly(prog, n)
-        printed = lahmod.lah_three_term(prog, 10, printed=True)
-        if prog.d == 1:
-            assert printed == tri
-        else:
-            assert printed != tri  # documented erratum must keep disagreeing
+def test_criterion_08_lah_suite(identity):
+    identity("lah: product, Sheffer, four-term and three-term routes agree")
+    identity("lah: transition identities between rising and falling factorials")
+    identity("lah: inverse triangle: signed entries, own recurrence, identity product")
+    for entry in IDENTITIES:
+        if entry.printed_three_term:
+            identity(entry.label)
     _passed(8, "four Lah routes agree; transitions exact; published variant fails only at d>=2")
 
 
@@ -288,12 +219,12 @@ def test_criterion_09_series_kernel():
     _passed(9, "series reversion, exp/log inversion and the Lagrange oracle agree at order 10")
 
 
-def test_criterion_10_cli_verify_gate():
+def test_criterion_10_cli_verify_gate(src_dir):
     args = [sys.executable, "-m", "apsums", "verify", "--suite", "all", "--depth", "8"]
     start = time.time()
-    first = subprocess.run(args, capture_output=True, text=True)
+    first = subprocess.run(args, capture_output=True, text=True, cwd=src_dir)
     elapsed = time.time() - start
-    second = subprocess.run(args, capture_output=True, text=True)
+    second = subprocess.run(args, capture_output=True, text=True, cwd=src_dir)
     assert first.returncode == 0, first.stdout + first.stderr
     assert elapsed < 60, f"verify run took {elapsed:.1f}s"
     assert first.stdout == second.stdout

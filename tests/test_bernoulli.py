@@ -18,7 +18,7 @@ from apsums.bernoulli import (
     bernoulli_poly,
 )
 from apsums.errors import DomainError
-from apsums.exact import Progression, integer_power
+from apsums.exact import Progression
 from apsums.fps import Fps
 from apsums.poly import Polynomial
 
@@ -138,25 +138,11 @@ class TestOneParameterFamily:
             for n in range(9):
                 assert b_d_poly(d, n).evaluate(0) == numbers[n]
 
-    def test_appell_derivative(self):
-        for d in range(1, 5):
-            for n in range(1, 11):
-                assert b_d_poly(d, n).derivative() == n * b_d_poly(d, n - 1)
+    def test_appell_derivative(self, identity):
+        identity("bernoulli: one-parameter polynomials satisfy P' = n P(n-1)")
 
-    def test_a_independence(self):
-        for d in range(1, 5):
-            expected = b_d_numbers(d, 12)
-            for a in range(0, 5):
-                prog = Progression(d, a)
-                for n in range(13):
-                    acc = F(0)
-                    for m in range(n + 1):
-                        acc += (
-                            math.comb(n, m)
-                            * b_gen_via_ordinary(prog, n - m)
-                            * integer_power(F(-a), m)
-                        )
-                    assert acc == expected[n]
+    def test_a_independence(self, identity):
+        identity("bernoulli: the (-a)-convolution contracts to the a-independent numbers")
 
 
 class TestGeneratingFunctions:

@@ -102,8 +102,8 @@ class TestTriangleCommand:
         assert code == 2
         code, out, _ = run_cli(capsys, "triangle", "--family", "s2", "--d", "1", "--a", "0",
                                "--rows", "65", "--max-rows", "70", "--format", "csv")
-        assert code == 0
-        assert len(out.splitlines()) == 66
+        assert code == 2
+        assert out == ""
 
 
 class TestPowersumCommand:
@@ -189,6 +189,12 @@ class TestVerifyCommand:
     def test_depth_must_be_positive(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "fps", "--depth", "0")
         assert code == 2
+
+    def test_depth_above_the_largest_cap_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "fps", "--depth", "13")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
 
     def test_all_suites_pass_at_degenerate_depth(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--depth", "1")
@@ -278,11 +284,11 @@ class TestExportBfile:
 
 
 class TestConsoleEntry:
-    def test_module_invocation_is_deterministic(self):
+    def test_module_invocation_is_deterministic(self, src_dir):
         args = [sys.executable, "-m", "apsums", "triangle", "--family", "reu", "--d", "3",
                 "--a", "2", "--rows", "4", "--format", "csv"]
-        first = subprocess.run(args, capture_output=True, text=True)
-        second = subprocess.run(args, capture_output=True, text=True)
+        first = subprocess.run(args, capture_output=True, text=True, cwd=src_dir)
+        second = subprocess.run(args, capture_output=True, text=True, cwd=src_dir)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[2] == "4,13,1"

@@ -15,9 +15,8 @@ from apsums.eulerian import (
     reu_triangle,
     s2fac_from_reu,
 )
-from apsums.exact import Progression, integer_power
+from apsums.exact import Progression
 from apsums.fps import Fps
-from apsums.poly import Polynomial
 from apsums.stirling import s2fac_triangle
 
 F = Fraction
@@ -85,15 +84,8 @@ class TestExplicitAndRecurrence:
         with pytest.raises(OutOfTriangle):
             reu_explicit(Progression(1, 0), 2, 3)
 
-    def test_four_routes_agree(self):
-        for prog in progressions(3):
-            tri = reu_triangle(prog, 10)
-            for n in range(11):
-                for k in range(n + 1):
-                    want = tri.entry(n, k)
-                    assert reu_explicit(prog, n, k) == want
-                    assert reu_from_s2fac(prog, n, k) == want
-                    assert reu_from_ordinary(prog, n, k) == want
+    def test_four_routes_agree(self, identity):
+        identity("eulerian: four routes agree (recurrence, explicit, from S2fac, from ordinary)")
 
 
 class TestConversions:
@@ -125,27 +117,11 @@ class TestConversions:
 
 
 class TestGeneratingIdentities:
-    def test_power_ogf_decomposition(self):
-        for prog in progressions(3):
-            tri = reu_triangle(prog, 8)
-            geom = Fps.geometric(1, 12)
-            for n in range(9):
-                powers = Fps([integer_power(prog.term(m), n) for m in range(13)])
-                denom = Fps.one(12)
-                for _ in range(n + 1):
-                    denom = denom * geom
-                assert powers == Fps(tri.row(n), order=12) * denom
+    def test_power_ogf_decomposition(self, identity):
+        identity("eulerian: power o.g.f. equals numerator polynomial over (1-x)^(n+1)")
 
-    def test_row_polynomial_from_s2fac(self):
-        one_minus_x = Polynomial([1, -1])
-        for prog in progressions(3):
-            tri = reu_triangle(prog, 8)
-            fac = s2fac_triangle(prog, 8)
-            for n in range(9):
-                acc = Polynomial()
-                for m in range(n + 1):
-                    acc = acc + Polynomial.monomial(m) * one_minus_x ** (n - m) * fac.entry(n, m)
-                assert acc == tri.row_polynomial(n)
+    def test_row_polynomial_from_s2fac(self, identity):
+        identity("eulerian: numerator polynomial equals (1-x)^n-twisted factorial-scaled row")
 
     @given(stn.fractions(min_value=-4, max_value=4, max_denominator=9).filter(lambda x: x != 1))
     def test_bivariate_egf(self, x):
@@ -160,32 +136,14 @@ class TestGeneratingIdentities:
             )
             assert lhs == rhs
 
-    def test_row_sums(self):
-        for prog in progressions(4):
-            tri = reu_triangle(prog, 10)
-            for n in range(11):
-                assert sum(tri.row(n), F(0)) == F(prog.d) ** n * math.factorial(n)
+    def test_row_sums(self, identity):
+        identity("eulerian: row sums equal d^n n! independently of a")
 
-    def test_row_reversal_symmetry(self):
-        for d in range(2, 6):
-            for a in range(1, d):
-                flipped = reu_triangle(Progression(d, d - a), 8)
-                tri = reu_triangle(Progression(d, a), 8)
-                for n in range(9):
-                    assert list(flipped.row(n)) == list(reversed(tri.row(n)))
+    def test_row_reversal_symmetry(self, identity):
+        identity("eulerian: parameter flip a -> d-a reverses every row")
 
-    def test_numerator_degree_bound(self):
-        # the explicit sum extended one step past the diagonal must vanish
-        for prog in progressions(3):
-            for n in range(9):
-                acc = F(0)
-                for p in range(n + 2):
-                    sign = -1 if (n + 1 - p) % 2 else 1
-                    acc += sign * math.comb(n + 1, n + 1 - p) * integer_power(prog.term(p), n)
-                assert acc == 0
+    def test_numerator_degree_bound(self, identity):
+        identity("eulerian: the extended explicit sum vanishes just past the diagonal")
 
-    def test_leading_column_is_powers_of_a(self):
-        for prog in progressions(4):
-            tri = reu_triangle(prog, 9)
-            for n in range(10):
-                assert tri.entry(n, 0) == integer_power(prog.a, n)
+    def test_leading_column_is_powers_of_a(self, identity):
+        identity("eulerian: column zero carries the pure powers a^n")

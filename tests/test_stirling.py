@@ -88,15 +88,8 @@ class TestSecondKindTriangle:
         with pytest.raises(DomainError):
             s2_ordinary_from_general(Progression(2, 0), 2, 1)
 
-    def test_four_route_agreement(self):
-        for prog in progressions(4):
-            tri = s2_triangle(prog, 10)
-            sheffer = s2_pair(prog, 10).triangle(10)
-            assert tri == sheffer
-            for n in range(11):
-                for m in range(n + 1):
-                    assert tri.entry(n, m) == s2_explicit(prog, n, m)
-                    assert tri.entry(n, m) == s2_from_ordinary(prog, n, m)
+    def test_four_route_agreement(self, identity):
+        identity("s2: four routes agree (recurrence, alternating sum, via ordinary, Sheffer)")
 
 
 class TestSecondKindGeneratingFunctions:
