@@ -24,7 +24,16 @@ from .exact import Progression, rational_str
 from .sheffer import Triangle
 from .verification import MAX_DEPTH, SUITE_NAMES, run_suites
 
-DEFAULT_MAX_ROWS = 64
+# The largest value of every open-ended input (the smallest is 0, or 1 for
+# --depth); a request outside exits 2, one inside finishes within seconds.
+LIMITS = {
+    "rows": 64,  # triangle --rows: largest row index
+    "depth": MAX_DEPTH,  # verify --depth
+    "power": 60,  # powersum --n
+    "index": 5000,  # powersum --m: upper summation index
+    "bernoulli": 60,  # largest Bernoulli index: bernoulli --poly / --count, b-file sequences
+    "bfile": 2000,  # export-bfile --offset + --count of a triangle family
+}
 
 FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
     "s2": st.s2_triangle,
@@ -54,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--d", type=int, required=True, help="common difference d >= 1")
     tri.add_argument("--a", type=int, default=0, help="initial term a >= 0 (default 0)")
     tri.add_argument(
-        "--rows", type=int, required=True, help=f"largest row index N, 0..{DEFAULT_MAX_ROWS}"
+        "--rows", type=int, required=True, help=f"largest row index N, 0..{LIMITS['rows']}"
     )
     tri.add_argument(
         "--format", choices=("pretty", "csv", "json", "bfile"), default="pretty"
@@ -64,8 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("powersum", help="evaluate a power sum over a progression")
     pw.add_argument("--d", type=int, required=True)
     pw.add_argument("--a", type=int, required=True)
-    pw.add_argument("--n", type=int, required=True, help="power")
-    pw.add_argument("--m", type=int, required=True, help="upper summation index")
+    pw.add_argument("--n", type=int, required=True, help=f"power, 0..{LIMITS['power']}")
+    pw.add_argument(
+        "--m", type=int, required=True, help=f"upper summation index, 0..{LIMITS['index']}"
+    )
     pw.add_argument("--method", choices=ps.METHOD_NAMES, default="direct")
     pw.add_argument(
         "--all-methods",
@@ -76,13 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bernoulli", help="Bernoulli numbers and polynomials")
     be.add_argument("--d", type=int, required=True)
     be.add_argument("--a", type=int, default=None)
-    be.add_argument("--count", type=int, default=None, help="emit values for n = 0..count-1")
-    be.add_argument("--poly", type=int, default=None, help="emit the degree-n polynomial instead")
+    wanted = be.add_mutually_exclusive_group(required=True)
+    wanted.add_argument(
+        "--count",
+        type=int,
+        help=f"emit values for n = 0..count-1, count 0..{LIMITS['bernoulli'] + 1}",
+    )
+    wanted.add_argument(
+        "--poly",
+        type=int,
+        help=f"emit the degree-n polynomial instead, n 0..{LIMITS['bernoulli']}",
+    )
 
     ver = sub.add_parser("verify", help="run the exact identity suites")
     ver.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     ver.add_argument(
-        "--depth", type=int, default=8, help=f"row/order scale, 1..{MAX_DEPTH} (default 8)"
+        "--depth", type=int, default=8, help=f"row/order scale, 1..{LIMITS['depth']} (default 8)"
     )
     ver.add_argument("--explain", action="store_true", help="show the first mismatch per failure")
     ver.add_argument(
@@ -97,13 +117,24 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--sequence", choices=("bernoulli-num", "bernoulli-den"))
     bf.add_argument("--d", type=int, required=True)
     bf.add_argument("--a", type=int, default=None)
-    bf.add_argument("--count", type=int, required=True, help="number of lines")
+    bf.add_argument(
+        "--count",
+        type=int,
+        required=True,
+        help=f"number of lines; offset + count at most {LIMITS['bfile']} "
+        f"({LIMITS['bernoulli'] + 1} for a sequence)",
+    )
     bf.add_argument("--offset", type=int, default=0, help="index of the first line")
     bf.add_argument("--rational", action="store_true", help="allow non-integer values")
     return parser
 
 
 # -- subcommand bodies -----------------------------------------------------------
+
+
+def _check_range(flag: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise DomainError(f"{flag} must lie in {low}..{high}")
 
 
 def _triangle_lines(tri: Triangle, fmt: str, rational_ok: bool) -> str:
@@ -128,8 +159,7 @@ def _triangle_lines(tri: Triangle, fmt: str, rational_ok: bool) -> str:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    if not 0 <= args.rows <= DEFAULT_MAX_ROWS:
-        raise DomainError(f"--rows must lie in 0..{DEFAULT_MAX_ROWS}")
+    _check_range("--rows", args.rows, 0, LIMITS["rows"])
     prog = Progression(args.d, args.a)
     tri = FAMILY_BUILDERS[args.family](prog, args.rows)
     sys.stdout.write(_triangle_lines(tri, args.format, args.rational))
@@ -137,8 +167,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
-    if args.n < 0 or args.m < 0:
-        raise DomainError("--n and --m must be non-negative")
+    _check_range("--n", args.n, 0, LIMITS["power"])
+    _check_range("--m", args.m, 0, LIMITS["index"])
     prog = Progression(args.d, args.a)
     if not args.all_methods:
         value = ps.evaluate_method(args.method, prog, args.n, args.m)
@@ -157,19 +187,15 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.d < 1:
         raise DomainError("--d must be a positive integer")
-    if args.poly is None and args.count is None:
-        raise DomainError("pass --count N for values or --poly n for a polynomial")
     if args.poly is not None:
-        if args.poly < 0:
-            raise DomainError("--poly must be non-negative")
+        _check_range("--poly", args.poly, 0, LIMITS["bernoulli"])
         if args.a is None:
             poly = bern.b_d_poly(args.d, args.poly)
         else:
             poly = bern.b_gen_poly(Progression(args.d, args.a), args.poly)
         sys.stdout.write(str(poly) + "\n")
         return 0
-    if args.count < 0:
-        raise DomainError("--count must be non-negative")
+    _check_range("--count", args.count, 0, LIMITS["bernoulli"] + 1)
     if args.count == 0:
         return 0
     if args.a is None:
@@ -183,8 +209,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.depth <= MAX_DEPTH:
-        raise DomainError(f"--depth must lie in 1..{MAX_DEPTH}")
+    _check_range("--depth", args.depth, 1, LIMITS["depth"])
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, args.depth, args.include_printed_three_term)
     failed = 0
@@ -232,10 +257,9 @@ def _bfile_sequence(args: argparse.Namespace) -> list[Fraction]:
 
 
 def _cmd_export_bfile(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise DomainError("--count must be non-negative")
-    if args.offset < 0:
-        raise DomainError("--offset must be non-negative")
+    lines = LIMITS["bfile"] if args.sequence is None else LIMITS["bernoulli"] + 1
+    _check_range("--offset", args.offset, 0, lines)
+    _check_range("--count", args.count, 0, lines - args.offset)
     if args.count == 0:
         return 0
     values = _bfile_sequence(args)

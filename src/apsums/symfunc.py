@@ -7,6 +7,9 @@ prod 1/(1 - a_j x).  A brute-force hyper-cuboid volume enumerator serves
 as an independent oracle for both: it literally sums the volumes of all
 boxes whose side lengths are drawn from the alphabet (distinct sides for
 the elementary case, repetition allowed for the complete case).
+
+Every symbol is an integer, so all three expand and sum on plain ``int``
+coefficient lists and convert only the result, which is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from itertools import combinations, combinations_with_replacement
 
 from .errors import DomainError
 from .exact import Progression
-from .fps import Fps
-from .poly import Polynomial
 
 __all__ = ["Alphabet", "elementary_sigma", "complete_h", "cuboid_volume_oracle"]
 
@@ -45,25 +46,41 @@ class Alphabet:
 
 
 def elementary_sigma(alphabet: Alphabet, degree: int) -> Fraction:
-    """Sum of all degree-sized distinct products; sigma_0 = 1."""
+    """Sum of all degree-sized distinct products; sigma_0 = 1.
+
+    Three of the four odd numbers 1, 3, 5, 7 at a time: the volumes of the
+    four boxes 1*3*5, 1*3*7, 1*5*7 and 3*5*7.
+
+    >>> elementary_sigma(Alphabet(Progression(2, 1), 4), 3)
+    Fraction(176, 1)
+    """
     if degree < 0 or degree > alphabet.count:
         raise DomainError(
             f"degree {degree} outside 0..{alphabet.count} for elementary symmetric function"
         )
-    product = Polynomial.constant(1)
+    # coefficients of prod (1 + a_j x), multiplied in one factor at a time
+    coeffs = [1]
     for symbol in alphabet.symbols:
-        product = product * Polynomial([1, symbol])
-    return product[degree]
+        coeffs = [c + symbol * p for c, p in zip(coeffs + [0], [0] + coeffs)]
+    return Fraction(coeffs[degree])
 
 
 def complete_h(alphabet: Alphabet, degree: int) -> Fraction:
-    """Sum of all degree-sized multiset products; h_0 = 1."""
+    """Sum of all degree-sized multiset products; h_0 = 1.
+
+    Squares built from the sides 2 and 5: 2*2 + 2*5 + 5*5.
+
+    >>> complete_h(Alphabet(Progression(3, 2), 2), 2)
+    Fraction(39, 1)
+    """
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
-    product = Fps.one(degree)
+    # prod 1/(1 - a_j x) up to x^degree: convolve with each geometric row sum_k a_j^k x^k
+    coeffs = [1] + [0] * degree
     for symbol in alphabet.symbols:
-        product = product * Fps([1, -symbol], order=degree).reciprocal()
-    return product[degree]
+        row = [symbol**k for k in range(degree + 1)]
+        coeffs = [sum(coeffs[i] * row[k - i] for i in range(k + 1)) for k in range(degree + 1)]
+    return Fraction(coeffs[degree])
 
 
 def cuboid_volume_oracle(alphabet: Alphabet, dimension: int, distinct: bool = False) -> Fraction:
@@ -92,7 +109,4 @@ def cuboid_volume_oracle(alphabet: Alphabet, dimension: int, distinct: bool = Fa
         expected = 1 if dimension == 0 else math.comb(alphabet.count + dimension - 1, dimension)
     if len(boxes) != expected:
         raise AssertionError("enumeration miscounted its boxes")  # pragma: no cover
-    total = Fraction(0)
-    for sides in boxes:
-        total += math.prod(sides, start=Fraction(1))
-    return total
+    return Fraction(sum(math.prod(sides) for sides in boxes))

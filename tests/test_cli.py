@@ -4,12 +4,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as stn
 
 from apsums import powersum
-from apsums.cli import FAMILY_BUILDERS, main
+from apsums.cli import FAMILY_BUILDERS, LIMITS, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
+from apsums.verification import SUITE_NAMES
 
 
 def run_cli(capsys, *args):
@@ -176,6 +179,12 @@ class TestBernoulliCommand:
         assert code == 0
         assert out == ""
 
+    def test_count_and_poly_are_exclusive(self, capsys):
+        code, out, err = run_cli(capsys, "bernoulli", "--d", "1", "--count", "3", "--poly", "2")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
@@ -281,6 +290,95 @@ class TestExportBfile:
         code, _, _ = run_cli(capsys, "export-bfile", "--family", "s2", "--sequence",
                              "bernoulli-num", "--d", "1", "--count", "2")
         assert code == 2
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["powersum", "--d", "1", "--a", "0", "--n", str(LIMITS["power"] + 1), "--m", "1"],
+            ["powersum", "--d", "1", "--a", "0", "--n", "1", "--m", str(LIMITS["index"] + 1)],
+            ["powersum", "--d", "1", "--a", "0", "--n", "1", "--m", "-1"],
+            ["bernoulli", "--d", "1", "--count", str(LIMITS["bernoulli"] + 2)],
+            ["bernoulli", "--d", "1", "--poly", str(LIMITS["bernoulli"] + 1)],
+            ["bernoulli", "--d", "1", "--poly", "-1"],
+            ["export-bfile", "--family", "s2", "--d", "1", "--count", str(LIMITS["bfile"] + 1)],
+            ["export-bfile", "--family", "s2", "--d", "1", "--count", str(LIMITS["bfile"]),
+             "--offset", "1"],
+            ["export-bfile", "--family", "s2", "--d", "1", "--count", "1", "--offset", "-1"],
+            ["export-bfile", "--sequence", "bernoulli-num", "--d", "1",
+             "--count", str(LIMITS["bernoulli"] + 2)],
+            ["export-bfile", "--sequence", "bernoulli-den", "--d", "1", "--count", "1",
+             "--offset", str(LIMITS["bernoulli"] + 1)],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_budget_request_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must lie in" in err
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["powersum", "--d", "3", "--a", "2", "--n", str(LIMITS["power"]),
+              "--m", str(LIMITS["index"])], 1),
+            (["bernoulli", "--d", "2", "--a", "1", "--count", str(LIMITS["bernoulli"] + 1)],
+             LIMITS["bernoulli"] + 1),
+            (["bernoulli", "--d", "2", "--a", "1", "--poly", str(LIMITS["bernoulli"])], 1),
+            (["export-bfile", "--family", "lah", "--d", "3", "--a", "2",
+              "--count", str(LIMITS["bfile"] - 5), "--offset", "5"], LIMITS["bfile"] - 5),
+            (["export-bfile", "--sequence", "bernoulli-num", "--d", "2", "--a", "1",
+              "--count", str(LIMITS["bernoulli"] + 1)], LIMITS["bernoulli"] + 1),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_request_at_the_limit_is_served(self, capsys, argv, lines):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) == lines
+
+
+_SMALL = stn.integers(-1, 6)
+_FAMILY = stn.sampled_from(sorted(FAMILY_BUILDERS))
+# Every option of every subcommand, with the values to draw (None for a
+# switch).  Sizes stay far inside LIMITS so each call is quick; verify skips
+# "all" for the same reason.
+_OPTIONS = {
+    "triangle": {"--family": _FAMILY, "--d": _SMALL, "--a": _SMALL, "--rows": _SMALL,
+                 "--format": stn.sampled_from(("pretty", "csv", "json", "bfile")),
+                 "--rational": None},
+    "powersum": {"--d": _SMALL, "--a": _SMALL, "--n": _SMALL, "--m": stn.integers(-1, 40),
+                 "--method": stn.sampled_from(powersum.METHOD_NAMES), "--all-methods": None},
+    "bernoulli": {"--d": _SMALL, "--a": _SMALL, "--count": _SMALL, "--poly": _SMALL},
+    "verify": {"--suite": stn.sampled_from(SUITE_NAMES), "--depth": stn.integers(-1, 2),
+               "--explain": None, "--include-printed-three-term": None},
+    "export-bfile": {"--family": _FAMILY,
+                     "--sequence": stn.sampled_from(("bernoulli-num", "bernoulli-den")),
+                     "--d": _SMALL, "--a": _SMALL, "--count": stn.integers(-1, 30),
+                     "--offset": _SMALL, "--rational": None},
+}
+
+
+@stn.composite
+def _argv(draw):
+    """A subcommand with most of its options; a missing required one is refused by argparse."""
+    command = draw(stn.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, values in _OPTIONS[command].items():
+        if draw(stn.integers(0, 4)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(str(draw(values)))
+    return argv
+
+
+class TestRandomArgv:
+    @given(_argv())
+    def test_exit_code_is_0_1_or_2(self, argv):
+        code = main(argv)
+        assert code in (0, 1, 2)
 
 
 class TestConsoleEntry:

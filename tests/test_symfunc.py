@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
 from apsums.errors import DomainError
 from apsums.exact import Progression
+from apsums.stirling import s1phat_triangle, s2hat_triangle
 from apsums.symfunc import Alphabet, complete_h, cuboid_volume_oracle, elementary_sigma
 
 
@@ -64,14 +67,20 @@ class TestCuboidOracle:
         with pytest.raises(DomainError):
             cuboid_volume_oracle(alphabet(1, 1, 4), 9)
 
-    @given(stn.integers(1, 3), stn.integers(0, 3), stn.integers(0, 6), stn.integers(0, 6))
-    def test_enumeration_matches_generating_products(self, d, a, count, degree):
-        alpha = alphabet(d, a, count)
-        assert complete_h(alpha, degree) == cuboid_volume_oracle(alpha, degree)
-        if degree <= count:
-            assert elementary_sigma(alpha, degree) == cuboid_volume_oracle(
-                alpha, degree, distinct=True
-            )
+    def test_enumeration_matches_generating_products(self):
+        # the whole grid up to the oracle's caps; every value is a Fraction
+        for d in range(1, 5):
+            for a in range(0, 5):
+                for count in range(0, 9):
+                    alpha = alphabet(d, a, count)
+                    for degree in range(0, 9):
+                        pairs = [(complete_h(alpha, degree), cuboid_volume_oracle(alpha, degree))]
+                        if degree <= count:
+                            pairs.append((elementary_sigma(alpha, degree),
+                                          cuboid_volume_oracle(alpha, degree, distinct=True)))
+                        for value, oracle in pairs:
+                            assert type(value) is Fraction and type(oracle) is Fraction
+                            assert value == oracle, (d, a, count, degree)
 
 
 class TestDuality:
@@ -83,3 +92,17 @@ class TestDuality:
             sign = -1 if k % 2 else 1
             acc += sign * elementary_sigma(alpha, k) * complete_h(alpha, r - k)
         assert acc == 0
+
+
+class TestTriangleEntries:
+    def test_symmetric_functions_beyond_the_oracle_caps(self):
+        size = 30
+        for d in range(1, 4):
+            for a in range(0, d + 1):
+                prog = Progression(d, a)
+                s2h = s2hat_triangle(prog, size)
+                s1ph = s1phat_triangle(prog, size)
+                for n in range(size + 1):
+                    for m in range(n + 1):
+                        assert complete_h(Alphabet(prog, m + 1), n - m) == s2h.entry(n, m)
+                        assert elementary_sigma(Alphabet(prog, n), n - m) == s1ph.entry(n, m)
