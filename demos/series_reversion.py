@@ -10,7 +10,7 @@ identity matrix.
 import math
 
 from apsums import Fps, Progression, identity_triangle, reverse_coefficient_lagrange
-from apsums.stirling import s1_triangle, s2_triangle
+from apsums.stirling import s2_pair, s2_triangle
 
 ORDER = 8
 
@@ -30,6 +30,7 @@ for n in range(ORDER + 1):
 print()
 
 prog = Progression(d=3, a=2)
-product = s2_triangle(prog, ORDER).multiply(s1_triangle(prog, ORDER))
+s1 = s2_pair(prog, ORDER).inverse().triangle(ORDER)  # reverts e^(3t) - 1
+product = s2_triangle(prog, ORDER).multiply(s1)
 print(f"S2[{prog.d},{prog.a}] * S1[{prog.d},{prog.a}] == identity:",
       product == identity_triangle(ORDER))

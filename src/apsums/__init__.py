@@ -6,7 +6,7 @@ form, generating-function coefficient extraction, Sheffer-matrix algebra)
 that the test and verification suites compare bit-exactly.
 """
 
-from .exact import Progression, Rational, binomial_general, fallfac, integer_power, rational_str, risefac
+from .exact import Progression, binomial_general, fallfac, integer_power, rational_str, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
 from .sheffer import ShefferPair, Triangle, identity_pair, identity_triangle
@@ -16,7 +16,6 @@ from . import errors
 
 __all__ = [
     "Progression",
-    "Rational",
     "binomial_general",
     "fallfac",
     "integer_power",

@@ -29,7 +29,6 @@ __all__ = [
     "bernoulli_poly",
     "b_gen",
     "b_gen_numbers",
-    "b_gen_via_ordinary",
     "b_gen_poly",
     "b_gen_poly_via_ordinary",
     "b_d_numbers",
@@ -90,11 +89,6 @@ def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
             acc += math.comb(n, m) * integer_power(prog.a, n - m) * prog.d**m * numbers[m]
         values.append(acc)
     return values
-
-
-def b_gen_via_ordinary(prog: Progression, n: int) -> Fraction:
-    """B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m); must agree with b_gen."""
-    return b_gen_numbers(prog, n)[n]
 
 
 def b_gen_poly(prog: Progression, n: int) -> Polynomial:

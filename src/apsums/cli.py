@@ -25,7 +25,8 @@ from .sheffer import Triangle
 from .verification import MAX_DEPTH, SUITE_NAMES, run_suites
 
 # The largest value of every open-ended input (the smallest is 0, or 1 for
-# --depth); a request outside exits 2, one inside finishes within seconds.
+# --depth and --d); a request outside exits 2, one inside finishes within
+# seconds.
 LIMITS = {
     "rows": 64,  # triangle --rows: largest row index
     "depth": MAX_DEPTH,  # verify --depth
@@ -33,6 +34,7 @@ LIMITS = {
     "index": 5000,  # powersum --m: upper summation index
     "bernoulli": 60,  # largest Bernoulli index: bernoulli --poly / --count, b-file sequences
     "bfile": 2000,  # export-bfile --offset + --count of a triangle family
+    "parameter": 2**64 - 1,  # --d and --a of every subcommand
 }
 
 FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
@@ -137,36 +139,46 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
         raise DomainError(f"{flag} must lie in {low}..{high}")
 
 
-def _triangle_lines(tri: Triangle, fmt: str, rational_ok: bool) -> str:
-    if fmt == "pretty":
+def _check_parameters(args: argparse.Namespace) -> None:
+    """Refuse --d or --a above LIMITS["parameter"]; a value below its domain
+    is refused by Progression or the Bernoulli builders in their own words."""
+    for flag, value, low in (("--d", args.d, 1), ("--a", args.a, 0)):
+        if value is not None and value > LIMITS["parameter"]:
+            _check_range(flag, value, low, LIMITS["parameter"])
+
+
+def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
+    if args.format == "pretty":
         return tri.text(" ") + "\n"
-    if fmt == "csv":
+    if args.format == "csv":
         return tri.text(",") + "\n"
-    if fmt == "json":
+    if args.format == "json":
         payload = {
-            "family": tri.family,
-            "d": tri.prog.d if tri.prog else None,
-            "a": tri.prog.a if tri.prog else None,
+            "family": args.family,
+            "d": args.d,
+            "a": args.a,
             "rows": [[rational_str(c) for c in row] for row in tri.rows],
         }
         return json.dumps(payload) + "\n"
-    if fmt == "bfile":
+    if args.format == "bfile":
         flat = [c for row in tri.rows for c in row]
-        if not rational_ok and any(c.denominator != 1 for c in flat):
+        if not args.rational and any(c.denominator != 1 for c in flat):
             raise DomainError("non-integer entries; pass --rational to export them")
         return "".join(f"{i} {rational_str(c)}\n" for i, c in enumerate(flat))
-    raise DomainError(f"unknown format {fmt!r}")
+    raise DomainError(f"unknown format {args.format!r}")
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
+    _check_parameters(args)
     _check_range("--rows", args.rows, 0, LIMITS["rows"])
     prog = Progression(args.d, args.a)
     tri = FAMILY_BUILDERS[args.family](prog, args.rows)
-    sys.stdout.write(_triangle_lines(tri, args.format, args.rational))
+    sys.stdout.write(_triangle_lines(tri, args))
     return 0
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
+    _check_parameters(args)
     _check_range("--n", args.n, 0, LIMITS["power"])
     _check_range("--m", args.m, 0, LIMITS["index"])
     prog = Progression(args.d, args.a)
@@ -185,6 +197,7 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    _check_parameters(args)
     if args.d < 1:
         raise DomainError("--d must be a positive integer")
     if args.poly is not None:
@@ -257,6 +270,7 @@ def _bfile_sequence(args: argparse.Namespace) -> list[Fraction]:
 
 
 def _cmd_export_bfile(args: argparse.Namespace) -> int:
+    _check_parameters(args)
     lines = LIMITS["bfile"] if args.sequence is None else LIMITS["bernoulli"] + 1
     _check_range("--offset", args.offset, 0, lines)
     _check_range("--count", args.count, 0, lines - args.offset)

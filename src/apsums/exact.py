@@ -3,10 +3,9 @@
 Every quantity in this package is an exact rational, never a float.  The
 integer triangle families (s2, s2hat, s2fac, s1phat, reu, lah, lahinv)
 come from integer recurrences and hold plain ``int``; everything else
-holds :class:`fractions.Fraction` (re-exported as ``Rational``), which
-keeps the canonical reduced form gcd(num, den) = 1 with den >= 1 that
-bit-exact comparison relies on.  An ``int`` equals the ``Fraction`` of
-the same value.  :func:`rational_str` gives the canonical text form
+holds :class:`fractions.Fraction`, which keeps the canonical reduced
+form gcd(num, den) = 1 with den >= 1 that bit-exact comparison relies
+on.  An ``int`` equals the ``Fraction`` of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
 exporter uses it verbatim.
 """
@@ -19,10 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Progression",
     "rational_str",
     "binomial_general",

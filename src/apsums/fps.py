@@ -274,15 +274,7 @@ class Fps:
         """self(inner(t)); the inner constant term must vanish."""
         if inner._coeffs[0] != 0:
             raise CompositionDomainError("inner series must have zero constant term")
-        order = self._binary_order(inner)
-        inner_c = inner._coeffs
-        # Horner over the inner series; outer coefficients beyond the target
-        # order cannot reach down to it because inner starts at t^1.
-        acc = [_ZERO] * (order + 1)
-        for k in range(min(self.order, order), -1, -1):
-            acc = _mul_coeffs(acc, inner_c, order)
-            acc[0] += self._coeffs[k]
-        return Fps(acc)
+        return Fps(_compose_coeffs(self._coeffs, inner._coeffs, self._binary_order(inner)))
 
     def reverse(self) -> Fps:
         """Compositional inverse, by order-doubling Newton iteration.
@@ -349,7 +341,11 @@ class Fps:
 
 
 def _compose_coeffs(outer: Sequence[Fraction], g: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Horner composition of coefficient lists; g[0] is assumed zero."""
+    """Horner composition of coefficient lists; g[0] is assumed zero.
+
+    Outer coefficients beyond ``order`` cannot reach down to it because g
+    starts at t^1, so they are skipped.
+    """
     acc = [_ZERO] * (order + 1)
     for k in range(min(len(outer) - 1, order), -1, -1):
         acc = _mul_coeffs(acc, g, order)

@@ -63,8 +63,8 @@ def lah_column0(prog: Progression, size: int) -> list[Fraction]:
     return [g.coefficient_times_factorial(n) for n in range(size + 1)]
 
 
-def _as_lah(rows, prog: Progression) -> Triangle:
-    tri = Triangle(rows, family="lah", prog=prog)
+def _as_lah(tri: Triangle) -> Triangle:
+    """``tri`` itself, once every entry is known to be an integer."""
     if not tri.is_integer():
         raise DomainError("Lah triangle produced a non-integer entry")
     return tri
@@ -72,8 +72,7 @@ def _as_lah(rows, prog: Progression) -> Triangle:
 
 def lah_triangle(prog: Progression, size: int) -> Triangle:
     """L[d,a] rows 0..size by the triangle product S1phat * S2hat."""
-    product = s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))
-    return Triangle(product.rows, family="lah", prog=prog)
+    return s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))
 
 
 def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:
@@ -81,11 +80,10 @@ def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:
 
     The pair needs order >= 1 to hold f, even for the single row 0.
     """
-    tri = lah_pair(prog, max(size, 1)).triangle(size)
-    return _as_lah(tri.rows, prog)
+    return _as_lah(lah_pair(prog, max(size, 1)).triangle(size))
 
 
-def _four_term(d: int, a: int, size: int, family: str, prog: Progression) -> Triangle:
+def _four_term(d: int, a: int, size: int) -> Triangle:
     """Rows 0..size of T(n,m) = T(n-1,m-1) + 2(a + d(n-1)) T(n-1,m)
     - d(n-1)(2a + d(n-2)) T(n-2,m) from T(0,0) = 1, on int."""
     if size < 0:
@@ -97,7 +95,7 @@ def _four_term(d: int, a: int, size: int, family: str, prog: Progression) -> Tri
         grow = 2 * (a + d * (n - 1))
         back = d * (n - 1) * (2 * a + d * (n - 2))
         rows.append([prev[m] + grow * prev[m + 1] - back * prev2[m] for m in range(n + 1)])
-    return Triangle(rows, family=family, prog=prog)
+    return Triangle(rows)
 
 
 def lah_four_term(prog: Progression, size: int) -> Triangle:
@@ -106,7 +104,7 @@ def lah_four_term(prog: Progression, size: int) -> Triangle:
     L(n,m) = L(n-1,m-1) + 2(a + d(n-1)) L(n-1,m)
              - d(n-1)(2a + d(n-2)) L(n-2,m).
     """
-    return _four_term(prog.d, prog.a, size, "lah", prog)
+    return _four_term(prog.d, prog.a, size)
 
 
 def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Triangle:
@@ -132,16 +130,13 @@ def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Trian
             growth = n if printed else d * n
             row.append(Fraction(n, m) * left + growth * right)
         rows.append(row)
-    tri = Triangle(rows, family="lah", prog=prog)
-    if not printed and not tri.is_integer():
-        raise DomainError("Lah triangle produced a non-integer entry")
-    return tri
+    tri = Triangle(rows)
+    return tri if printed else _as_lah(tri)
 
 
 def lah_inverse(prog: Progression, size: int) -> Triangle:
     """L^(-1)[d,a]: checkerboard-signed Lah entries; L * L^(-1) = identity."""
-    signed = lah_triangle(prog, size).signed()
-    return Triangle(signed.rows, family="lahinv", prog=prog)
+    return lah_triangle(prog, size).signed()
 
 
 def lah_inverse_four_term(prog: Progression, size: int) -> Triangle:
@@ -150,4 +145,4 @@ def lah_inverse_four_term(prog: Progression, size: int) -> Triangle:
     L^(-1)(n,m) = L^(-1)(n-1,m-1) - 2(a + d(n-1)) L^(-1)(n-1,m)
                   - d(n-1)(2a + d(n-2)) L^(-1)(n-2,m).
     """
-    return _four_term(-prog.d, -prog.a, size, "lahinv", prog)
+    return _four_term(-prog.d, -prog.a, size)

@@ -9,9 +9,9 @@ n! times the t^n coefficient of that column.  The pairs form a group:
 
 and the triangle of a product is the matrix product of the triangles.
 
-:class:`Triangle` is the materialized N x N array.  It compares by
-entries alone, so triangles built along different routes can be checked
-for equality regardless of their family tag.
+:class:`Triangle` is the materialized N x N array.  It holds entries and
+nothing else, so triangles built along different routes compare equal
+exactly when their entries do.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, InsufficientOrder, ShapeError, SingularTriangle
-from .exact import Progression, rational_str
+from .exact import rational_str
 from .fps import Fps
 from .poly import Polynomial
 
@@ -37,16 +37,13 @@ class Triangle:
     recurrences hold ``int``, everything else holds ``Fraction``, and no
     entry is ever a float.  ``int`` and ``Fraction`` compare, hash and
     print alike, so triangles from different routes compare bit-exactly.
+    A triangle carries no family name or progression: the caller that
+    built it already knows both.
     """
 
-    __slots__ = ("_rows", "family", "prog")
+    __slots__ = ("_rows",)
 
-    def __init__(
-        self,
-        rows: Iterable[Iterable[Fraction | int]],
-        family: str = "generic",
-        prog: Progression | None = None,
-    ):
+    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         converted = []
         for n, row in enumerate(rows):
             row = tuple(row)
@@ -56,8 +53,6 @@ class Triangle:
         if not converted:
             raise ShapeError("a triangle needs at least row 0")
         self._rows = tuple(converted)
-        self.family = family
-        self.prog = prog
 
     @property
     def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
@@ -82,13 +77,12 @@ class Triangle:
         return self._rows[n]
 
     def __eq__(self, other: object) -> bool:
-        # Entry-level equality only; family tags and parameters are metadata.
         if not isinstance(other, Triangle):
             return NotImplemented
         return self._rows == other._rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Triangle({self.family!r}, size={self.size})"
+        return f"Triangle(size={self.size})"
 
     def text(self, sep: str = " ") -> str:
         """One row per line, canonical rationals, entries joined by ``sep``."""
@@ -182,7 +176,7 @@ class ShefferPair:
             column = column * fn / j
         return column.coefficient_times_factorial(n)
 
-    def triangle(self, size: int, family: str = "generic", prog: Progression | None = None) -> Triangle:
+    def triangle(self, size: int) -> Triangle:
         """Materialize rows 0..size; the series must carry order >= size."""
         if size < 0:
             raise DomainError("size must be non-negative")
@@ -199,7 +193,7 @@ class ShefferPair:
                 column = column * f / m
             for n in range(m, size + 1):
                 rows[n][m] = column.coefficient_times_factorial(n)
-        return Triangle(rows, family=family, prog=prog)
+        return Triangle(rows)
 
     def multiply(self, other: ShefferPair) -> ShefferPair:
         """Group product: (g1 * (g2 o f1), f2 o f1)."""

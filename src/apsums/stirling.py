@@ -9,9 +9,12 @@ Its Sheffer pair is (e^(a*t), e^(d*t) - 1).  The column-scaled variant
 S2hat divides column m by d^m; the row-factorial variant S2fac multiplies
 column m by m!.  On the first-kind side, S1[d,a] is the group inverse of
 S2[d,a], and the non-negative integer triangle S1phat scales the unsigned
-rows by d^n.  The integer families are built from their recurrences on
-plain int and S1 from its Sheffer pair, with the closed forms (alternating sums, basis changes, the two Schloemilch
-triple sums, symmetric functions) kept as independent cross-check routes.
+rows by d^n, so S1p(n,m) = S1phat(n,m)/d^n and
+S1(n,m) = (-1)^(n-m) S1phat(n,m)/d^n.  Every triangle is built from an
+integer recurrence on plain int (S1 and S1p divide the S1phat rows by
+d^n, so they hold Fraction).  The closed forms (alternating sums, basis
+changes, the two Schloemilch triple sums, symmetric functions) and the
+Sheffer pairs are kept as independent cross-check routes.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ def _recurrence_triangle(
     size: int,
     left: Callable[[int, int], int],
     right: Callable[[int, int], int],
-    family: str,
-    prog: Progression,
 ) -> Triangle:
     """Rows 0..size of T(n,m) = left(n,m) T(n-1,m-1) + right(n,m) T(n-1,m)
     from T(0,0) = 1, on int: integer coefficients keep every entry integral."""
@@ -70,7 +71,7 @@ def _recurrence_triangle(
     for n in range(1, size + 1):
         prev = [0, *rows[-1], 0]
         rows.append([left(n, m) * prev[m] + right(n, m) * prev[m + 1] for m in range(n + 1)])
-    return Triangle(rows, family=family, prog=prog)
+    return Triangle(rows)
 
 
 # -- second kind ---------------------------------------------------------------
@@ -85,7 +86,7 @@ def s2_triangle(prog: Progression, size: int) -> Triangle:
     ((1,), (1, 2), (1, 8, 4))
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n, m: d, lambda n, m: a + d * m, "s2", prog)
+    return _recurrence_triangle(size, lambda n, m: d, lambda n, m: a + d * m)
 
 
 def s2hat_triangle(prog: Progression, size: int) -> Triangle:
@@ -94,13 +95,13 @@ def s2hat_triangle(prog: Progression, size: int) -> Triangle:
     S2hat(n,m) = S2hat(n-1,m-1) + (a + d*m) * S2hat(n-1,m).
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: a + d * m, "s2hat", prog)
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: a + d * m)
 
 
 def s2fac_triangle(prog: Progression, size: int) -> Triangle:
     """S2fac(n,m) = S2(n,m) * m!, built from its own recurrence."""
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n, m: m * d, lambda n, m: a + d * m, "s2fac", prog)
+    return _recurrence_triangle(size, lambda n, m: m * d, lambda n, m: a + d * m)
 
 
 def s2_explicit(prog: Progression, n: int, m: int) -> Fraction:
@@ -160,21 +161,18 @@ def s1phat_triangle(prog: Progression, size: int) -> Triangle:
     S1phat(n,m) = S1phat(n-1,m-1) + (d*n - (d-a)) * S1phat(n-1,m).
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: d * n - (d - a), "s1phat", prog)
-
-
-def s1_triangle(prog: Progression, size: int) -> Triangle:
-    """Signed fractional S1[d,a], the matrix inverse of S2[d,a].
-
-    The pair needs order >= 1 to hold f, even for the single row 0.
-    """
-    return s1_pair(prog, max(size, 1)).triangle(size, family="s1", prog=prog)
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: d * n - (d - a))
 
 
 def s1p_triangle(prog: Progression, size: int) -> Triangle:
-    """Unsigned S1p(n,m) = (-1)^(n-m) S1(n,m); fractional for d > 1."""
-    tri = s1_triangle(prog, size).signed()
-    return Triangle(tri.rows, family="s1p", prog=prog)
+    """Unsigned S1p(n,m) = S1phat(n,m) / d^n, as Fraction; fractional for d > 1."""
+    rows = s1phat_triangle(prog, size).rows
+    return Triangle([Fraction(c, prog.d**n) for c in row] for n, row in enumerate(rows))
+
+
+def s1_triangle(prog: Progression, size: int) -> Triangle:
+    """Signed S1(n,m) = (-1)^(n-m) S1p(n,m), the matrix inverse of S2[d,a]."""
+    return s1p_triangle(prog, size).signed()
 
 
 def s1phat_from_sigma(prog: Progression, n: int, m: int) -> Fraction:

@@ -175,6 +175,18 @@ def _series_diff(lhs: Fps, rhs: Fps) -> str:
     return f"orders differ: {lhs.order} vs {rhs.order}"
 
 
+def _lowered(poly: Polynomial, weight: Callable[[int], Fraction | int]) -> Polynomial:
+    """The lowering operator sum_{k >= 1} weight(k) D^k applied to ``poly``."""
+    acc = Polynomial()
+    deriv = poly.derivative()
+    k = 1
+    while deriv:
+        acc = acc + deriv * weight(k)
+        deriv = deriv.derivative()
+        k += 1
+    return acc
+
+
 # -- fps / scalar kernel -------------------------------------------------------
 
 
@@ -350,14 +362,7 @@ def _s2_lowering(size, rng):
     for prog in _progressions(3):
         tri = st.s2_triangle(prog, size)
         for n in range(1, size + 1):
-            acc = Polynomial()
-            deriv = tri.row_polynomial(n)
-            for k in range(1, n + 1):
-                deriv = deriv.derivative()
-                sign = 1 if (k + 1) % 2 == 0 else -1
-                acc = acc + deriv * Fraction(sign, k)
-                if not deriv:
-                    break
+            acc = _lowered(tri.row_polynomial(n), lambda k: Fraction((-1) ** (k + 1), k))
             if acc * Fraction(1, prog.d) != n * tri.row_polynomial(n - 1):
                 return f"{prog} n={n}: lowering operator fails"
 
@@ -479,6 +484,8 @@ def _s1_group_inverse(inv_size, rng):
     for prog in _progressions(4):
         s2 = st.s2_triangle(prog, inv_size)
         s1 = st.s1_triangle(prog, inv_size)
+        if s1 != st.s1_pair(prog, inv_size).triangle(inv_size):
+            return f"{prog}: integer-built S1 and Sheffer coefficient extraction differ"
         if s2.multiply(s1) != identity_triangle(inv_size):
             return f"{prog}: S2 * S1 is not the identity"
         if s1.multiply(s2) != identity_triangle(inv_size):
@@ -520,14 +527,9 @@ def _s1_lowering(size, rng):
         tri = st.s1phat_triangle(prog, size)
         d = prog.d
         for n in range(1, size + 1):
-            acc = Polynomial()
-            deriv = tri.row_polynomial(n)
-            for k in range(1, n + 1):
-                deriv = deriv.derivative()
-                sign = 1 if (k - 1) % 2 == 0 else -1
-                acc = acc + deriv * Fraction(sign * d ** (k - 1), math.factorial(k))
-                if not deriv:
-                    break
+            acc = _lowered(
+                tri.row_polynomial(n), lambda k: Fraction((-d) ** (k - 1), math.factorial(k))
+            )
             if acc != n * tri.row_polynomial(n - 1):
                 return f"{prog} n={n}: factorial lowering operator fails"
 
@@ -1000,14 +1002,7 @@ def _lah_lowering(size, rng):
         tri = lahmod.lah_triangle(prog, poly_size)
         d = prog.d
         for n in range(1, poly_size + 1):
-            acc = Polynomial()
-            deriv = tri.row_polynomial(n)
-            for k in range(0, n):
-                deriv = deriv.derivative()
-                sign = 1 if k % 2 == 0 else -1
-                acc = acc + deriv * (sign * d**k)
-                if not deriv:
-                    break
+            acc = _lowered(tri.row_polynomial(n), lambda k: (-d) ** (k - 1))
             if acc != n * tri.row_polynomial(n - 1):
                 return f"{prog} n={n}: geometric lowering operator fails"
 
@@ -1037,13 +1032,7 @@ def _lah_raising(size, rng):
             )
             if stepped_inv != inv.row_polynomial(n):
                 return f"{prog} n={n}: inverse raising operator fails"
-            acc = Polynomial()
-            deriv = inv.row_polynomial(n)
-            for k in range(0, n):
-                deriv = deriv.derivative()
-                acc = acc + deriv * d**k
-                if not deriv:
-                    break
+            acc = _lowered(inv.row_polynomial(n), lambda k: d ** (k - 1))
             if acc != n * inv.row_polynomial(n - 1):
                 return f"{prog} n={n}: inverse lowering operator fails"
 

@@ -12,8 +12,8 @@ from apsums.bernoulli import (
     b_gen,
     b_gen_egf,
     b_gen_poly,
+    b_gen_numbers,
     b_gen_poly_via_ordinary,
-    b_gen_via_ordinary,
     bernoulli_numbers,
     bernoulli_poly,
 )
@@ -80,26 +80,26 @@ class TestTwoParameterNumbers:
         assert b_gen(Progression(2, 1), 2) == F(-1, 3)
 
     def test_binomial_route(self):
-        assert b_gen_via_ordinary(Progression(2, 1), 2) == F(-1, 3)
-        assert b_gen_via_ordinary(Progression(3, 2), 1) == F(1, 2)
+        assert b_gen_numbers(Progression(2, 1), 2)[2] == F(-1, 3)
+        assert b_gen_numbers(Progression(3, 2), 1)[1] == F(1, 2)
         numbers = bernoulli_numbers(8)
         for d in (1, 2, 3):
             for n in range(9):
-                assert b_gen_via_ordinary(Progression(d, 0), n) == F(d) ** n * numbers[n]
+                assert b_gen_numbers(Progression(d, 0), n)[n] == F(d) ** n * numbers[n]
 
     def test_routes_agree(self):
         for d in range(1, 5):
             for a in range(d + 1):
                 prog = Progression(d, a)
                 for n in range(11):
-                    assert b_gen(prog, n) == b_gen_via_ordinary(prog, n)
+                    assert b_gen(prog, n) == b_gen_numbers(prog, n)[n]
 
     def test_parity_relation(self):
         for d in range(2, 6):
             for a in range(1, d):
                 for n in range(13):
-                    lhs = b_gen_via_ordinary(Progression(d, d - a), n)
-                    rhs = (-1) ** n * b_gen_via_ordinary(Progression(d, a), n)
+                    lhs = b_gen_numbers(Progression(d, d - a), n)[n]
+                    rhs = (-1) ** n * b_gen_numbers(Progression(d, a), n)[n]
                     assert lhs == rhs
 
 
@@ -150,7 +150,7 @@ class TestGeneratingFunctions:
         for d in range(1, 5):
             for a in range(d + 1):
                 prog = Progression(d, a)
-                values = [b_gen_via_ordinary(prog, n) for n in range(13)]
+                values = b_gen_numbers(prog, 12)
                 lhs = Fps([values[n] / math.factorial(n) for n in range(13)])
                 assert lhs == b_gen_egf(prog, 12)
 

@@ -53,17 +53,21 @@ class TestTriangleCommand:
         assert code == 0
         assert out == "1\n1 1\n1 4 1\n"
 
-    def test_json(self, capsys):
-        code, out, _ = run_cli(capsys, "triangle", "--family", "lah", "--d", "2", "--a", "1",
+    @pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+    def test_json(self, capsys, family):
+        code, out, _ = run_cli(capsys, "triangle", "--family", family, "--d", "2", "--a", "1",
                                "--rows", "2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        rows = FAMILY_BUILDERS[family](Progression(2, 1), 2).rows
         assert payload == {
-            "family": "lah",
+            "family": family,
             "d": 2,
             "a": 1,
-            "rows": [["1"], ["2", "1"], ["8", "8", "1"]],
+            "rows": [[str(Fraction(c)) for c in row] for row in rows],
         }
+        if family == "lah":
+            assert payload["rows"] == [["1"], ["2", "1"], ["8", "8", "1"]]
 
     def test_bfile_format(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--family", "s1phat", "--d", "2", "--a", "1",
@@ -292,6 +296,9 @@ class TestExportBfile:
         assert code == 2
 
 
+_PAST_PARAMETER = str(LIMITS["parameter"] + 1)
+
+
 class TestInputLimits:
     @pytest.mark.parametrize(
         "argv",
@@ -310,6 +317,15 @@ class TestInputLimits:
              "--count", str(LIMITS["bernoulli"] + 2)],
             ["export-bfile", "--sequence", "bernoulli-den", "--d", "1", "--count", "1",
              "--offset", str(LIMITS["bernoulli"] + 1)],
+            ["triangle", "--family", "lah", "--d", _PAST_PARAMETER, "--rows", "1"],
+            ["triangle", "--family", "s1", "--d", "1", "--a", _PAST_PARAMETER, "--rows", "1"],
+            ["powersum", "--d", _PAST_PARAMETER, "--a", "0", "--n", "1", "--m", "1"],
+            ["powersum", "--d", "1", "--a", _PAST_PARAMETER, "--n", "1", "--m", "1"],
+            ["bernoulli", "--d", _PAST_PARAMETER, "--count", "2"],
+            ["bernoulli", "--d", "1", "--a", _PAST_PARAMETER, "--poly", "2"],
+            ["export-bfile", "--family", "s2", "--d", _PAST_PARAMETER, "--count", "1"],
+            ["export-bfile", "--sequence", "bernoulli-num", "--d", "1", "--a", _PAST_PARAMETER,
+             "--count", "1"],
         ],
         ids=" ".join,
     )
@@ -331,6 +347,8 @@ class TestInputLimits:
               "--count", str(LIMITS["bfile"] - 5), "--offset", "5"], LIMITS["bfile"] - 5),
             (["export-bfile", "--sequence", "bernoulli-num", "--d", "2", "--a", "1",
               "--count", str(LIMITS["bernoulli"] + 1)], LIMITS["bernoulli"] + 1),
+            (["triangle", "--family", "s1", "--d", str(LIMITS["parameter"]),
+              "--a", str(LIMITS["parameter"]), "--rows", str(LIMITS["rows"])], LIMITS["rows"] + 1),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
     )

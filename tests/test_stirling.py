@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
+from apsums.cli import LIMITS
 from apsums.errors import DomainError, OutOfTriangle
 from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
@@ -270,6 +271,15 @@ class TestInversePairing:
         for n in range(7):
             for m in range(n + 1):
                 assert s1p.entry(n, m) * F(prog.d) ** n == s1ph.entry(n, m)
+
+    def test_integer_route_matches_sheffer_at_the_row_limit(self):
+        prog = Progression(7, 5)
+        size = LIMITS["rows"]
+        sheffer = s1_pair(prog, size).triangle(size)
+        s1 = s1_triangle(prog, size)
+        assert s1 == sheffer
+        assert s1p_triangle(prog, size) == sheffer.signed()
+        assert all(type(c) is Fraction for row in s1.rows for c in row)
 
     def test_inverse_pair_closed_form(self):
         inv = s2_pair(Progression(2, 1), 6).inverse()
