@@ -147,6 +147,23 @@ def _check_parameters(args: argparse.Namespace) -> None:
             _check_range(flag, value, low, LIMITS["parameter"])
 
 
+def _bfile_lines(values: Sequence[Fraction | int], start: int, rational: bool) -> str:
+    """OEIS b-file lines ``i value`` for ``values``, indexed from ``start``.
+
+    A non-integer value is refused unless ``rational`` is set.
+    """
+    if not rational and any(v.denominator != 1 for v in values):
+        raise DomainError("non-integer entries; pass --rational to export them")
+    return "".join(f"{i} {rational_str(v)}\n" for i, v in enumerate(values, start=start))
+
+
+def _bernoulli_values(args: argparse.Namespace, n_max: int) -> list[Fraction]:
+    """B(d; 0..n_max), or B(d, a; 0..n_max) when --a is given."""
+    if args.a is None:
+        return bern.b_d_numbers(args.d, n_max)
+    return bern.b_gen_numbers(Progression(args.d, args.a), n_max)
+
+
 def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
     if args.format == "pretty":
         return tri.text(" ") + "\n"
@@ -161,10 +178,7 @@ def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
         }
         return json.dumps(payload) + "\n"
     if args.format == "bfile":
-        flat = [c for row in tri.rows for c in row]
-        if not args.rational and any(c.denominator != 1 for c in flat):
-            raise DomainError("non-integer entries; pass --rational to export them")
-        return "".join(f"{i} {rational_str(c)}\n" for i, c in enumerate(flat))
+        return _bfile_lines([c for row in tri.rows for c in row], 0, args.rational)
     raise DomainError(f"unknown format {args.format!r}")
 
 
@@ -211,12 +225,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     _check_range("--count", args.count, 0, LIMITS["bernoulli"] + 1)
     if args.count == 0:
         return 0
-    if args.a is None:
-        values = bern.b_d_numbers(args.d, args.count - 1)
-    else:
-        prog = Progression(args.d, args.a)
-        values = bern.b_gen_numbers(prog, args.count - 1)
-    for value in values:
+    for value in _bernoulli_values(args, args.count - 1):
         sys.stdout.write(rational_str(value) + "\n")
     return 0
 
@@ -248,25 +257,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _bfile_sequence(args: argparse.Namespace) -> list[Fraction]:
+def _bfile_sequence(args: argparse.Namespace) -> list[Fraction | int]:
+    """At least the first offset + count values; a triangle family is read row by row."""
     needed = args.offset + args.count
     if args.sequence is not None:
-        if args.a is None:
-            values = bern.b_d_numbers(args.d, max(needed - 1, 0))
-        else:
-            prog = Progression(args.d, args.a)
-            values = bern.b_gen_numbers(prog, needed - 1)
         part = "numerator" if args.sequence == "bernoulli-num" else "denominator"
-        return [Fraction(getattr(v, part)) for v in values]
+        return [Fraction(getattr(v, part)) for v in _bernoulli_values(args, needed - 1)]
     prog = Progression(args.d, args.a if args.a is not None else 0)
     size = 0
     while (size + 1) * (size + 2) // 2 < needed:
         size += 1
     tri = FAMILY_BUILDERS[args.family](prog, size)
-    flat = [c for row in tri.rows for c in row]
-    if not args.rational and any(c.denominator != 1 for c in flat[: needed]):
-        raise DomainError("non-integer entries; pass --rational to export them")
-    return flat
+    return [c for row in tri.rows for c in row]
 
 
 def _cmd_export_bfile(args: argparse.Namespace) -> int:
@@ -276,10 +278,8 @@ def _cmd_export_bfile(args: argparse.Namespace) -> int:
     _check_range("--count", args.count, 0, lines - args.offset)
     if args.count == 0:
         return 0
-    values = _bfile_sequence(args)
-    window = values[args.offset : args.offset + args.count]
-    for i, value in enumerate(window, start=args.offset):
-        sys.stdout.write(f"{i} {rational_str(value)}\n")
+    window = _bfile_sequence(args)[args.offset : args.offset + args.count]
+    sys.stdout.write(_bfile_lines(window, args.offset, args.rational))
     return 0
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import OutOfTriangle, ShapeError
 from .exact import Progression, integer_power
 from .sheffer import Triangle
-from .stirling import _recurrence_triangle, s2_triangle
+from .stirling import _recurrence_triangle, s2fac_triangle
 
 __all__ = [
     "reorder_b_to_a",
@@ -40,11 +40,11 @@ def reorder_b_to_a(b: Sequence[Fraction | int], n: int) -> list[Fraction]:
         raise ShapeError(f"expected {n + 1} coefficients, got {len(b)}")
     out = []
     for i in range(n + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(i + 1):
             sign = -1 if (i - j) % 2 else 1
-            acc += sign * math.comb(n - j, i - j) * Fraction(b[j])
-        out.append(acc)
+            acc += sign * math.comb(n - j, i - j) * b[j]
+        out.append(Fraction(acc))
     return out
 
 
@@ -57,10 +57,10 @@ def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction]:
         raise ShapeError(f"expected {n + 1} coefficients, got {len(a)}")
     out = []
     for j in range(n + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(j + 1):
-            acc += math.comb(n - i, j - i) * Fraction(a[i])
-        out.append(acc)
+            acc += math.comb(n - i, j - i) * a[i]
+        out.append(Fraction(acc))
     return out
 
 
@@ -85,29 +85,30 @@ def reu_triangle(prog: Progression, size: int) -> Triangle:
 
 
 def reu_from_s2fac(prog: Progression, n: int, k: int) -> Fraction:
-    """rEu from the factorial-scaled Stirling row:
+    """rEu from the factorial-scaled Stirling row, through :func:`reorder_b_to_a`:
 
     rEu(n,k) = sum_j (-1)^(k-j) C(n-j, k-j) S2(n,j) j!.
+
+    The classical row S2fac(2, .) = [0, 1, 2]:
+
+    >>> [int(reu_from_s2fac(Progression(1, 0), 2, k)) for k in range(3)]
+    [0, 1, 1]
     """
     if n < 0 or k < 0 or k > n:
         raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
-    s2 = s2_triangle(prog, n)
-    acc = Fraction(0)
-    for j in range(k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        acc += sign * math.comb(n - j, k - j) * s2.entry(n, j) * math.factorial(j)
-    return acc
+    return reorder_b_to_a(s2fac_triangle(prog, n).row(n), n)[k]
 
 
 def s2fac_from_reu(prog: Progression, n: int, m: int) -> Fraction:
-    """Inverse direction: S2(n,m) m! = sum_k C(n-k, m-k) rEu(n,k)."""
+    """Inverse direction, through :func:`reorder_a_to_b`:
+    S2(n,m) m! = sum_k C(n-k, m-k) rEu(n,k).
+
+    >>> [int(s2fac_from_reu(Progression(1, 0), 2, m)) for m in range(3)]
+    [0, 1, 2]
+    """
     if n < 0 or m < 0 or m > n:
         raise OutOfTriangle(f"entry ({n}, {m}) lies outside the triangle")
-    reu = reu_triangle(prog, n)
-    acc = Fraction(0)
-    for k in range(m + 1):
-        acc += math.comb(n - k, m - k) * reu.entry(n, k)
-    return acc
+    return reorder_a_to_b(reu_triangle(prog, n).row(n), n)[m]
 
 
 def reu_from_ordinary(prog: Progression, n: int, k: int) -> Fraction:

@@ -242,6 +242,26 @@ class TestVerifyCommand:
         assert "first mismatch: entry (2,1): 5 != 7" in out
         assert "1 failed" in out.splitlines()[-1]
 
+    def test_broken_route_is_named_with_both_values(self, capsys, monkeypatch):
+        from apsums import stirling
+
+        route = stirling.s1phat_schlomilch_v2
+        broken_at = (Progression(2, 1), 3, 1)
+
+        def broken(prog, n, m):
+            return route(prog, n, m) + ((prog, n, m) == broken_at)
+
+        monkeypatch.setattr(stirling, "s1phat_schlomilch_v2", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "s1", "--depth", "3", "--explain")
+        want = stirling.s1phat_triangle(Progression(2, 1), 3).entry(3, 1)
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok")] == [
+            "FAIL  s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)",
+            f"      first mismatch: Progression(d=2, a=1) (3,1): s1phat_triangle={want} "
+            f"but triple-sum-reordered={want + 1}",
+            "checks: 12 total, 11 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
+        ]
+
 
 class TestExportBfile:
     def test_flattened_triangle(self, capsys):
@@ -289,6 +309,17 @@ class TestExportBfile:
                                "--count", "4", "--rational")
         assert code == 0
         assert out == "0 1\n1 -1/2\n2 1/2\n3 3/4\n"
+
+    def test_only_exported_entries_must_be_integers(self, capsys):
+        # entries 0..5 of s1[2,2] are 1, -1, 1/2, 2, -3/2, 1/4
+        code, out, _ = run_cli(capsys, "export-bfile", "--family", "s1", "--d", "2", "--a", "2",
+                               "--offset", "3", "--count", "1")
+        assert code == 0
+        assert out == "3 2\n"
+        code, _, err = run_cli(capsys, "export-bfile", "--family", "s1", "--d", "2", "--a", "2",
+                               "--offset", "3", "--count", "2")
+        assert code == 2
+        assert "rational" in err
 
     def test_family_and_sequence_are_exclusive(self, capsys):
         code, _, _ = run_cli(capsys, "export-bfile", "--family", "s2", "--sequence",
