@@ -1,15 +1,23 @@
 """Bernoulli numbers and polynomials, ordinary and generalized.
 
-The ordinary numbers follow the recursion
-B(n) = (delta_{n,0} - sum_{k<n} C(n+1,k) B(k)) / (n+1), which fixes the
-convention B(1) = -1/2.  The two-parameter numbers B(d,a;n) arise from an
+The ordinary numbers come from an integer kernel: the tangent numbers
+T(1..k) of Brent and Harvey's O(k^2) in-place recurrence give
+B(2k) = (-1)^(k-1) 2k T(k) / (4^k (4^k - 1)), with B(0) = 1, the
+convention B(1) = -1/2, and B(n) = 0 for odd n >= 3.  The table is kept
+as integer numerators over one common denominator L, so the routes that
+sum over it (the two-parameter and one-parameter numbers here, the
+ordinary and generalized Faulhaber formulas in ``powersum``) add in
+``int`` and reduce each output value to a ``Fraction`` exactly once.
+The defining recursion survives only as the verifier's independent
+cross-check.  The two-parameter numbers B(d,a;n) arise from an
 alternating factorial-weighted sum over the S2[d,a] row, or equivalently
 from the binomial a/d expansion of the ordinary numbers.  The
 one-parameter family B(d;n) = d^n B(n), whose polynomials drive the
 generalized Faulhaber formula, is the a-independent contraction of the
-two-parameter one.  Everything is pure and uncached; callers that need
-B(d,a;n) for every n up to some bound take the whole list from
-:func:`b_gen_numbers`, which builds the ordinary numbers once.
+two-parameter one.  Nothing is cached between calls.
+
+Reference: R. P. Brent and D. Harvey, "Fast computation of Bernoulli,
+Tangent and Secant numbers", Springer Proc. Math. Stat. 50 (2013).
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression, integer_power
+from .exact import Progression
 from .fps import Fps
 from .poly import Polynomial
 from .sheffer import ShefferPair
@@ -38,17 +46,52 @@ __all__ = [
 ]
 
 
-def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B(0..n_max) by the defining recursion; B(0) = 1, B(1) = -1/2."""
+def _tangent_numbers(k_max: int) -> list[int]:
+    """T(1..k_max), the Taylor coefficients of tan(t) times (2k-1)!, in int.
+
+    Brent and Harvey's recurrence: start from T(k) = (k-1)! and sweep
+    T(j) <- (j-k) T(j-1) + (j-k+2) T(j) for k = 2..k_max, j = k..k_max.
+    """
+    t = [0, 1] + [0] * (k_max - 1)
+    for k in range(2, k_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1 : k_max + 1]
+
+
+def _bernoulli_table(n_max: int) -> tuple[list[int], int]:
+    """(N, L) with B(n) = N[n] / L for n = 0..n_max, over one denominator L.
+
+    L is the least common denominator, the lcm of the reduced denominators
+    of B(1) and of B(2k) = (-1)^(k-1) 2k T(k) / (4^k (4^k - 1)); by von
+    Staudt-Clausen it is the product of the primes p <= n_max + 1.
+    """
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    values: list[Fraction] = []
-    for n in range(n_max + 1):
-        acc = Fraction(1 if n == 0 else 0)
-        for k in range(n):
-            acc -= math.comb(n + 1, k) * values[k]
-        values.append(acc / (n + 1))
-    return values
+    even = []  # B(2k) as a reduced (numerator, denominator) pair
+    for k, t in enumerate(_tangent_numbers(n_max // 2), start=1):
+        num, den = (-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)
+        g = math.gcd(num, den)
+        even.append((num // g, den // g))
+    common = math.lcm(2 if n_max else 1, *(den for _, den in even))
+    nums = [common, -common // 2] + [0] * (n_max - 1)
+    for k, (num, den) in enumerate(even, start=1):
+        nums[2 * k] = num * (common // den)
+    return nums[: n_max + 1], common
+
+
+def bernoulli_numbers(n_max: int) -> list[Fraction]:
+    """B(0..n_max) from the tangent numbers; B(0) = 1, B(1) = -1/2.
+
+    >>> print(", ".join(map(str, bernoulli_numbers(4))))
+    1, -1/2, 1/6, 0, -1/30
+    >>> _tangent_numbers(5)
+    [1, 2, 16, 272, 7936]
+    """
+    nums, den = _bernoulli_table(n_max)
+    return [Fraction(num, den) for num in nums]
 
 
 def bernoulli_poly(n: int) -> Polynomial:
@@ -74,21 +117,23 @@ def b_gen(prog: Progression, n: int) -> Fraction:
 def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
     """B(d,a;0..n_max) by the binomial a/d expansion over one table of B(0..n_max):
 
-    B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m).
+    B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m),
+
+    summed in int over the numerators of the table and divided once by
+    its common denominator.
 
     >>> print(", ".join(map(str, b_gen_numbers(Progression(2, 1), 4))))
     1, 0, -1/3, 0, 7/15
     """
     if n_max < 0:
         raise DomainError("index must be non-negative")
-    numbers = bernoulli_numbers(n_max)
-    values = []
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        for m in range(n + 1):
-            acc += math.comb(n, m) * integer_power(prog.a, n - m) * prog.d**m * numbers[m]
-        values.append(acc)
-    return values
+    nums, den = _bernoulli_table(n_max)
+    a_powers = [prog.a**i for i in range(n_max + 1)]  # 0 ** 0 == 1
+    scaled = [(m, prog.d**m * num) for m, num in enumerate(nums) if num]
+    return [
+        Fraction(sum(math.comb(n, m) * a_powers[n - m] * c for m, c in scaled if m <= n), den)
+        for n in range(n_max + 1)
+    ]
 
 
 def b_gen_poly(prog: Progression, n: int) -> Polynomial:
@@ -117,10 +162,12 @@ def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
 
 
 def b_d_numbers(d: int, n_max: int) -> list[Fraction]:
-    """One-parameter numbers B(d;n) = d^n B(n) for n = 0..n_max."""
+    """One-parameter numbers B(d;n) = d^n B(n) for n = 0..n_max, each
+    reduced once from d^n times its table numerator."""
     if d < 1:
         raise DomainError("d must be a positive integer")
-    return [Fraction(d) ** n * b for n, b in enumerate(bernoulli_numbers(n_max))]
+    nums, den = _bernoulli_table(n_max)
+    return [Fraction(d**n * num, den) for n, num in enumerate(nums)]
 
 
 def b_d_poly(d: int, n: int) -> Polynomial:

@@ -157,11 +157,15 @@ def _bfile_lines(values: Sequence[Fraction | int], start: int, rational: bool) -
     return "".join(f"{i} {rational_str(v)}\n" for i, v in enumerate(values, start=start))
 
 
-def _bernoulli_values(args: argparse.Namespace, n_max: int) -> list[Fraction]:
-    """B(d; 0..n_max), or B(d, a; 0..n_max) when --a is given."""
+def _bernoulli_values(args: argparse.Namespace, count: int) -> list[Fraction]:
+    """B(d; 0..count-1), or B(d, a; 0..count-1) when --a is given.
+
+    --d and --a are checked against their domain even when count is 0.
+    """
+    n_max = max(count - 1, 0)
     if args.a is None:
-        return bern.b_d_numbers(args.d, n_max)
-    return bern.b_gen_numbers(Progression(args.d, args.a), n_max)
+        return bern.b_d_numbers(args.d, n_max)[:count]
+    return bern.b_gen_numbers(Progression(args.d, args.a), n_max)[:count]
 
 
 def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
@@ -223,9 +227,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         sys.stdout.write(str(poly) + "\n")
         return 0
     _check_range("--count", args.count, 0, LIMITS["bernoulli"] + 1)
-    if args.count == 0:
-        return 0
-    for value in _bernoulli_values(args, args.count - 1):
+    for value in _bernoulli_values(args, args.count):
         sys.stdout.write(rational_str(value) + "\n")
     return 0
 
@@ -262,7 +264,7 @@ def _bfile_sequence(args: argparse.Namespace) -> list[Fraction | int]:
     needed = args.offset + args.count
     if args.sequence is not None:
         part = "numerator" if args.sequence == "bernoulli-num" else "denominator"
-        return [Fraction(getattr(v, part)) for v in _bernoulli_values(args, needed - 1)]
+        return [Fraction(getattr(v, part)) for v in _bernoulli_values(args, needed)]
     prog = Progression(args.d, args.a if args.a is not None else 0)
     size = 0
     while (size + 1) * (size + 2) // 2 < needed:
@@ -276,8 +278,6 @@ def _cmd_export_bfile(args: argparse.Namespace) -> int:
     lines = LIMITS["bfile"] if args.sequence is None else LIMITS["bernoulli"] + 1
     _check_range("--offset", args.offset, 0, lines)
     _check_range("--count", args.count, 0, lines - args.offset)
-    if args.count == 0:
-        return 0
     window = _bfile_sequence(args)[args.offset : args.offset + args.count]
     sys.stdout.write(_bfile_lines(window, args.offset, args.rational))
     return 0

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
-from .bernoulli import b_d_poly, bernoulli_numbers
+from .bernoulli import _bernoulli_table
 from .errors import DomainError
-from .exact import Progression, integer_power
+from .exact import Progression
 from .eulerian import reu_triangle
 from .stirling import s2_triangle
 
@@ -58,23 +60,28 @@ def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     """Binomial a/d expansion over the ordinary Faulhaber formula:
 
     PS = sum_k C(n,k) a^(n-k) d^k [delta_{k,0} + (B(k+1,m+1) - B(k+1,1))/(k+1)].
+
+    Summed in int over one table B(j) = N(j)/L: with C(n,k)/(k+1) =
+    C(n+1,k+1)/(n+1) and B(k+1,x) = sum_j C(k+1,j) B(k+1-j) x^j,
+
+    (n+1) L PS = (n+1) L a^n
+                 + sum_k C(n+1,k+1) a^(n-k) d^k sum_{j>=1} C(k+1,j) N(k+1-j) ((m+1)^j - 1),
+
+    and the sum is divided once, by (n+1) L.
     """
     if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
-    numbers = bernoulli_numbers(n + 1)
-    acc = Fraction(0)
+    nums, den = _bernoulli_table(n + 1)
+    d, a = prog.d, prog.a
+    rises = [power - 1 for power in accumulate(repeat(m + 1, n + 1), mul, initial=1)]
+    acc = (n + 1) * den * a**n  # 0 ** 0 == 1
     for k in range(n + 1):
-        weight = math.comb(n, k) * integer_power(prog.a, n - k) * prog.d**k
+        weight = math.comb(n + 1, k + 1) * a ** (n - k) * d**k
         if weight == 0:
             continue
-        # B(k+1, m+1) - B(k+1, 1), with B(k+1, x) = sum_j C(k+1,j) B(k+1-j) x^j
         top = k + 1
-        diff = sum(
-            math.comb(top, j) * numbers[top - j] * ((m + 1) ** j - 1) for j in range(1, top + 1)
-        )
-        bracket = Fraction(1 if k == 0 else 0) + diff / top
-        acc += weight * bracket
-    return acc
+        acc += weight * sum(math.comb(top, j) * nums[top - j] * rises[j] for j in range(1, top + 1))
+    return Fraction(acc, (n + 1) * den)
 
 
 def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
@@ -82,19 +89,33 @@ def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
 
     PS = [B(d;n+1, a+d(m+1)) - B(d;n+1, d) - B(d;n+1, a) + B(d;n+1, 0)
           + d*delta_{n,0}] / (d*(n+1)).
+
+    L B(d;n+1,x) has the integer coefficients C(n+1,i) d^(n+1-i) N(n+1-i)
+    over the table B(j) = N(j)/L; they are evaluated by Horner at the
+    four integer points and the bracket is divided once, by d (n+1) L.
     """
     if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
+    nums, den = _bernoulli_table(n + 1)
     d, a = prog.d, prog.a
-    poly = b_d_poly(d, n + 1)
+    top = n + 1
+    coeffs = [math.comb(top, i) * d ** (top - i) * nums[top - i] for i in range(top + 1)]
     value = (
-        poly.evaluate(a + d * (m + 1))
-        - poly.evaluate(d)
-        - poly.evaluate(a)
-        + poly.evaluate(0)
-        + (d if n == 0 else 0)
+        _horner(coeffs, a + d * (m + 1))
+        - _horner(coeffs, d)
+        - _horner(coeffs, a)
+        + coeffs[0]
+        + (d * den if n == 0 else 0)
     )
-    return value / (d * (n + 1))
+    return Fraction(value, d * top * den)
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    """sum_i coeffs[i] x^i."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _s2_factorial_row(prog: Progression, n: int) -> list[int]:

@@ -263,6 +263,26 @@ class TestVerifyCommand:
         ]
 
 
+    def test_broken_tangent_kernel_is_named(self, capsys, monkeypatch):
+        from apsums import bernoulli
+
+        kernel = bernoulli._tangent_numbers
+
+        def broken(k_max):
+            values = kernel(k_max)
+            if k_max >= 3:
+                values[2] += 1  # T(3), hence B(6)
+            return values
+
+        monkeypatch.setattr(bernoulli, "_tangent_numbers", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "bernoulli", "--depth", "3", "--explain")
+        lines = out.splitlines()
+        assert code == 1
+        failed = lines.index("FAIL  bernoulli: recursion reproduces the canonical first thirteen numbers")
+        assert lines[failed + 1].startswith("      first mismatch: n=6: tangent kernel ")
+        assert lines[failed + 1].endswith(" != recursion 1/42")
+
+
 class TestExportBfile:
     def test_flattened_triangle(self, capsys):
         code, out, _ = run_cli(capsys, "export-bfile", "--family", "s1phat", "--d", "2",
@@ -365,6 +385,21 @@ class TestInputLimits:
         assert code == 2
         assert out == ""
         assert "must lie in" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export-bfile", "--family", "s2", "--d", "0"],
+            ["export-bfile", "--family", "s2", "--d", "1", "--a", "-1"],
+            ["export-bfile", "--sequence", "bernoulli-num", "--d", "0"],
+            ["bernoulli", "--d", "1", "--a", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_domain_parameter_is_refused_at_count_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--count", "0")
+        assert (code, out) == (2, "")
+        assert run_cli(capsys, *argv, "--count", "1") == (2, "", err)
 
     @pytest.mark.parametrize(
         "argv, lines",

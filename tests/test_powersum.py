@@ -64,6 +64,27 @@ class TestGeneralizedFaulhaber:
         assert ps_faulhaber(Progression(3, 1), 1, 2) == 12
 
 
+_LIMIT = 2**64 - 1
+
+
+class TestBernoulliRoutesAtTheLimits:
+    @pytest.mark.parametrize("route", [ps_via_ordinary, ps_faulhaber], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "prog", [Progression(3, 2), Progression(_LIMIT, _LIMIT)], ids=lambda p: f"d={p.d},a={p.a}"
+    )
+    def test_largest_power_and_index(self, route, prog):
+        assert route(prog, 60, 5000) == ps_direct(prog, 60, 5000)
+
+    @pytest.mark.parametrize("route", [ps_via_ordinary, ps_faulhaber], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "prog", [Progression(1, 0), Progression(3, 2), Progression(_LIMIT, _LIMIT)],
+        ids=lambda p: f"d={p.d},a={p.a}",
+    )
+    def test_single_zeroth_power(self, route, prog):
+        # n = 0, m = 0 leaves only the d*delta_{n,0} and a^0 terms
+        assert route(prog, 0, 0) == ps_direct(prog, 0, 0) == 1
+
+
 class TestStackedCoefficients:
     def test_classical_row(self):
         assert [sigma_s2(Progression(1, 0), 2, j) for j in range(3)] == [0, 1, 3]

@@ -8,6 +8,8 @@ either convention.
 
 from fractions import Fraction
 
+import math
+
 import pytest
 
 from apsums import bernoulli as bern
@@ -52,6 +54,28 @@ def test_bernoulli_numbers():
     assert bern.bernoulli_numbers(SIZE) == expected
     assert bern.b_d_numbers(1, SIZE) == expected
     assert bern.b_gen_numbers(CLASSICAL, SIZE) == expected
+
+
+def test_bernoulli_numbers_at_the_largest_table():
+    # index 61 is the table ps_via_ordinary builds at n = 60
+    assert bern.bernoulli_numbers(61) == [sympy_bernoulli_number(n) for n in range(62)]
+
+
+def binomial_expansion(d: int, a: int, n_max: int) -> list[Fraction]:
+    """B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m) over sympy's numbers."""
+    ordinary = [sympy_bernoulli_number(m) for m in range(n_max + 1)]
+    return [
+        sum(math.comb(n, m) * a ** (n - m) * d**m * ordinary[m] for m in range(n + 1))
+        for n in range(n_max + 1)
+    ]
+
+
+def test_one_parameter_numbers_at_the_limit():
+    assert bern.b_d_numbers(7, 60) == binomial_expansion(7, 0, 60)
+
+
+def test_two_parameter_numbers_at_the_limit():
+    assert bern.b_gen_numbers(Progression(7, 5), 60) == binomial_expansion(7, 5, 60)
 
 
 @pytest.mark.parametrize("method", ps.METHOD_NAMES)
