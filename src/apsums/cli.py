@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument(
         "--m", type=int, required=True, help=f"upper summation index, 0..{LIMITS['index']}"
     )
-    pw.add_argument("--method", choices=ps.METHOD_NAMES, default="direct")
-    pw.add_argument(
+    route = pw.add_mutually_exclusive_group()
+    route.add_argument("--method", choices=ps.METHOD_NAMES, help="one route (default direct)")
+    route.add_argument(
         "--all-methods",
         action="store_true",
         help="print a method/value table; exit 1 if any route disagrees",
@@ -201,7 +202,7 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
     _check_range("--m", args.m, 0, LIMITS["index"])
     prog = Progression(args.d, args.a)
     if not args.all_methods:
-        value = ps.evaluate_method(args.method, prog, args.n, args.m)
+        value = ps.evaluate_method(args.method or "direct", prog, args.n, args.m)
         sys.stdout.write(rational_str(value) + "\n")
         return 0
     values = {name: ps.evaluate_method(name, prog, args.n, args.m) for name in ps.METHOD_NAMES}

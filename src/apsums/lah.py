@@ -1,8 +1,17 @@
 """Generalized Lah triangles: rising factorials in the falling-factorial basis.
 
-L[d,a] is the triangle product S1phat[d,a] * S2hat[d,a]; as a Sheffer
-pair it is ((1 - d*t)^(-2a/d), t/(1 - d*t)).  Its a-sequence is
-{1, d, 0, 0, ...}, which yields the three-term recurrence
+L[d,a] is the triangle product S1phat[d,a] * S2hat[d,a].  The builder
+runs the two-term recurrence
+
+    L(n,m) = L(n-1,m-1) + (2a + d(n-1+m)) L(n-1,m)
+
+on int.  It follows from (x + a + d(n-1)) F_m = F_{m+1} + (2a + d(n-1+m)) F_m
+in the falling-factorial basis F_m, so its right coefficient is the sum of
+S1phat's a + d(n-1) and S2hat's a + d*m.  The product, Sheffer, four-term
+and three-term forms below are cross-check routes for the verifier.
+
+As a Sheffer pair L[d,a] is ((1 - d*t)^(-2a/d), t/(1 - d*t)).  Its
+a-sequence is {1, d, 0, 0, ...}, which yields the three-term recurrence
 
     L(n,m) = (n/m) L(n-1,m-1) + d*n L(n-1,m),   m >= 1,
 
@@ -24,7 +33,7 @@ from .errors import DomainError
 from .exact import Progression
 from .fps import Fps
 from .sheffer import ShefferPair, Triangle
-from .stirling import s1phat_triangle, s2hat_triangle
+from .stirling import _recurrence_triangle
 
 __all__ = [
     "lah_pair",
@@ -71,8 +80,16 @@ def _as_lah(tri: Triangle) -> Triangle:
 
 
 def lah_triangle(prog: Progression, size: int) -> Triangle:
-    """L[d,a] rows 0..size by the triangle product S1phat * S2hat."""
-    return s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))
+    """L[d,a] rows 0..size from L(n,m) = L(n-1,m-1) + (2a + d(n-1+m)) L(n-1,m).
+
+    Row n-1 becomes row n when the rising factorial is multiplied by
+    x + a + d(n-1), and on the falling factorial F_m that factor gives
+    F_{m+1} + (2a + d(n-1+m)) F_m: S1phat's coefficient a + d(n-1) plus
+    S2hat's a + d*m.  The product S1phat * S2hat, the Sheffer pair and the
+    four- and three-term recurrences are the verifier's cross-checks.
+    """
+    d, a = prog.d, prog.a
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: 2 * a + d * (n - 1 + m))
 
 
 def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:

@@ -939,13 +939,14 @@ def _lah_routes(size, rng):
     for prog in _progressions(3):
         tri = lahmod.lah_triangle(prog, size)
         routes = {
+            "product": st.s1phat_triangle(prog, size).multiply(st.s2hat_triangle(prog, size)),
             "sheffer": lahmod.lah_sheffer_triangle(prog, size),
             "four-term": lahmod.lah_four_term(prog, size),
             "three-term": lahmod.lah_three_term(prog, size),
         }
         for label, other in routes.items():
             if other != tri:
-                return f"{prog}: {label} route disagrees with the triangle product"
+                return f"{prog}: {label} route disagrees with the recurrence-built triangle"
 
 
 @_LAH.identity("transition identities between rising and falling factorials", cap=8)

@@ -386,6 +386,14 @@ class TestInputLimits:
         assert out == ""
         assert "must lie in" in err
 
+    @pytest.mark.parametrize("method", ["direct", "ogf-eulerian"])
+    def test_method_with_all_methods_is_refused(self, capsys, method):
+        code, out, err = run_cli(capsys, "powersum", "--d", "1", "--a", "0", "--n", "1", "--m", "1",
+                                 "--method", method, "--all-methods")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert "not allowed with" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

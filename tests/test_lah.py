@@ -8,18 +8,14 @@ from apsums.errors import DomainError
 from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
 from apsums.lah import (
-    lah_column0,
     lah_four_term,
     lah_inverse,
-    lah_inverse_four_term,
-    lah_inverse_pair,
     lah_pair,
     lah_sheffer_triangle,
     lah_three_term,
     lah_triangle,
 )
-from apsums.poly import Polynomial
-from apsums.sheffer import identity_triangle
+from apsums.stirling import s1phat_triangle, s2hat_triangle
 
 F = Fraction
 
@@ -46,18 +42,20 @@ class TestConstruction:
     def test_generalized_rows(self):
         assert int_rows(lah_triangle(Progression(2, 1), 2)) == [[1], [2, 1], [8, 8, 1]]
 
-    def test_column_zero_product(self):
-        for prog in progressions(3):
-            col = lah_column0(prog, 6)
-            for n in range(7):
-                product = F(1)
-                for j in range(n):
-                    product *= 2 * prog.a + j * prog.d
-                assert col[n] == product
+    def test_column_zero_product(self, identity):
+        identity("lah: column zero equals the doubled-offset rising product")
 
     def test_negative_size(self):
         with pytest.raises(DomainError):
             lah_triangle(Progression(1, 0), -1)
+
+    def test_input_limit_matches_product_and_four_term(self):
+        prog = Progression(2**64 - 1, 2**64 - 1)
+        for size in (0, 1, 64):
+            tri = lah_triangle(prog, size)
+            assert tri == s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))
+        assert tri == lah_four_term(prog, 64)
+        assert all(type(c) is int for row in tri.rows for c in row)
 
 
 class TestRecurrences:
@@ -97,20 +95,14 @@ class TestInverse:
         assert lah_inverse(Progression(1, 0), 3).entry(3, 2) == -6
         assert lah_inverse(Progression(2, 1), 2).entry(2, 1) == -8
 
-    def test_product_is_identity(self):
-        for prog in progressions(3):
-            tri = lah_triangle(prog, 6)
-            inv = lah_inverse(prog, 6)
-            assert tri.multiply(inv) == identity_triangle(6)
-            assert inv.multiply(tri) == identity_triangle(6)
+    def test_product_is_identity(self, identity):
+        identity("lah: inverse triangle: signed entries, own recurrence, identity product")
 
-    def test_inverse_recurrence(self):
-        for prog in progressions(3):
-            assert lah_inverse_four_term(prog, 8) == lah_inverse(prog, 8)
+    def test_inverse_recurrence(self, identity):
+        identity("lah: inverse triangle: signed entries, own recurrence, identity product")
 
-    def test_inverse_pair_route(self):
-        for prog in progressions(2):
-            assert lah_inverse_pair(prog, 6).triangle(6) == lah_inverse(prog, 6)
+    def test_inverse_pair_route(self, identity):
+        identity("lah: inverse triangle: signed entries, own recurrence, identity product")
 
 
 class TestTransitionIdentities:
@@ -136,65 +128,22 @@ class TestTransitionIdentities:
 
 
 class TestRowPolynomialRecurrences:
-    def test_geometric_lowering(self):
-        for prog in progressions(3):
-            tri = lah_triangle(prog, 8)
-            for n in range(1, 9):
-                acc = Polynomial()
-                deriv = tri.row_polynomial(n)
-                for k in range(n):
-                    deriv = deriv.derivative()
-                    sign = 1 if k % 2 == 0 else -1
-                    acc = acc + deriv * (sign * prog.d**k)
-                assert acc == n * tri.row_polynomial(n - 1)
+    def test_geometric_lowering(self, identity):
+        identity("lah: row polynomials obey the geometric lowering recurrence")
 
-    def test_second_order_raising(self):
-        x = Polynomial.x()
-        for prog in progressions(3):
-            tri = lah_triangle(prog, 8)
-            d, a = prog.d, prog.a
-            for n in range(1, 9):
-                p = tri.row_polynomial(n - 1)
-                stepped = (
-                    Polynomial([2 * a, 1]) * p
-                    + Polynomial([a, 1]) * p.derivative() * (2 * d)
-                    + x * p.derivative().derivative() * d**2
-                )
-                assert stepped == tri.row_polynomial(n)
+    def test_second_order_raising(self, identity):
+        identity("lah: second-order raising and plain lowering recurrences (both signs)")
 
-    def test_inverse_mirrors(self):
-        x = Polynomial.x()
-        for prog in progressions(2):
-            inv = lah_inverse(prog, 8)
-            d, a = prog.d, prog.a
-            for n in range(1, 9):
-                q = inv.row_polynomial(n - 1)
-                stepped = (
-                    Polynomial([-2 * a, 1]) * q
-                    - Polynomial([-a, 1]) * q.derivative() * (2 * d)
-                    + x * q.derivative().derivative() * d**2
-                )
-                assert stepped == inv.row_polynomial(n)
-                acc = Polynomial()
-                deriv = inv.row_polynomial(n)
-                for k in range(n):
-                    deriv = deriv.derivative()
-                    acc = acc + deriv * d**k
-                assert acc == n * inv.row_polynomial(n - 1)
+    def test_inverse_mirrors(self, identity):
+        identity("lah: second-order raising and plain lowering recurrences (both signs)")
 
 
 class TestSequences:
-    def test_a_sequence(self):
-        for prog in progressions(3):
-            a_seq, _ = lah_pair(prog, 9).a_z_sequences(8)
-            assert a_seq == Fps([1, prog.d], order=8)
+    def test_a_sequence(self, identity):
+        identity("lah: a- and z-sequences match their closed forms")
 
-    def test_z_sequence_closed_form(self):
-        for prog in progressions(3):
-            _, z_seq = lah_pair(prog, 9).a_z_sequences(8)
-            base = Fps([1, prog.d], order=9)
-            closed = base * (Fps.one(9) - base.pow(F(-2 * prog.a, prog.d)))
-            assert z_seq == closed.shifted_down(1).truncated(8)
+    def test_z_sequence_closed_form(self, identity):
+        identity("lah: a- and z-sequences match their closed forms")
 
     def test_special_z_values(self):
         _, z0 = lah_pair(Progression(1, 0), 9).a_z_sequences(8)
