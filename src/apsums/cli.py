@@ -188,6 +188,8 @@ def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
+    if args.rational and args.format != "bfile":
+        raise DomainError("--rational applies only to --format bfile")
     _check_parameters(args)
     _check_range("--rows", args.rows, 0, LIMITS["rows"])
     prog = Progression(args.d, args.a)

@@ -8,8 +8,9 @@ the exponential and ordinary generating functions.  Route disagreement is
 the package's primary diagnostic signal, so all of them stay public and
 the CLI exposes each one by name.
 
-The generating-function routes read coefficient m off a binomial closed
-form over one integer row, summed in ``int``:
+The generating-function routes read the one coefficient m that was asked
+for off a binomial closed form over one integer row, summed in ``int``, so
+a query costs O(n) products once the row is built:
 
 * e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!:  PS = sum_j C(m,j) SigmaS2(n,j);
 * stacked o.g.f. sum_k S2(n,k) k! x^k/(1-x)^(k+2), since
@@ -139,47 +140,35 @@ def sigma_s2(prog: Progression, n: int, j: int) -> Fraction:
     return Fraction(_sigma_row(prog, n)[j])
 
 
-def eps_coefficients(prog: Progression, n: int, m_max: int) -> list[Fraction]:
-    """PS(d,a;n,0..m_max) read off the e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!.
+def eps_coefficients(prog: Progression, n: int, m: int) -> Fraction:
+    """PS(d,a;n,m) read off the e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!.
 
     m! [t^m] of that series is sum_j C(m,j) SigmaS2(n,j).
     """
-    if n < 0 or m_max < 0:
+    if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
-    sigma = _sigma_row(prog, n)
-    return [
-        Fraction(sum(math.comb(m, j) * s for j, s in enumerate(sigma)))
-        for m in range(m_max + 1)
-    ]
+    return Fraction(sum(math.comb(m, j) * s for j, s in enumerate(_sigma_row(prog, n))))
 
 
-def gps_coefficients(
-    prog: Progression, n: int, m_max: int, route: str = "stacked"
-) -> list[Fraction]:
-    """PS(d,a;n,0..m_max) from the o.g.f., by either closed form.
+def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") -> Fraction:
+    """PS(d,a;n,m) read off the o.g.f., by either closed form.
 
     route "stacked":  sum_k S2(n,k) k! x^k / (1-x)^(k+2),
                       so PS = sum_k S2(n,k) k! C(m+1,k+1)
     route "eulerian": (sum_k rEu(n,k) x^k) / (1-x)^(n+2),
                       so PS = sum_k rEu(n,k) C(m-k+n+1,n+1)
 
-    >>> [int(v) for v in gps_coefficients(Progression(2, 1), 2, 2, "eulerian")]
+    >>> [int(gps_coefficients(Progression(2, 1), 2, m, "eulerian")) for m in range(3)]
     [1, 10, 35]
     """
-    if n < 0 or m_max < 0:
+    if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
     if route == "stacked":
         row = _s2_factorial_row(prog, n)
-        return [
-            Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
-            for m in range(m_max + 1)
-        ]
+        return Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
     if route == "eulerian":
         row = reu_triangle(prog, n).row(n)
-        return [
-            Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
-            for m in range(m_max + 1)
-        ]
+        return Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
     raise DomainError(f"unknown o.g.f. route {route!r}")
 
 
@@ -195,9 +184,9 @@ def evaluate_method(method: str, prog: Progression, n: int, m: int) -> Fraction:
     if method == "faulhaber":
         return ps_faulhaber(prog, n, m)
     if method == "egf":
-        return eps_coefficients(prog, n, m)[m]
+        return eps_coefficients(prog, n, m)
     if method == "ogf-stacked":
-        return gps_coefficients(prog, n, m, route="stacked")[m]
+        return gps_coefficients(prog, n, m, "stacked")
     if method == "ogf-eulerian":
-        return gps_coefficients(prog, n, m, route="eulerian")[m]
+        return gps_coefficients(prog, n, m, "eulerian")
     raise DomainError(f"unknown method {method!r}")

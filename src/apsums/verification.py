@@ -848,24 +848,15 @@ def _b_gen_reduction(n_cap, rng):
 
 @_FAULHABER.identity("all five formula routes equal direct summation")
 def _power_sum_routes(size, rng):
-    m_cap = 12
+    routes = [name for name in ps.METHOD_NAMES if name != "direct"]
     for prog in _progressions(4):
         for n in range(size + 1):
-            direct_row = [ps.ps_direct(prog, n, m) for m in range(m_cap + 1)]
-            egf_row = ps.eps_coefficients(prog, n, m_cap)
-            stacked_row = ps.gps_coefficients(prog, n, m_cap, route="stacked")
-            eulerian_row = ps.gps_coefficients(prog, n, m_cap, route="eulerian")
-            for m in range(m_cap + 1):
-                values = {
-                    "ordinary": ps.ps_via_ordinary(prog, n, m),
-                    "faulhaber": ps.ps_faulhaber(prog, n, m),
-                    "egf": egf_row[m],
-                    "ogf-stacked": stacked_row[m],
-                    "ogf-eulerian": eulerian_row[m],
-                }
-                wrong = {k: v for k, v in values.items() if v != direct_row[m]}
+            for m in range(13):
+                direct = ps.ps_direct(prog, n, m)
+                values = {name: ps.evaluate_method(name, prog, n, m) for name in routes}
+                wrong = {k: v for k, v in values.items() if v != direct}
                 if wrong:
-                    return f"{prog} n={n} m={m}: direct={direct_row[m]} but {wrong}"
+                    return f"{prog} n={n} m={m}: direct={direct} but {wrong}"
 
 
 @_FAULHABER.identity("spot value: odd squares 1+9+25 through the generalized formula")

@@ -85,6 +85,13 @@ class TestTriangleCommand:
         assert code == 0
         assert out.splitlines()[1] == "1 -1/2"
 
+    @pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+    def test_rational_outside_bfile_is_refused(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "triangle", "--family", "s1", "--d", "2", "--rows", "2",
+                                 "--format", fmt, "--rational")
+        assert (code, out) == (2, "")
+        assert err == "error: --rational applies only to --format bfile\n"
+
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "triangle", "--family", "s2", "--d", "3", "--a", "2",
                                "--rows", "5", "--format", "csv")
@@ -262,6 +269,21 @@ class TestVerifyCommand:
             "checks: 12 total, 11 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
         ]
 
+    def test_broken_power_sum_route_is_named(self, capsys, monkeypatch):
+        route = powersum.gps_coefficients
+
+        def broken(prog, n, m, route_name="stacked"):
+            return route(prog, n, m, route_name) + (route_name == "eulerian" and m == 5)
+
+        monkeypatch.setattr(powersum, "gps_coefficients", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "faulhaber", "--depth", "1", "--explain")
+        failed = [line for line in out.splitlines() if not line.startswith("ok")]
+        assert code == 1
+        assert failed[0] == "FAIL  faulhaber: all five formula routes equal direct summation"
+        assert "m=5" in failed[1] and "'ogf-eulerian'" in failed[1]
+        assert "'ogf-stacked'" not in failed[1]
+        assert failed[2].startswith("checks: ") and " 1 failed " in failed[2]
+        assert len(failed) == 3
 
     def test_broken_tangent_kernel_is_named(self, capsys, monkeypatch):
         from apsums import bernoulli
@@ -423,6 +445,9 @@ class TestInputLimits:
               "--count", str(LIMITS["bernoulli"] + 1)], LIMITS["bernoulli"] + 1),
             (["triangle", "--family", "s1", "--d", str(LIMITS["parameter"]),
               "--a", str(LIMITS["parameter"]), "--rows", str(LIMITS["rows"])], LIMITS["rows"] + 1),
+            (["powersum", "--d", str(LIMITS["parameter"]), "--a", str(LIMITS["parameter"]),
+              "--n", str(LIMITS["power"]), "--m", str(LIMITS["index"]), "--all-methods"],
+             len(powersum.METHOD_NAMES)),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
     )
