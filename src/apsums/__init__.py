@@ -9,7 +9,7 @@ that the test and verification suites compare bit-exactly.
 from .exact import Progression, binomial_general, fallfac, integer_power, rational_str, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
-from .sheffer import ShefferPair, Triangle, identity_pair, identity_triangle
+from .sheffer import ShefferPair, Triangle, identity_triangle
 from .symfunc import Alphabet, complete_h, cuboid_volume_oracle, elementary_sigma
 from . import bernoulli, eulerian, lah, powersum, stirling, symfunc
 from . import errors
@@ -29,7 +29,6 @@ __all__ = [
     "risefac_poly",
     "ShefferPair",
     "Triangle",
-    "identity_pair",
     "identity_triangle",
     "Alphabet",
     "complete_h",

@@ -29,7 +29,6 @@ from .errors import DomainError
 from .exact import Progression
 from .fps import Fps
 from .poly import Polynomial
-from .sheffer import ShefferPair
 from .stirling import s2_triangle
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "b_d_numbers",
     "b_d_poly",
     "b_gen_egf",
-    "appell_pair",
 ]
 
 
@@ -189,8 +187,3 @@ def b_gen_egf(prog: Progression, order: int) -> Fps:
     numerator = Fps.exp_of(prog.a, order)
     denominator = (Fps.exp_of(prog.d, order + 1) - 1).shifted_down(1)
     return numerator * denominator.reciprocal() * prog.d
-
-
-def appell_pair(prog: Progression, order: int) -> ShefferPair:
-    """The Appell pair (d*t*e^(a*t)/(e^(d*t)-1), t) of the B(d,a;n,x) system."""
-    return ShefferPair(b_gen_egf(prog, order), Fps.x(order), label=f"bernoulli[{prog.d},{prog.a}]")

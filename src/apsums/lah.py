@@ -72,13 +72,6 @@ def lah_column0(prog: Progression, size: int) -> list[Fraction]:
     return [g.coefficient_times_factorial(n) for n in range(size + 1)]
 
 
-def _as_lah(tri: Triangle) -> Triangle:
-    """``tri`` itself, once every entry is known to be an integer."""
-    if not tri.is_integer():
-        raise DomainError("Lah triangle produced a non-integer entry")
-    return tri
-
-
 def lah_triangle(prog: Progression, size: int) -> Triangle:
     """L[d,a] rows 0..size from L(n,m) = L(n-1,m-1) + (2a + d(n-1+m)) L(n-1,m).
 
@@ -97,7 +90,7 @@ def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:
 
     The pair needs order >= 1 to hold f, even for the single row 0.
     """
-    return _as_lah(lah_pair(prog, max(size, 1)).triangle(size))
+    return lah_pair(prog, max(size, 1)).triangle(size)
 
 
 def _four_term(d: int, a: int, size: int) -> Triangle:
@@ -147,8 +140,7 @@ def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Trian
             growth = n if printed else d * n
             row.append(Fraction(n, m) * left + growth * right)
         rows.append(row)
-    tri = Triangle(rows)
-    return tri if printed else _as_lah(tri)
+    return Triangle(rows)
 
 
 def lah_inverse(prog: Progression, size: int) -> Triangle:

@@ -25,7 +25,7 @@ from .exact import rational_str
 from .fps import Fps
 from .poly import Polynomial
 
-__all__ = ["ShefferPair", "Triangle", "identity_pair", "identity_triangle"]
+__all__ = ["ShefferPair", "Triangle", "identity_triangle"]
 
 _ZERO = Fraction(0)
 
@@ -87,9 +87,6 @@ class Triangle:
     def text(self, sep: str = " ") -> str:
         """One row per line, canonical rationals, entries joined by ``sep``."""
         return "\n".join(sep.join(rational_str(c) for c in row) for row in self._rows)
-
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for row in self._rows for c in row)
 
     def row_polynomial(self, n: int) -> Polynomial:
         """sum_m entry(n, m) * x^m."""
@@ -162,20 +159,6 @@ class ShefferPair:
     def order(self) -> int:
         return min(self.g.order, self.f.order)
 
-    def element(self, n: int, m: int) -> Fraction:
-        """Entry (n, m): n! times the t^n coefficient of g * f^m / m!."""
-        if n < 0 or m < 0:
-            raise DomainError("indices must be non-negative")
-        if n > self.order:
-            raise InsufficientOrder(f"entry ({n}, {m}) beyond series order {self.order}")
-        if m > n:
-            return _ZERO
-        column = self.g.truncated(n)
-        fn = self.f.truncated(n)
-        for j in range(1, m + 1):
-            column = column * fn / j
-        return column.coefficient_times_factorial(n)
-
     def triangle(self, size: int) -> Triangle:
         """Materialize rows 0..size; the series must carry order >= size."""
         if size < 0:
@@ -229,8 +212,3 @@ class ShefferPair:
         z_numer = (Fps.one(order + 1) - g_at_finv.reciprocal()).shifted_down(1)
         z_seq = a_seq * z_numer
         return a_seq.truncated(order), z_seq.truncated(order)
-
-
-def identity_pair(order: int) -> ShefferPair:
-    """The group identity (1, t)."""
-    return ShefferPair(Fps.one(order), Fps.x(order), label="identity")

@@ -84,7 +84,8 @@ class Identity:
     the row count or series order the check runs at.  A
     ``printed_three_term`` entry runs only when the caller asks for the
     published Lah variant; an ``expected_fail`` entry is healthy when its
-    check finds a mismatch.
+    check finds a mismatch.  A check that raises fails, expected-fail or
+    not, and its detail names the exception.
     """
 
     suite: str
@@ -99,7 +100,10 @@ class Identity:
         return f"{self.suite}: {self.name}"
 
     def run(self, depth: int) -> CheckResult:
-        mismatch = self.check(self.size(depth), random.Random(self.label))
+        try:
+            mismatch = self.check(self.size(depth), random.Random(self.label))
+        except Exception as exc:
+            return CheckResult(self.suite, self.name, False, f"{type(exc).__name__}: {exc}")
         if self.expected_fail:
             detail = "" if mismatch else "variant unexpectedly agrees; the documented discrepancy is gone"
             return CheckResult(self.suite, self.name, mismatch is None, detail, expected_fail=True)

@@ -6,14 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as stn
 
 from apsums.bernoulli import (
-    appell_pair,
     b_d_numbers,
     b_d_poly,
     b_gen,
     b_gen_egf,
     b_gen_poly,
     b_gen_numbers,
-    b_gen_poly_via_ordinary,
     bernoulli_numbers,
     bernoulli_poly,
 )
@@ -40,8 +38,8 @@ class TestNumbers:
     def test_small_values(self):
         assert bernoulli_numbers(4) == [F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30)]
 
-    def test_first_thirteen(self):
-        assert bernoulli_numbers(12) == FIRST_13
+    def test_first_thirteen(self, identity):
+        identity("bernoulli: recursion reproduces the canonical first thirteen numbers")
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -104,9 +102,8 @@ class TestTwoParameterNumbers:
 
 
 class TestTwoParameterPolynomials:
-    def test_reduction(self):
-        for n in range(8):
-            assert b_gen_poly(Progression(1, 0), n) == bernoulli_poly(n)
+    def test_reduction(self, identity):
+        identity("bernoulli: [1,0] reduces to the ordinary numbers and polynomials")
 
     def test_linear_case(self):
         assert b_gen_poly(Progression(2, 1), 1) == Polynomial([0, 1])
@@ -114,12 +111,8 @@ class TestTwoParameterPolynomials:
     def test_one_parameter_specialization(self):
         assert b_gen_poly(Progression(2, 0), 3) == Polynomial([0, 2, -3, 1])
 
-    def test_both_routes_agree(self):
-        for d in range(1, 4):
-            for a in range(d + 1):
-                prog = Progression(d, a)
-                for n in range(11):
-                    assert b_gen_poly(prog, n) == b_gen_poly_via_ordinary(prog, n)
+    def test_both_routes_agree(self, identity):
+        identity("bernoulli: polynomial routes (convolve numbers vs shifted powers) agree")
 
 
 class TestOneParameterFamily:
@@ -146,13 +139,8 @@ class TestOneParameterFamily:
 
 
 class TestGeneratingFunctions:
-    def test_number_egf(self):
-        for d in range(1, 5):
-            for a in range(d + 1):
-                prog = Progression(d, a)
-                values = b_gen_numbers(prog, 12)
-                lhs = Fps([values[n] / math.factorial(n) for n in range(13)])
-                assert lhs == b_gen_egf(prog, 12)
+    def test_number_egf(self, identity):
+        identity("bernoulli: number e.g.f. equals d t e^(at) / (e^(dt) - 1)")
 
     @given(stn.fractions(min_value=-4, max_value=4, max_denominator=9))
     def test_bivariate_egf(self, x):
@@ -167,9 +155,3 @@ class TestGeneratingFunctions:
             rows = [b_d_poly(d, n).evaluate(x) for n in range(11)]
             lhs = Fps([rows[n] / math.factorial(n) for n in range(11)])
             assert lhs == b_gen_egf(Progression(d, 0), 10) * Fps.exp_of(x, 10)
-
-    def test_appell_pair_triangle_rows_are_polynomials(self):
-        prog = Progression(2, 1)
-        tri = appell_pair(prog, 8).triangle(8)
-        for n in range(9):
-            assert tri.row_polynomial(n) == b_gen_poly(prog, n)

@@ -305,6 +305,58 @@ class TestVerifyCommand:
         assert lines[failed + 1].endswith(" != recursion 1/42")
 
 
+    def test_fractional_lah_pair_is_a_failed_check(self, capsys, monkeypatch):
+        from apsums import lah
+        from apsums.fps import Fps
+        from apsums.sheffer import ShefferPair
+
+        pair = lah.lah_pair
+
+        def broken(prog, order):
+            right = pair(prog, order)
+            return ShefferPair(right.g + Fps.x(order) / 2, right.f)
+
+        monkeypatch.setattr(lah, "lah_pair", broken)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lah", "--depth", "3", "--explain")
+        lines = out.splitlines()
+        assert code == 1
+        failed = lines.index("FAIL  lah: product, Sheffer, four-term and three-term routes agree")
+        assert lines[failed + 1] == (
+            "      first mismatch: Progression(d=1, a=0): sheffer route disagrees with the recurrence-built triangle"
+        )
+        assert err == ""
+
+    def test_raising_route_is_a_failed_check(self, capsys, monkeypatch):
+        from apsums import stirling
+
+        def broken(prog, n, m):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(stirling, "s1phat_schlomilch_v2", broken)
+        code, out, err = run_cli(capsys, "verify", "--suite", "s1", "--depth", "3", "--explain")
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok")] == [
+            "FAIL  s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)",
+            "      first mismatch: ZeroDivisionError: division by zero",
+            "checks: 12 total, 11 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
+        ]
+        assert err == ""
+
+    def test_raising_expected_fail_check_is_not_an_xfail(self, capsys, monkeypatch):
+        from apsums import lah
+
+        def broken(prog, size, printed=False):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(lah, "lah_three_term", broken)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lah", "--depth", "3",
+                                 "--include-printed-three-term")
+        assert code == 1
+        assert "xfail" not in out
+        assert "FAIL  lah: published three-term variant reproduces the triangle at d=2 a=1" in out
+        assert err == ""
+
+
 class TestExportBfile:
     def test_flattened_triangle(self, capsys):
         code, out, _ = run_cli(capsys, "export-bfile", "--family", "s1phat", "--d", "2",

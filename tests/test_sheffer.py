@@ -11,29 +11,10 @@ from apsums.exact import Progression
 from apsums.fps import Fps
 from apsums.lah import lah_pair
 from apsums.poly import Polynomial
-from apsums.sheffer import ShefferPair, Triangle, identity_pair, identity_triangle
+from apsums.sheffer import ShefferPair, Triangle, identity_triangle
 from apsums.stirling import s1phat_pair, s1phat_triangle, s2_pair, s2hat_pair, s2hat_triangle
 
 F = Fraction
-
-
-class TestShefferElement:
-    def test_generalized_subset_entry(self):
-        assert s2_pair(Progression(2, 1), 6).element(3, 2) == 36
-
-    def test_corner_is_constant_term(self):
-        pair = s2_pair(Progression(3, 2), 4)
-        assert pair.element(0, 0) == pair.g[0] == 1
-
-    def test_classical_entry(self):
-        assert s2_pair(Progression(1, 0), 5).element(3, 2) == 3
-
-    def test_above_diagonal_is_zero(self):
-        assert s2_pair(Progression(2, 1), 5).element(2, 4) == 0
-
-    def test_insufficient_order(self):
-        with pytest.raises(InsufficientOrder):
-            s2_pair(Progression(2, 1), 3).element(5, 1)
 
 
 class TestShefferTriangle:
@@ -42,7 +23,7 @@ class TestShefferTriangle:
         assert [[int(c) for c in row] for row in tri.rows] == [[1], [1, 2], [1, 8, 4]]
 
     def test_identity_pair_gives_identity(self):
-        assert identity_pair(5).triangle(3) == identity_triangle(3)
+        assert ShefferPair(Fps.one(5), Fps.x(5)).triangle(3) == identity_triangle(3)
 
     def test_first_kind_scaled_triangle(self):
         tri = s1phat_pair(Progression(2, 1), 5).triangle(3)
@@ -75,12 +56,11 @@ class TestGroupOperations:
 
     def test_identity_is_neutral(self):
         pair = s2_pair(Progression(3, 1), 6)
-        same = pair.multiply(identity_pair(6))
+        same = pair.multiply(ShefferPair(Fps.one(6), Fps.x(6)))
         assert same.g == pair.g and same.f == pair.f
 
-    def test_pair_times_inverse_is_identity(self):
-        pair = s2_pair(Progression(1, 0), 8)
-        assert pair.multiply(pair.inverse()).triangle(8) == identity_triangle(8)
+    def test_pair_times_inverse_is_identity(self, identity):
+        identity("s1: pair algebra is a homomorphism onto triangle algebra")
 
     def test_inverse_closed_form(self):
         inv = s2_pair(Progression(2, 1), 8).inverse()
@@ -88,7 +68,7 @@ class TestGroupOperations:
         assert inv.f == Fps([1, 1], order=8).log() / 2
 
     def test_identity_pair_self_inverse(self):
-        inv = identity_pair(5).inverse()
+        inv = ShefferPair(Fps.one(5), Fps.x(5)).inverse()
         assert inv.g == Fps.one(5) and inv.f == Fps.x(5)
 
     def test_inverse_involution(self):

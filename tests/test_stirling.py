@@ -10,7 +10,6 @@ from apsums.errors import DomainError, OutOfTriangle
 from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
 from apsums.poly import Polynomial, fallfac_poly
-from apsums.sheffer import identity_triangle
 from apsums.stirling import (
     monomial_in_fallfac,
     s1_pair,
@@ -31,7 +30,6 @@ from apsums.stirling import (
     s2fac_triangle,
     s2hat_triangle,
 )
-from apsums.symfunc import Alphabet, complete_h
 
 F = Fraction
 
@@ -94,60 +92,26 @@ class TestSecondKindTriangle:
 
 
 class TestSecondKindGeneratingFunctions:
-    def test_column_ogf_product(self):
-        for prog in (Progression(2, 1), Progression(3, 2), Progression(1, 0)):
-            tri = s2_triangle(prog, 10)
-            for m in range(7):
-                ogf = Fps.one(10)
-                for j in range(m + 1):
-                    ogf = ogf * Fps([1, -prog.term(j)], order=10).reciprocal()
-                ogf = ogf.shifted_up(m) * F(prog.d) ** m
-                for n in range(11):
-                    assert ogf[n] == tri.entry(n, m)
+    def test_column_ogf_product(self, identity):
+        identity("s2: column o.g.f. (reciprocal product) reproduces the triangle")
 
-    def test_column_ogf_partial_fractions(self):
-        # independent route: residues of the simple poles, then geometric sums
-        for prog in (Progression(2, 1), Progression(3, 1)):
-            tri = s2_triangle(prog, 9)
-            for m in range(6):
-                roots = [F(prog.term(j)) for j in range(m + 1)]
-                for n in range(m, 10):
-                    acc = F(0)
-                    for j, rj in enumerate(roots):
-                        denom = F(1)
-                        for k, rk in enumerate(roots):
-                            if k != j:
-                                denom *= rj - rk
-                        acc += (rj**m / denom) * rj ** (n - m)
-                    assert F(prog.d) ** m * acc == tri.entry(n, m)
+    def test_column_ogf_partial_fractions(self, identity):
+        identity("s2: column o.g.f. partial fractions (geometric sums) agree")
 
-    def test_column_egf(self):
-        prog = Progression(2, 1)
-        tri = s2_triangle(prog, 8)
-        for m in range(5):
-            egf = Fps.exp_of(prog.a, 8)
-            for j in range(1, m + 1):
-                egf = egf * (Fps.exp_of(prog.d, 8) - 1) / j
-            for n in range(m, 9):
-                assert egf.coefficient_times_factorial(n) == tri.entry(n, m)
+    def test_column_egf(self, identity):
+        identity("s2: column e.g.f. e^(at) (e^(dt)-1)^m / m! reproduces the triangle")
 
-    def test_complete_homogeneous_identity(self):
+    def test_complete_homogeneous_identity(self, identity):
+        identity("s2: column-scaled entries are complete homogeneous symmetric functions")
         for prog in progressions(3):
             scaled = s2hat_triangle(prog, 9)
             s2 = s2_triangle(prog, 9)
             for n in range(10):
                 for m in range(n + 1):
-                    assert scaled.entry(n, m) == complete_h(Alphabet(prog, m + 1), n - m)
                     assert scaled.entry(n, m) * prog.d**m == s2.entry(n, m)
 
-    def test_s2fac_row_sum_egf(self):
-        for prog in (Progression(1, 0), Progression(2, 1)):
-            sums = [sum(s2fac_triangle(prog, 10).row(n), F(0)) for n in range(11)]
-            lhs = Fps([sums[n] / math.factorial(n) for n in range(11)])
-            rhs = Fps.exp_of(prog.a, 10) * (
-                Fps.one(10) - (Fps.exp_of(prog.d, 10) - 1)
-            ).reciprocal()
-            assert lhs == rhs
+    def test_s2fac_row_sum_egf(self, identity):
+        identity("s2: factorial-scaled row sums have the geometric-of-exponential e.g.f.")
 
 
 class TestBasisTransitions:
@@ -177,13 +141,8 @@ class TestS2fac:
     def test_row_zero(self):
         assert int_rows(s2fac_triangle(Progression(3, 1), 0)) == [[1]]
 
-    def test_matches_scaling(self):
-        for prog in progressions(3):
-            fac = s2fac_triangle(prog, 8)
-            base = s2_triangle(prog, 8)
-            for n in range(9):
-                for m in range(n + 1):
-                    assert fac.entry(n, m) == base.entry(n, m) * math.factorial(m)
+    def test_matches_scaling(self, identity):
+        identity("s2: factorial-scaled triangle matches S2 * m! and has diagonal d^n n!")
 
 
 class TestFirstKindTriangle:
@@ -234,35 +193,16 @@ class TestFirstKindTriangle:
             )
         assert s1phat_schlomilch_v2(Progression(1, 0), 4, 2) == 11
 
-    def test_five_route_agreement(self):
-        for prog in progressions(3):
-            tri = s1phat_triangle(prog, 8)
-            for n in range(9):
-                for m in range(n + 1):
-                    want = tri.entry(n, m)
-                    assert s1phat_from_sigma(prog, n, m) == want
-                    assert s1phat_from_ordinary(prog, n, m) == want
-                    assert s1phat_schlomilch(prog, n, m) == want
-                    assert s1phat_schlomilch_v2(prog, n, m) == want
+    def test_five_route_agreement(self, identity):
+        identity("s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)")
 
 
 class TestInversePairing:
-    def test_group_inverse_identity(self):
-        for prog in progressions(4):
-            s2 = s2_triangle(prog, 10)
-            s1 = s1_triangle(prog, 10)
-            assert s2.multiply(s1) == identity_triangle(10)
-            assert s1.multiply(s2) == identity_triangle(10)
+    def test_group_inverse_identity(self, identity):
+        identity("s1: group inverse: S2 and S1 triangles multiply to the identity")
 
-    def test_signed_inverse_pattern(self):
-        for prog in progressions(3):
-            s1hat = s1hat_pair(prog, 8).triangle(8)
-            s1ph = s1phat_triangle(prog, 8)
-            assert s2hat_triangle(prog, 8).inverse() == s1hat
-            for n in range(9):
-                for m in range(n + 1):
-                    assert abs(s1hat.entry(n, m)) == s1ph.entry(n, m)
-                    assert s1hat.entry(n, m) == (-1) ** (n - m) * s1ph.entry(n, m)
+    def test_signed_inverse_pattern(self, identity):
+        identity("s1: scaled inverse pair: |signed triangle| = non-negative triangle")
 
     def test_unsigned_is_row_scaled(self):
         prog = Progression(2, 1)
@@ -309,38 +249,14 @@ class TestRowPolynomialIdentities:
                 stepped = Polynomial([prog.a, 1]) * tri.row_polynomial(n - 1).shifted(prog.d)
                 assert stepped == tri.row_polynomial(n)
 
-    def test_factorial_lowering_recurrence(self):
-        for prog in progressions(3):
-            tri = s1phat_triangle(prog, 8)
-            for n in range(1, 9):
-                acc = Polynomial()
-                deriv = tri.row_polynomial(n)
-                for k in range(1, n + 1):
-                    deriv = deriv.derivative()
-                    sign = 1 if (k - 1) % 2 == 0 else -1
-                    acc = acc + deriv * F(sign * prog.d ** (k - 1), math.factorial(k))
-                assert acc == n * tri.row_polynomial(n - 1)
+    def test_factorial_lowering_recurrence(self, identity):
+        identity("s1: monic row polynomials obey the factorial lowering recurrence")
 
-    def test_log_lowering_recurrence_for_s2_rows(self):
-        for prog in progressions(3):
-            tri = s2_triangle(prog, 8)
-            for n in range(1, 9):
-                acc = Polynomial()
-                deriv = tri.row_polynomial(n)
-                for k in range(1, n + 1):
-                    deriv = deriv.derivative()
-                    sign = 1 if (k + 1) % 2 == 0 else -1
-                    acc = acc + deriv * F(sign, k)
-                assert acc * F(1, prog.d) == n * tri.row_polynomial(n - 1)
+    def test_log_lowering_recurrence_for_s2_rows(self, identity):
+        identity("s2: row polynomials obey the logarithmic lowering recurrence")
 
-    def test_s2_row_operator_step(self):
-        for prog in progressions(3):
-            tri = s2_triangle(prog, 8)
-            x = Polynomial.x()
-            for n in range(1, 9):
-                p = tri.row_polynomial(n - 1)
-                stepped = prog.a * p + prog.d * x * p + prog.d * x * p.derivative()
-                assert stepped == tri.row_polynomial(n)
+    def test_s2_row_operator_step(self, identity):
+        identity("s2: row polynomials obey the (a + d x + d x D) step")
 
     @given(stn.integers(1, 3), stn.integers(0, 3), rationals)
     def test_fallfac_egf(self, d, a, x):
