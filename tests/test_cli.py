@@ -322,9 +322,28 @@ class TestVerifyCommand:
         assert code == 1
         failed = lines.index("FAIL  lah: product, Sheffer, four-term and three-term routes agree")
         assert lines[failed + 1] == (
-            "      first mismatch: Progression(d=1, a=0): sheffer route disagrees with the recurrence-built triangle"
+            "      first mismatch: Progression(d=1, a=0) (1,0): lah_triangle=0 but sheffer=1/2"
         )
         assert err == ""
+
+    def test_broken_triangle_route_is_named_with_both_values(self, capsys, monkeypatch):
+        from apsums import lah
+
+        route = lah.lah_four_term
+
+        def broken(prog, size):
+            tri = route(prog, size)
+            if prog != Progression(2, 1):
+                return tri
+            rows = [list(row) for row in tri.rows]
+            rows[3][1] += 1
+            return Triangle(rows)
+
+        monkeypatch.setattr(lah, "lah_four_term", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lah", "--depth", "3", "--explain")
+        assert code == 1
+        want = "      first mismatch: Progression(d=2, a=1) (3,1): lah_triangle=72 but four-term=73"
+        assert want in out.splitlines()
 
     def test_raising_route_is_a_failed_check(self, capsys, monkeypatch):
         from apsums import stirling

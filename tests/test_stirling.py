@@ -99,7 +99,8 @@ class TestSecondKindGeneratingFunctions:
         identity("s2: column o.g.f. partial fractions (geometric sums) agree")
 
     def test_column_egf(self, identity):
-        identity("s2: column e.g.f. e^(at) (e^(dt)-1)^m / m! reproduces the triangle")
+        # the Sheffer route materializes every column e.g.f. e^(at) (e^(dt)-1)^m / m!
+        identity("s2: four routes agree (recurrence, alternating sum, via ordinary, Sheffer)")
 
     def test_complete_homogeneous_identity(self, identity):
         identity("s2: column-scaled entries are complete homogeneous symmetric functions")
