@@ -326,6 +326,51 @@ class TestVerifyCommand:
         )
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "module, pair_name, suite, check, builder, route",
+        [
+            ("stirling", "s2_pair", "s2",
+             "four routes agree (recurrence, alternating sum, via ordinary, Sheffer)",
+             "s2_triangle", "sheffer"),
+            ("stirling", "s1_pair", "s1",
+             "group inverse: S2 and S1 triangles multiply to the identity",
+             "s1_triangle", "sheffer"),
+            ("stirling", "s1phat_pair", "s1",
+             "column e.g.f. (1-dt)^(-a/d) (-log(1-dt)/d)^m / m! reproduces the triangle",
+             "s1phat_triangle", "column-egf"),
+            ("lah", "lah_inverse_pair", "lah",
+             "inverse triangle: signed entries, own recurrence, identity product",
+             "lah_inverse", "sheffer"),
+        ],
+        ids=["s2_pair", "s1_pair", "s1phat_pair", "lah_inverse_pair"],
+    )
+    def test_broken_sheffer_pair_route_is_named_with_both_values(
+        self, capsys, monkeypatch, module, pair_name, suite, check, builder, route
+    ):
+        import importlib
+
+        from apsums.fps import Fps
+        from apsums.sheffer import ShefferPair
+
+        owner = importlib.import_module(f"apsums.{module}")
+        pair = getattr(owner, pair_name)
+
+        def broken(prog, order):
+            right = pair(prog, order)
+            return ShefferPair(right.g + Fps.x(order) / 2, right.f)
+
+        monkeypatch.setattr(owner, pair_name, broken)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--depth", "3", "--explain")
+        failed = [line for line in out.splitlines() if not line.startswith("ok")]
+        assert code == 1
+        assert failed[:2] == [
+            f"FAIL  {suite}: {check}",
+            f"      first mismatch: Progression(d=1, a=0) (1,0): {builder}=0 but {route}=1/2",
+        ]
+        assert " 1 failed " in failed[2]
+        assert len(failed) == 3
+        assert err == ""
+
     def test_broken_triangle_route_is_named_with_both_values(self, capsys, monkeypatch):
         from apsums import lah
 
