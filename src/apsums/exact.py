@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -55,6 +56,21 @@ class Progression:
     def term(self, j: int) -> int:
         """The j-th progression member a + d*j."""
         return self.a + self.d * j
+
+
+def _exact(value: Fraction | int) -> Fraction:
+    """``value`` as a ``Fraction``; only ``int`` (not ``bool``) and ``Fraction`` are exact."""
+    if isinstance(value, Fraction):
+        return value if type(value) is Fraction else Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"exact scalar must be an int or a Fraction, got {value!r}")
+
+
+def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: values[k] == nums[k] / den."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def binomial_general(r: int, k: int) -> int:

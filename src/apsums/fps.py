@@ -6,6 +6,11 @@ Binary operations truncate to the smaller operand order, so a coefficient
 is never fabricated: everything a series claims to know was computed from
 known input coefficients.
 
+Coefficients are ``Fraction``; a constructor accepts only ``int`` (not
+``bool``) and ``Fraction``.  The product, reciprocal, composition and
+exponential kernels bring each operand to integer numerators over one
+common denominator, sum in ``int`` and divide once per output coefficient.
+
 Two conventions matter throughout:
 
 * asking for a coefficient beyond the order is an error, not a zero;
@@ -17,6 +22,7 @@ Two conventions matter throughout:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,6 +36,7 @@ from .errors import (
     PowDomainError,
     ReversionDomainError,
 )
+from .exact import _common_denominator, _exact
 
 __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
 
@@ -40,33 +47,40 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, truncated at ``order``."""
-    out = [_ZERO] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if ai == 0:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
+def _mul_ints(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Cauchy product of two integer lists, truncated at ``order``."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i], i):
+                out[j] += ai * bj
     return out
 
 
+def _mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
+    """Cauchy product of two coefficient lists, truncated at ``order``."""
+    na, da = _common_denominator(a[: order + 1])
+    nb, db = _common_denominator(b[: order + 1])
+    den = da * db
+    return [Fraction(c, den) for c in _mul_ints(na, nb, order)]
+
+
 def _recip_coeffs(f: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of 1/f up to ``order``; f[0] must be nonzero."""
-    c0 = f[0]
-    out = [_ZERO] * (order + 1)
-    out[0] = 1 / c0
-    for k in range(1, order + 1):
-        acc = _ZERO
-        for j in range(1, min(k, len(f) - 1) + 1):
-            if f[j] != 0:
-                acc += f[j] * out[k - j]
-        out[k] = -acc / c0
+    """Coefficients of 1/f up to ``order``; f[0] must be nonzero.
+
+    With f = nums/den, the integers r_k = out_k * c0^(k+1) / den (c0 = nums[0])
+    satisfy r_0 = 1 and r_k = -sum_j nums[j] * c0^(j-1) * r_(k-j).
+    """
+    nums, den = _common_denominator(f[: order + 1])
+    c0 = nums[0]
+    weights = [nums[j] * c0 ** (j - 1) for j in range(1, len(nums))]
+    r = [1]
+    for _ in range(order):
+        r.append(-sum(map(operator.mul, weights, reversed(r))))
+    out, power = [], 1
+    for rk in r:
+        power *= c0
+        out.append(Fraction(den * rk, power))
     return out
 
 
@@ -76,7 +90,7 @@ class Fps:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int], order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
         if order is not None:
             if order < 0:
                 raise DomainError(f"order must be non-negative, got {order}")
@@ -114,7 +128,7 @@ class Fps:
         >>> print(Fps.exp_of(2, 3))
         1 + 2*t + 2*t^2 + 4/3*t^3 ; order=3
         """
-        rate = Fraction(rate)
+        rate = _exact(rate)
         out, term = [], _ONE
         for n in range(order + 1):
             out.append(term)
@@ -124,7 +138,7 @@ class Fps:
     @classmethod
     def geometric(cls, ratio: Fraction | int, order: int) -> Fps:
         """1/(1 - ratio*t): coefficients ratio^n."""
-        ratio = Fraction(ratio)
+        ratio = _exact(ratio)
         out, term = [], _ONE
         for _ in range(order + 1):
             out.append(term)
@@ -214,7 +228,7 @@ class Fps:
     __rmul__ = __mul__
 
     def scale(self, factor: Fraction | int) -> Fps:
-        factor = Fraction(factor)
+        factor = _exact(factor)
         return Fps([c * factor for c in self._coeffs])
 
     def reciprocal(self) -> Fps:
@@ -320,15 +334,15 @@ class Fps:
         """
         if self._coeffs[0] != 0:
             raise ExpDomainError("series exponential needs constant term 0")
-        c = self._coeffs
-        out = [_ONE] + [_ZERO] * self.order
+        # With c = nums/den and N = order, v_k = out_k * den^k * N! satisfies
+        # k * v_k = sum_j j * nums[j] * den^(j-1) * v_(k-j).  It is an integer,
+        # since out_k sums products of at most k coefficients over m! with m <= k.
+        nums, den = _common_denominator(self._coeffs)
+        weights = [j * nums[j] * den ** (j - 1) for j in range(1, len(nums))]
+        v = [math.factorial(self.order)]
         for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, k + 1):
-                if c[j] != 0:
-                    acc += j * c[j] * out[k - j]
-            out[k] = acc / k
-        return Fps(out)
+            v.append(sum(map(operator.mul, weights, reversed(v))) // k)
+        return Fps([Fraction(vk, den**k * v[0]) for k, vk in enumerate(v)])
 
     def pow(self, exponent: Fraction | int) -> Fps:
         """self**exponent = exp(exponent * log(self)) for rational exponents.
@@ -337,20 +351,27 @@ class Fps:
         """
         if self._coeffs[0] != 1:
             raise PowDomainError("fractional power needs constant term 1")
-        return self.log().scale(Fraction(exponent)).exp()
+        return self.log().scale(_exact(exponent)).exp()
 
 
 def _compose_coeffs(outer: Sequence[Fraction], g: Sequence[Fraction], order: int) -> list[Fraction]:
     """Horner composition of coefficient lists; g[0] is assumed zero.
 
     Outer coefficients beyond ``order`` cannot reach down to it because g
-    starts at t^1, so they are skipped.
+    starts at t^1, so they are skipped.  Horner runs on integer numerators:
+    after the step for k, acc / (den * gden^(top-k)) = sum_(i>=k) outer_i g^(i-k).
     """
-    acc = [_ZERO] * (order + 1)
-    for k in range(min(len(outer) - 1, order), -1, -1):
-        acc = _mul_coeffs(acc, g, order)
-        acc[0] += outer[k]
-    return acc
+    top = min(len(outer) - 1, order)
+    nums, den = _common_denominator(outer[: top + 1])
+    gnums, gden = _common_denominator(g[: order + 1])
+    acc = [nums[top]] + [0] * order
+    scale = 1
+    for k in range(top - 1, -1, -1):
+        acc = _mul_ints(gnums, acc, order)
+        scale *= gden
+        acc[0] += nums[k] * scale
+    den *= scale
+    return [Fraction(c, den) for c in acc]
 
 
 def reverse_coefficient_lagrange(f: Fps, n: int, k: int = 1) -> Fraction:

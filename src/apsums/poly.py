@@ -5,6 +5,11 @@ beyond the degree are genuinely zero, the coefficient vector is kept in
 trimmed canonical form, and evaluation is exact.  Row polynomials of the
 number triangles, the Bernoulli polynomials and the factorial-basis
 polynomials all live here.
+
+Coefficients are ``Fraction``; the constructor accepts only ``int`` (not
+``bool``) and ``Fraction``.  The product brings both factors to integer
+numerators over one common denominator, sums in ``int`` and divides once
+per output coefficient.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .exact import Progression
+from .exact import Progression, _common_denominator, _exact
 
 __all__ = ["Polynomial", "fallfac_poly", "risefac_poly"]
 
@@ -26,7 +31,7 @@ class Polynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -113,14 +118,15 @@ class Polynomial:
             return Polynomial([c * other for c in self._coeffs])
         if not self._coeffs or not other._coeffs:
             return Polynomial()
-        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        na, da = _common_denominator(self._coeffs)
+        nb, db = _common_denominator(other._coeffs)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
+            if a:
+                for j, b in enumerate(nb, i):
+                    out[j] += a * b
+        den = da * db
+        return Polynomial([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -138,7 +144,7 @@ class Polynomial:
 
     def evaluate(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
-        x = Fraction(x)
+        x = _exact(x)
         acc = _ZERO
         for c in reversed(self._coeffs):
             acc = acc * x + c
@@ -149,7 +155,7 @@ class Polynomial:
 
     def shifted(self, c: Fraction | int) -> Polynomial:
         """The polynomial p(x + c)."""
-        shift = Polynomial([Fraction(c), Fraction(1)])
+        shift = Polynomial([_exact(c), 1])
         acc = Polynomial()
         for coeff in reversed(self._coeffs):
             acc = acc * shift + coeff

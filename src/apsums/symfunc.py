@@ -75,11 +75,12 @@ def complete_h(alphabet: Alphabet, degree: int) -> Fraction:
     """
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
-    # prod 1/(1 - a_j x) up to x^degree: convolve with each geometric row sum_k a_j^k x^k
+    # prod 1/(1 - a_j x) up to x^degree, one factor at a time: dividing by
+    # (1 - a_j x) is h[k] += a_j * h[k-1] in increasing k, in place
     coeffs = [1] + [0] * degree
     for symbol in alphabet.symbols:
-        row = [symbol**k for k in range(degree + 1)]
-        coeffs = [sum(coeffs[i] * row[k - i] for i in range(k + 1)) for k in range(degree + 1)]
+        for k in range(1, degree + 1):
+            coeffs[k] += symbol * coeffs[k - 1]
     return Fraction(coeffs[degree])
 
 

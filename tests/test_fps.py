@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as stn
 
 from apsums.errors import (
     CompositionDomainError,
+    DomainError,
     ExpDomainError,
     InsufficientOrder,
     LogDomainError,
@@ -255,3 +256,104 @@ class TestRingLaws:
     def test_additive_group(self, f):
         assert f + (-f) == Fps.zero(10)
         assert f - f == Fps.zero(10)
+
+
+# Schoolbook Fraction references for the integer kernels; they share no code with src.
+LARGE_PRIMES = (1_000_003, 998_244_353, 2**61 - 1, 2**89 - 1)
+coefficient = stn.one_of(
+    stn.just(F(0)),
+    stn.fractions(min_value=-9, max_value=9, max_denominator=12),
+    stn.builds(F, stn.integers(-(10**30), 10**30), stn.sampled_from(LARGE_PRIMES)),
+)
+# runs of zeros between single coefficients
+chunk = stn.one_of(coefficient.map(lambda c: [c]), stn.integers(1, 5).map(lambda n: [F(0)] * n))
+
+
+def coefficient_lists(max_size):
+    return stn.lists(chunk, min_size=1, max_size=max_size).map(lambda cs: sum(cs, [])[:max_size])
+
+
+def schoolbook_mul(a, b, order):
+    out = [F(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def schoolbook_reciprocal(f):
+    out = [1 / f[0]]
+    for k in range(1, len(f)):
+        out.append(-sum(f[j] * out[k - j] for j in range(1, k + 1)) / f[0])
+    return out
+
+
+def schoolbook_power_sum(outer, inner, order, weight):
+    """sum_k weight(k) * outer[k] * inner^k, truncated; inner[0] must be 0."""
+    out, power = [F(0)] * (order + 1), [F(1)] + [F(0)] * order
+    for k in range(order + 1):
+        out = [o + weight(k) * outer[k] * p for o, p in zip(out, power)]
+        power = schoolbook_mul(power, inner, order)
+    return out
+
+
+def exact_fractions(f):
+    return all(type(c) is Fraction for c in f.coefficients)
+
+
+class TestIntegerKernelsAgainstSchoolbook:
+    @given(coefficient_lists(12), coefficient_lists(12))
+    def test_product(self, a, b):
+        product = Fps(a) * Fps(b)
+        order = min(len(a), len(b)) - 1
+        assert product.coefficients == tuple(schoolbook_mul(a, b, order))
+        assert exact_fractions(product)
+
+    @given(coefficient.filter(bool), coefficient_lists(10))
+    @example(F(-3), [F(1), F(0), F(0), F(-5, 2)])
+    @example(F(7, 2**61 - 1), [F(0), F(0), F(1)])
+    def test_reciprocal(self, c0, rest):
+        inverse = Fps([c0] + rest).reciprocal()
+        assert inverse.coefficients == tuple(schoolbook_reciprocal([c0] + rest))
+        assert exact_fractions(inverse)
+
+    @given(coefficient_lists(9), coefficient_lists(9))
+    def test_compose(self, outer, rest):
+        inner = [F(0)] + rest
+        order = min(len(outer), len(inner)) - 1
+        composed = Fps(outer).compose(Fps(inner))
+        expected = schoolbook_power_sum(outer + [F(0)] * order, inner, order, lambda k: 1)
+        assert composed.coefficients == tuple(expected)
+        assert exact_fractions(composed)
+
+    @given(coefficient_lists(9))
+    def test_exp(self, rest):
+        inner = [F(0)] + rest
+        order = len(inner) - 1
+        # exp(f) = sum_m f^m / m! once f(0) = 0
+        expected = schoolbook_power_sum([F(1)] * (order + 1), inner, order,
+                                        lambda m: F(1, math.factorial(m)))
+        result = Fps(inner).exp()
+        assert result.coefficients == tuple(expected)
+        assert exact_fractions(result)
+
+
+class TestExactScalarsOnly:
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True, None])
+    def test_coefficients(self, bad):
+        with pytest.raises(DomainError):
+            Fps([1, bad])
+
+    def test_integer_coefficients_become_fractions(self):
+        assert exact_fractions(Fps([1, -2, F(3, 4)], order=4))
+
+    @pytest.mark.parametrize("bad", [0.5, "2", False])
+    def test_scalar_entry_points(self, bad):
+        for call in (
+            lambda: Fps.exp_of(bad, 3),
+            lambda: Fps.geometric(bad, 3),
+            lambda: Fps([1, 1]).scale(bad),
+            lambda: Fps([1, 1]).pow(bad),
+        ):
+            with pytest.raises(DomainError):
+                call()

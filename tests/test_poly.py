@@ -78,3 +78,42 @@ class TestFactorialBasis:
         p = fallfac_poly(Progression(2, 1), 4)
         assert p.degree == 4
         assert p[4] == 1
+
+
+LARGE_PRIMES = (1_000_003, 2**61 - 1, 2**89 - 1)
+coefficient = stn.one_of(
+    stn.just(F(0)),
+    rationals,
+    stn.builds(F, stn.integers(-(10**30), 10**30), stn.sampled_from(LARGE_PRIMES)),
+)
+
+
+def schoolbook_product(a, b):
+    """Fraction reference for the integer product kernel; shares no code with src."""
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestIntegerProductKernel:
+    @given(stn.lists(coefficient, max_size=9), stn.lists(coefficient, max_size=9))
+    def test_matches_schoolbook(self, a, b):
+        product = Polynomial(a) * Polynomial(b)
+        assert product == Polynomial(schoolbook_product(a, b))
+        assert all(type(c) is Fraction for c in product.coefficients)
+
+
+class TestExactScalarsOnly:
+    @pytest.mark.parametrize("coefficients", [[0.5, F(2, 7)], ["2/7"], [1, True]])
+    def test_coefficients(self, coefficients):
+        with pytest.raises(DomainError):
+            Polynomial(coefficients)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", True])
+    def test_evaluate_and_shift(self, bad):
+        with pytest.raises(DomainError):
+            Polynomial([1, 2]).evaluate(bad)
+        with pytest.raises(DomainError):
+            Polynomial([1, 2]).shifted(bad)
