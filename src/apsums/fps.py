@@ -201,9 +201,9 @@ class Fps:
         return min(self.order, other.order)
 
     def __add__(self, other: Fps | Fraction | int) -> Fps:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Fps):
             coeffs = list(self._coeffs)
-            coeffs[0] += other
+            coeffs[0] += _exact(other)
             return Fps(coeffs)
         order = self._binary_order(other)
         return Fps([self._coeffs[k] + other._coeffs[k] for k in range(order + 1)])
@@ -214,13 +214,15 @@ class Fps:
         return Fps([-c for c in self._coeffs])
 
     def __sub__(self, other: Fps | Fraction | int) -> Fps:
+        if not isinstance(other, Fps):
+            other = _exact(other)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> Fps:
         return -self + other
 
     def __mul__(self, other: Fps | Fraction | int) -> Fps:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Fps):
             return self.scale(other)
         order = self._binary_order(other)
         return Fps(_mul_coeffs(self._coeffs, other._coeffs, order))
@@ -238,10 +240,11 @@ class Fps:
         return Fps(_recip_coeffs(self._coeffs, self.order))
 
     def __truediv__(self, other: Fps | Fraction | int) -> Fps:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
+        if not isinstance(other, Fps):
+            divisor = _exact(other)
+            if divisor == 0:
                 raise ZeroDivisionError("division of a series by zero")
-            return self.scale(Fraction(1, 1) / Fraction(other))
+            return self.scale(1 / divisor)
         return self * other.reciprocal()
 
     # -- shifts and transforms ------------------------------------------------

@@ -92,7 +92,7 @@ class Polynomial:
         return " + ".join(terms)
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
@@ -108,13 +108,16 @@ class Polynomial:
         return Polynomial([-c for c in self._coeffs])
 
     def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            other = _exact(other)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> Polynomial:
         return -self + other
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
+            other = _exact(other)
             return Polynomial([c * other for c in self._coeffs])
         if not self._coeffs or not other._coeffs:
             return Polynomial()

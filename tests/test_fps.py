@@ -357,3 +357,11 @@ class TestExactScalarsOnly:
         ):
             with pytest.raises(DomainError):
                 call()
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_scalar_operands(self, bad):
+        f = Fps([1, 1])
+        for call in (lambda: f + bad, lambda: bad + f, lambda: f - bad, lambda: f * bad,
+                     lambda: bad * f, lambda: f / bad):
+            with pytest.raises(DomainError):
+                call()

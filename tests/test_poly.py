@@ -117,3 +117,11 @@ class TestExactScalarsOnly:
             Polynomial([1, 2]).evaluate(bad)
         with pytest.raises(DomainError):
             Polynomial([1, 2]).shifted(bad)
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_scalar_operands(self, bad):
+        p = Polynomial([1, 2])
+        for call in (lambda: p + bad, lambda: bad + p, lambda: p - bad, lambda: p * bad,
+                     lambda: bad * p):
+            with pytest.raises(DomainError):
+                call()
