@@ -9,10 +9,9 @@ identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import bernoulli as bern
 from . import eulerian as eul
@@ -175,6 +174,8 @@ def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
     if args.format == "csv":
         return tri.text(",") + "\n"
     if args.format == "json":
+        import json  # only this format needs it; every other request skips the import
+
         payload = {
             "family": args.family,
             "d": args.d,

@@ -12,11 +12,11 @@ its formulas are stated.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import OutOfTriangle, ShapeError
-from .exact import Progression, integer_power
+from .exact import Progression
 from .sheffer import Triangle
 from .stirling import _recurrence_triangle, s2fac_triangle
 
@@ -68,11 +68,11 @@ def reu_explicit(prog: Progression, n: int, k: int) -> Fraction:
     """rEu(d,a;n,k) = sum_j (-1)^(k-j) C(n+1, k-j) (a + d*j)^n."""
     if n < 0 or k < 0 or k > n:
         raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
-    acc = Fraction(0)
+    acc = 0
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1
-        acc += sign * math.comb(n + 1, k - j) * integer_power(prog.term(j), n)
-    return acc
+        acc += sign * math.comb(n + 1, k - j) * prog.term(j) ** n
+    return Fraction(acc)
 
 
 def reu_triangle(prog: Progression, size: int) -> Triangle:
@@ -122,14 +122,14 @@ def reu_from_ordinary(prog: Progression, n: int, k: int) -> Fraction:
     if n < 0 or k < 0 or k > n:
         raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
     classical = reu_triangle(Progression(1, 0), n)
-    acc = Fraction(0)
+    acc = 0
     for m in range(n + 1):
-        outer = math.comb(n, m) * integer_power(prog.a, n - m) * prog.d**m
+        outer = math.comb(n, m) * prog.a ** (n - m) * prog.d**m
         if outer == 0:
             continue
-        inner = Fraction(0)
+        inner = 0
         for p in range(min(m, k) + 1):
             sign = -1 if (k - p) % 2 else 1
             inner += sign * math.comb(n - m, k - p) * classical.entry(m, p)
         acc += outer * inner
-    return acc
+    return Fraction(acc)

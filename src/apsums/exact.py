@@ -8,14 +8,18 @@ form gcd(num, den) = 1 with den >= 1 that bit-exact comparison relies
 on.  An ``int`` equals the ``Fraction`` of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
 exporter uses it verbatim.
+
+The package's small value types (:class:`Progression` here, ``ShefferPair``,
+``Alphabet`` and the verifier's records) are plain ``__slots__`` classes
+on :class:`_Record` rather than dataclasses, so that ``import apsums.cli``
+loads no ``dataclasses`` (and, through it, ``inspect``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError
 
@@ -34,24 +38,76 @@ def rational_str(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class Progression:
+class _Record:
+    """A value with the fields named in its class's ``__slots__``.
+
+    ``repr`` and ``==`` go field by field, in slot order, as a dataclass's
+    do; ``==`` holds only between instances of the same class.  A record is
+    mutable and unhashable; see :class:`_FrozenRecord`.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class _FrozenRecord(_Record):
+    """An immutable, hashable :class:`_Record`.
+
+    ``__init__`` fills the slots once through :meth:`_set`; any later
+    assignment or deletion raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Progression(_FrozenRecord):
     """Arithmetic progression a, a+d, a+2d, ... with step d >= 1, offset a >= 0.
 
     gcd(a, d) = 1 is deliberately not required: every identity in this
     package holds for arbitrary a >= 0, and the wider domain gives the
     cross-checks more surface.
+
+    >>> Progression(2, a=1)
+    Progression(d=2, a=1)
     """
 
-    d: int
-    a: int = 0
+    __slots__ = ("d", "a")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, a: int = 0) -> None:
         # bool subclasses int, so True/False would pass as 1/0 unnoticed
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"common difference d must be a positive integer, got {self.d!r}")
-        if isinstance(self.a, bool) or not isinstance(self.a, int) or self.a < 0:
-            raise DomainError(f"initial term a must be a non-negative integer, got {self.a!r}")
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise DomainError(f"common difference d must be a positive integer, got {d!r}")
+        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+            raise DomainError(f"initial term a must be a non-negative integer, got {a!r}")
+        self._set(d, a)
 
     def term(self, j: int) -> int:
         """The j-th progression member a + d*j."""
@@ -91,6 +147,8 @@ def integer_power(base: Fraction | int, n: int) -> Fraction:
     """base**n for n >= 0 with the convention 0**0 = 1."""
     if n < 0:
         raise DomainError(f"exponent must be non-negative, got {n}")
+    if type(base) is int:
+        return Fraction(base**n)
     return Fraction(base) ** n
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import (
     CompositionDomainError,
@@ -129,10 +129,12 @@ class Fps:
         1 + 2*t + 2*t^2 + 4/3*t^3 ; order=3
         """
         rate = _exact(rate)
-        out, term = [], _ONE
+        p, q = rate.numerator, rate.denominator
+        out, num, den = [], 1, 1
         for n in range(order + 1):
-            out.append(term)
-            term = term * rate / (n + 1)
+            out.append(Fraction(num, den))
+            num *= p
+            den *= q * (n + 1)
         return cls(out)
 
     @classmethod

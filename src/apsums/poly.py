@@ -14,8 +14,8 @@ per output coefficient.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DomainError
 from .exact import Progression, _common_denominator, _exact
@@ -146,12 +146,19 @@ class Polynomial:
         return out
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation, on integers: with x = p/q and the
+        coefficients as nums[k]/den, the value is sum nums[k] p^k q^(deg-k)
+        over den q^deg."""
         x = _exact(x)
-        acc = _ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        if not self._coeffs:
+            return _ZERO
+        nums, den = _common_denominator(self._coeffs)
+        p, q = x.numerator, x.denominator
+        acc, q_power = 0, 1
+        for c in reversed(nums):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc, den * q_power // q)
 
     def derivative(self) -> Polynomial:
         return Polynomial([k * self._coeffs[k] for k in range(1, len(self._coeffs))])

@@ -16,12 +16,11 @@ exactly when their entries do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DomainError, InsufficientOrder, ShapeError, SingularTriangle
-from .exact import rational_str
+from .exact import _FrozenRecord, rational_str
 from .fps import Fps
 from .poly import Polynomial
 
@@ -141,19 +140,17 @@ def identity_triangle(size: int) -> Triangle:
     return Triangle([[1 if m == n else 0 for m in range(n + 1)] for n in range(size + 1)])
 
 
-@dataclass(frozen=True)
-class ShefferPair:
+class ShefferPair(_FrozenRecord):
     """A pair (g, f) of truncated series generating an exponential array."""
 
-    g: Fps
-    f: Fps
-    label: str = ""
+    __slots__ = ("g", "f", "label")
 
-    def __post_init__(self) -> None:
-        if self.g[0] == 0:
+    def __init__(self, g: Fps, f: Fps, label: str = "") -> None:
+        if g[0] == 0:
             raise DomainError("g must have a nonzero constant term")
-        if self.f.order < 1 or self.f[0] != 0 or self.f[1] == 0:
+        if f.order < 1 or f[0] != 0 or f[1] == 0:
             raise DomainError("f must have a simple zero at the origin")
+        self._set(g, f, label)
 
     @property
     def order(self) -> int:

@@ -20,8 +20,8 @@ Sheffer pairs are kept as independent cross-check routes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DomainError, OutOfTriangle
 from .exact import Progression, binomial_general, integer_power, risefac
@@ -107,21 +107,21 @@ def s2fac_triangle(prog: Progression, size: int) -> Triangle:
 def s2_explicit(prog: Progression, n: int, m: int) -> Fraction:
     """Alternating-sum closed form (1/m!) sum_k (-1)^(m-k) C(m,k) (a+dk)^n."""
     _require_in_triangle(n, m)
-    acc = Fraction(0)
+    acc = 0
     for k in range(m + 1):
         sign = -1 if (m - k) % 2 else 1
-        acc += sign * math.comb(m, k) * integer_power(prog.term(k), n)
-    return acc / math.factorial(m)
+        acc += sign * math.comb(m, k) * prog.term(k) ** n
+    return Fraction(acc, math.factorial(m))
 
 
 def s2_from_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     """S2[d,a] from the ordinary Stirling2 via the binomial a/d expansion."""
     _require_in_triangle(n, m)
     ordinary = s2_triangle(Progression(1, 0), n)
-    acc = Fraction(0)
+    acc = 0
     for k in range(m, n + 1):
-        acc += math.comb(n, k) * integer_power(prog.a, n - k) * prog.d**k * ordinary.entry(k, m)
-    return acc
+        acc += math.comb(n, k) * prog.a ** (n - k) * prog.d**k * ordinary.entry(k, m)
+    return Fraction(acc)
 
 
 def s2_ordinary_from_general(prog: Progression, n: int, m: int) -> Fraction:

@@ -15,12 +15,11 @@ coefficient lists and convert only the result, which is a ``Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import DomainError
-from .exact import Progression
+from .exact import Progression, _FrozenRecord
 
 __all__ = ["Alphabet", "elementary_sigma", "complete_h", "cuboid_volume_oracle"]
 
@@ -29,16 +28,15 @@ _ORACLE_MAX_COUNT = 8
 _ORACLE_MAX_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_FrozenRecord):
     """The first ``count`` members of an arithmetic progression."""
 
-    prog: Progression
-    count: int
+    __slots__ = ("prog", "count")
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise DomainError(f"count must be non-negative, got {self.count}")
+    def __init__(self, prog: Progression, count: int) -> None:
+        if count < 0:
+            raise DomainError(f"count must be non-negative, got {count}")
+        self._set(prog, count)
 
     @property
     def symbols(self) -> tuple[int, ...]:

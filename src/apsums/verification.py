@@ -18,16 +18,23 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from . import bernoulli as bern
 from . import eulerian as eul
 from . import lah as lahmod
 from . import powersum as ps
 from . import stirling as st
-from .exact import Progression, binomial_general, fallfac, integer_power, risefac
+from .exact import (
+    Progression,
+    _FrozenRecord,
+    _Record,
+    binomial_general,
+    fallfac,
+    integer_power,
+    risefac,
+)
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
 from .sheffer import ShefferPair, Triangle, identity_triangle
@@ -44,13 +51,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
-    expected_fail: bool = False
+class CheckResult(_Record):
+    __slots__ = ("suite", "name", "passed", "detail", "expected_fail")
+
+    def __init__(
+        self, suite: str, name: str, passed: bool, detail: str = "", expected_fail: bool = False
+    ) -> None:
+        self.suite = suite
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.expected_fail = expected_fail
 
     @property
     def ok(self) -> bool:
@@ -62,21 +73,20 @@ class CheckResult:
         return (not self.passed) if self.expected_fail else self.passed
 
 
-@dataclass(frozen=True)
-class _SizeRule:
+class _SizeRule(_FrozenRecord):
     """The row count or series order a check runs at for a requested depth:
     ``depth + lead``, capped at ``cap``, but at least ``low``."""
 
-    cap: int
-    low: int = 2
-    lead: int = 0
+    __slots__ = ("cap", "low", "lead")
+
+    def __init__(self, cap: int, low: int = 2, lead: int = 0) -> None:
+        self._set(cap, low, lead)
 
     def __call__(self, depth: int) -> int:
         return max(self.low, min(depth + self.lead, self.cap))
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(_FrozenRecord):
     """One registry entry.
 
     ``check(size(depth), rng)`` returns the first mismatch as a string, or
@@ -88,12 +98,18 @@ class Identity:
     not, and its detail names the exception.
     """
 
-    suite: str
-    name: str
-    check: Callable[[int, random.Random], str | None]
-    size: _SizeRule
-    printed_three_term: bool = False
-    expected_fail: bool = False
+    __slots__ = ("suite", "name", "check", "size", "printed_three_term", "expected_fail")
+
+    def __init__(
+        self,
+        suite: str,
+        name: str,
+        check: Callable[[int, random.Random], str | None],
+        size: _SizeRule,
+        printed_three_term: bool = False,
+        expected_fail: bool = False,
+    ) -> None:
+        self._set(suite, name, check, size, printed_three_term, expected_fail)
 
     @property
     def label(self) -> str:
@@ -125,7 +141,8 @@ class _Suite:
         rule with any ``cap``, ``low`` or ``lead`` given in ``size`` replaced."""
 
         def register(check):
-            rule = replace(self.size, **size)
+            base = self.size
+            rule = _SizeRule(**{"cap": base.cap, "low": base.low, "lead": base.lead, **size})
             _REGISTRY.append(Identity(self.name, name, check, rule, printed_three_term, expected_fail))
             return check
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -623,3 +624,25 @@ class TestConsoleEntry:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[2] == "4,13,1"
+
+
+class TestLeanImport:
+    def test_cli_import_skips_dataclasses_inspect_json_and_typing(self, src_dir):
+        """Without ``site`` (which may load ``typing`` itself), ``import apsums.cli``
+        loads none of the four, and ``--format json`` still prints the same bytes."""
+        script = (
+            "import sys\n"
+            "import apsums.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))\n"
+            "sys.exit(apsums.cli.main(['triangle', '--family', 'lah', '--d', '2', '--a', '1',"
+            " '--rows', '2', '--format', 'json']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src_dir)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "[]\n"
+            '{"family": "lah", "d": 2, "a": 1, "rows": [["1"], ["2", "1"], ["8", "8", "1"]]}\n'
+        )

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,45 @@ class TestProgression:
 
     def test_coprimality_not_required(self):
         assert Progression(4, 2).term(1) == 6
+
+    def test_error_texts(self):
+        with pytest.raises(DomainError, match=r"^common difference d must be a positive integer, got 0$"):
+            Progression(0)
+        with pytest.raises(DomainError, match=r"^initial term a must be a non-negative integer, got -1$"):
+            Progression(2, a=-1)
+        with pytest.raises(DomainError, match=r"got True$"):
+            Progression(True)
+
+    def test_repr_and_construction(self):
+        assert repr(Progression(2, 1)) == "Progression(d=2, a=1)"
+        assert repr(Progression(3)) == "Progression(d=3, a=0)"
+        assert Progression(d=2, a=1) == Progression(2, 1)
+        assert Progression(a=1, d=2).term(2) == 5
+        with pytest.raises(TypeError):
+            Progression()
+        with pytest.raises(TypeError):
+            Progression(1, 0, 0)
+
+    def test_equality_and_hash(self):
+        assert Progression(2, 1) == Progression(2, 1)
+        assert Progression(2, 1) != Progression(2, 0)
+        assert Progression(2, 1) != (2, 1)
+        assert hash(Progression(2, 1)) == hash(Progression(2, 1))
+        assert len({Progression(2, 1), Progression(2, 1), Progression(1, 2)}) == 2
+
+    def test_frozen(self):
+        prog = Progression(2, 1)
+        with pytest.raises(AttributeError):
+            prog.d = 3
+        with pytest.raises(AttributeError):
+            prog.extra = 3
+        with pytest.raises(AttributeError):
+            del prog.a
+        assert prog == Progression(2, 1)
+
+    def test_copy_and_pickle_round_trip(self):
+        prog = Progression(5, 3)
+        assert copy.copy(prog) == copy.deepcopy(prog) == pickle.loads(pickle.dumps(prog)) == prog
 
 
 class TestScalars:

@@ -39,12 +39,24 @@ class TestShefferTriangle:
             s2_pair(Progression(1, 0), 3).triangle(4)
 
     def test_pair_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^g must have a nonzero constant term$"):
             ShefferPair(Fps([0, 1]), Fps([0, 1]))  # g(0) = 0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^f must have a simple zero at the origin$"):
             ShefferPair(Fps.one(3), Fps([1, 1]))  # f(0) != 0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^f must have a simple zero at the origin$"):
             ShefferPair(Fps.one(3), Fps([0, 0, 1]))  # f'(0) = 0
+
+    def test_pair_value_semantics(self):
+        g, f = Fps.one(2), Fps.x(2)
+        pair = ShefferPair(g, f, "id")
+        assert repr(pair) == f"ShefferPair(g={g!r}, f={f!r}, label='id')"
+        assert ShefferPair(g=g, f=f).label == ""
+        assert ShefferPair(f=f, g=g, label="id") == pair
+        assert pair != ShefferPair(g, f)
+        assert hash(pair) == hash(ShefferPair(Fps.one(2), Fps.x(2), "id"))
+        with pytest.raises(AttributeError):
+            pair.label = "other"
+        assert pair.label == "id"
 
 
 class TestGroupOperations:

@@ -14,6 +14,26 @@ def alphabet(d, a, count):
     return Alphabet(Progression(d, a), count)
 
 
+class TestAlphabet:
+    def test_symbols(self):
+        assert alphabet(2, 1, 4).symbols == (1, 3, 5, 7)
+        assert alphabet(3, 2, 0).symbols == ()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DomainError, match="^count must be non-negative, got -1$"):
+            alphabet(1, 0, -1)
+
+    def test_value_semantics(self):
+        alpha = alphabet(2, 1, 4)
+        assert repr(alpha) == "Alphabet(prog=Progression(d=2, a=1), count=4)"
+        assert Alphabet(count=4, prog=Progression(2, 1)) == alpha
+        assert alpha != alphabet(2, 1, 3)
+        assert hash(alpha) == hash(alphabet(2, 1, 4))
+        with pytest.raises(AttributeError):
+            alpha.count = 5
+        assert alpha.count == 4
+
+
 class TestElementarySigma:
     def test_three_out_of_four_odd_numbers(self):
         assert elementary_sigma(alphabet(2, 1, 4), 3) == 176
