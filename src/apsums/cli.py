@@ -49,7 +49,21 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
 }
 
 
+# Built by the first build_parser() call and shared by every later one in the
+# process; not at import, so importing cli without parsing costs nothing more.
+# Sharing is safe because parse_args keeps no state between calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and then reused."""
+    global _parser
+    if _parser is None:
+        _parser = _new_parser()
+    return _parser
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apsums",
         description=(

@@ -189,15 +189,10 @@ def s1phat_from_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     """
     _require_in_triangle(n, m)
     ordinary = s1phat_triangle(Progression(1, 0), n)
-    acc = Fraction(0)
+    acc = 0
     for j in range(m, n + 1):
-        acc += (
-            math.comb(j, m)
-            * ordinary.entry(n, j)
-            * integer_power(prog.a, j - m)
-            * prog.d ** (n - j)
-        )
-    return acc
+        acc += math.comb(j, m) * ordinary.entry(n, j) * prog.a ** (j - m) * prog.d ** (n - j)
+    return Fraction(acc)  # 0 ** 0 == 1
 
 
 def s1p_ordinary_schlomilch(n: int, m: int) -> Fraction:

@@ -902,14 +902,10 @@ def _binomial_splitting(size, rng):
     for prog in _progressions(4):
         for n in range(size + 1):
             for m in range(0, 9):
-                acc = Fraction(0)
+                acc = 0
                 for k in range(n + 1):
-                    acc += (
-                        math.comb(n, k)
-                        * integer_power(prog.a, n - k)
-                        * prog.d**k
-                        * ps.ps_direct(base, k, m)
-                    )
+                    ordinary = ps.ps_direct(base, k, m).numerator  # an integer sum
+                    acc += math.comb(n, k) * prog.a ** (n - k) * prog.d**k * ordinary
                 if acc != ps.ps_direct(prog, n, m):
                     return f"{prog} n={n} m={m}: binomial splitting fails"
 

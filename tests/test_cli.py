@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as stn
 
 from apsums import powersum
-from apsums.cli import FAMILY_BUILDERS, LIMITS, main
+from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
@@ -646,3 +646,57 @@ class TestLeanImport:
             "[]\n"
             '{"family": "lah", "d": 2, "a": 1, "rows": [["1"], ["2", "1"], ["8", "8", "1"]]}\n'
         )
+
+
+class TestParserReuse:
+    """main() parses every request with one parser per process; no request sees another's."""
+
+    # Usage error, help, domain error, then --a given and left out on one subcommand.
+    SEQUENCE = [
+        ["powersum", "--method", "direct", "--all-methods"],
+        ["powersum", "--d", "2", "--a", "1", "--n", "2", "--m", "2", "--method", "direct"],
+        ["--help"],
+        ["triangle", "--family", "s2", "--d", "0", "--rows", "3"],
+        ["bernoulli", "--d", "2", "--a", "1", "--count", "3"],
+        ["bernoulli", "--d", "2", "--count", "3"],
+    ]
+
+    def test_build_parser_returns_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_each_request_matches_a_fresh_process(self, capsys, monkeypatch, src_dir):
+        monkeypatch.setenv("COLUMNS", "80")
+        shared = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        env = {**os.environ, "COLUMNS": "80"}
+        alone = []
+        for argv in self.SEQUENCE:
+            result = subprocess.run([sys.executable, "-m", "apsums", *argv], capture_output=True,
+                                    text=True, cwd=src_dir, env=env)
+            alone.append((result.returncode, result.stdout, result.stderr))
+        assert shared == alone
+        assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0]
+        assert (shared[-2][1], shared[-1][1]) == ("1\n0\n-1/3\n", "1\n-1\n2/3\n")  # --a dropped
+
+    def test_import_builds_no_parser(self, src_dir):
+        """``import apsums.cli`` constructs no ArgumentParser; the first main() call
+        builds the parser and its subparsers once, and a second call builds none."""
+        script = (
+            "import argparse\n"
+            "progs = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    init(self, *args, **kwargs)\n"
+            "    progs.append(self.prog)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import apsums.cli\n"
+            "print(len(progs))\n"
+            "apsums.cli.main(['powersum', '--d', '2', '--a', '1', '--n', '2', '--m', '2'])\n"
+            "apsums.cli.main(['bernoulli', '--d', '2', '--count', '1'])\n"
+            "print(progs.count('apsums'), len(progs) == len(set(progs)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src_dir)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n35\n1\n1 True\n"
