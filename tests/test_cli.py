@@ -651,7 +651,8 @@ class TestLeanImport:
 class TestParserReuse:
     """main() parses every request with one parser per process; no request sees another's."""
 
-    # Usage error, help, domain error, then --a given and left out on one subcommand.
+    # A usage error, a valid request after it, help, a domain error, then --a
+    # given and left out on one subcommand.
     SEQUENCE = [
         ["powersum", "--method", "direct", "--all-methods"],
         ["powersum", "--d", "2", "--a", "1", "--n", "2", "--m", "2", "--method", "direct"],
