@@ -92,12 +92,16 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return [Fraction(num, den) for num in nums]
 
 
+def _appell(numbers: list[Fraction], n: int) -> Polynomial:
+    """The Appell polynomial sum_m C(n,m) numbers[n-m] x^m of a number table."""
+    return Polynomial([math.comb(n, m) * numbers[n - m] for m in range(n + 1)])
+
+
 def bernoulli_poly(n: int) -> Polynomial:
     """B(n, x) = sum_m C(n,m) B(n-m) x^m."""
     if n < 0:
         raise DomainError("degree must be non-negative")
-    numbers = bernoulli_numbers(n)
-    return Polynomial([math.comb(n, m) * numbers[n - m] for m in range(n + 1)])
+    return _appell(bernoulli_numbers(n), n)
 
 
 def b_gen(prog: Progression, n: int) -> Fraction:
@@ -138,8 +142,7 @@ def b_gen_poly(prog: Progression, n: int) -> Polynomial:
     """B(d,a;n,x) = sum_m C(n,m) B(d,a;n-m) x^m."""
     if n < 0:
         raise DomainError("degree must be non-negative")
-    values = b_gen_numbers(prog, n)
-    return Polynomial([math.comb(n, m) * values[n - m] for m in range(n + 1)])
+    return _appell(b_gen_numbers(prog, n), n)
 
 
 def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
@@ -174,8 +177,7 @@ def b_d_poly(d: int, n: int) -> Polynomial:
         raise DomainError("d must be a positive integer")
     if n < 0:
         raise DomainError("degree must be non-negative")
-    numbers = b_d_numbers(d, n)
-    return Polynomial([math.comb(n, m) * numbers[n - m] for m in range(n + 1)])
+    return _appell(b_d_numbers(d, n), n)
 
 
 def b_gen_egf(prog: Progression, order: int) -> Fps:

@@ -15,10 +15,10 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import OutOfTriangle, ShapeError
+from .errors import ShapeError
 from .exact import Progression
 from .sheffer import Triangle
-from .stirling import _recurrence_triangle, s2fac_triangle
+from .stirling import _recurrence_triangle, _require_in_triangle, s2fac_triangle
 
 __all__ = [
     "reorder_b_to_a",
@@ -66,8 +66,7 @@ def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction]:
 
 def reu_explicit(prog: Progression, n: int, k: int) -> Fraction:
     """rEu(d,a;n,k) = sum_j (-1)^(k-j) C(n+1, k-j) (a + d*j)^n."""
-    if n < 0 or k < 0 or k > n:
-        raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
+    _require_in_triangle(n, k)
     acc = 0
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1
@@ -94,8 +93,7 @@ def reu_from_s2fac(prog: Progression, n: int, k: int) -> Fraction:
     >>> [int(reu_from_s2fac(Progression(1, 0), 2, k)) for k in range(3)]
     [0, 1, 1]
     """
-    if n < 0 or k < 0 or k > n:
-        raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
+    _require_in_triangle(n, k)
     return reorder_b_to_a(s2fac_triangle(prog, n).row(n), n)[k]
 
 
@@ -106,8 +104,7 @@ def s2fac_from_reu(prog: Progression, n: int, m: int) -> Fraction:
     >>> [int(s2fac_from_reu(Progression(1, 0), 2, m)) for m in range(3)]
     [0, 1, 2]
     """
-    if n < 0 or m < 0 or m > n:
-        raise OutOfTriangle(f"entry ({n}, {m}) lies outside the triangle")
+    _require_in_triangle(n, m)
     return reorder_a_to_b(reu_triangle(prog, n).row(n), n)[m]
 
 
@@ -119,8 +116,7 @@ def reu_from_ordinary(prog: Progression, n: int, k: int) -> Fraction:
     No single-sum analogue exists here; the binomial structure forces the
     double sum.
     """
-    if n < 0 or k < 0 or k > n:
-        raise OutOfTriangle(f"entry ({n}, {k}) lies outside the triangle")
+    _require_in_triangle(n, k)
     classical = reu_triangle(Progression(1, 0), n)
     acc = 0
     for m in range(n + 1):

@@ -129,6 +129,32 @@ def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], in
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _mul_ints(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Cauchy product of two integer lists, truncated at ``order``."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i], i):
+                out[j] += ai * bj
+    return out
+
+
+def _mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
+    """Cauchy product of two coefficient lists, truncated at ``order``."""
+    na, da = _common_denominator(a[: order + 1])
+    nb, db = _common_denominator(b[: order + 1])
+    den = da * db
+    return [Fraction(c, den) for c in _mul_ints(na, nb, order)]
+
+
+def _terms(coeffs: Sequence[Fraction], var: str) -> str:
+    """The text ``c0 + c1*var + c2*var^2 + ...``, one term per coefficient."""
+    return " + ".join([
+        str(c) if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}"
+        for k, c in enumerate(coeffs)
+    ])
+
+
 def binomial_general(r: int, k: int) -> int:
     """Binomial coefficient for any integer upper argument.
 
@@ -149,7 +175,7 @@ def integer_power(base: Fraction | int, n: int) -> Fraction:
         raise DomainError(f"exponent must be non-negative, got {n}")
     if type(base) is int:
         return Fraction(base**n)
-    return Fraction(base) ** n
+    return _exact(base) ** n
 
 
 def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
@@ -165,7 +191,7 @@ def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
     """
     if m < 0:
         raise DomainError(f"length must be non-negative, got {m}")
-    x = Fraction(x)
+    x = _exact(x)
     out = Fraction(1)
     for j in range(m):
         out *= x - prog.term(j)
@@ -180,7 +206,7 @@ def risefac(prog: Progression, x: Fraction | int, n: int) -> Fraction:
     """
     if n < 0:
         raise DomainError(f"length must be non-negative, got {n}")
-    x = Fraction(x)
+    x = _exact(x)
     out = Fraction(1)
     for j in range(n):
         out *= x + prog.term(j)

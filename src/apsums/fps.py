@@ -7,9 +7,10 @@ is never fabricated: everything a series claims to know was computed from
 known input coefficients.
 
 Coefficients are ``Fraction``; a constructor accepts only ``int`` (not
-``bool``) and ``Fraction``.  The product, reciprocal, composition and
-exponential kernels bring each operand to integer numerators over one
-common denominator, sum in ``int`` and divide once per output coefficient.
+``bool``) and ``Fraction``.  The product (the Cauchy product in ``exact``,
+shared with ``Polynomial``), reciprocal, composition and exponential
+kernels bring each operand to integer numerators over one common
+denominator, sum in ``int`` and divide once per output coefficient.
 
 Two conventions matter throughout:
 
@@ -36,7 +37,7 @@ from .errors import (
     PowDomainError,
     ReversionDomainError,
 )
-from .exact import _common_denominator, _exact
+from .exact import _common_denominator, _exact, _mul_coeffs, _mul_ints, _terms
 
 __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
 
@@ -45,24 +46,6 @@ DEFAULT_ORDER = 12
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _mul_ints(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """Cauchy product of two integer lists, truncated at ``order``."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i], i):
-                out[j] += ai * bj
-    return out
-
-
-def _mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, truncated at ``order``."""
-    na, da = _common_denominator(a[: order + 1])
-    nb, db = _common_denominator(b[: order + 1])
-    den = da * db
-    return [Fraction(c, den) for c in _mul_ints(na, nb, order)]
 
 
 def _recip_coeffs(f: Sequence[Fraction], order: int) -> list[Fraction]:
@@ -187,15 +170,7 @@ class Fps:
         return f"Fps({list(self._coeffs)!r})"
 
     def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{k}")
-        return " + ".join(terms) + f" ; order={self.order}"
+        return _terms(self._coeffs, "t") + f" ; order={self.order}"
 
     # -- ring operations ------------------------------------------------------
 

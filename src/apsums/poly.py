@@ -7,9 +7,9 @@ number triangles, the Bernoulli polynomials and the factorial-basis
 polynomials all live here.
 
 Coefficients are ``Fraction``; the constructor accepts only ``int`` (not
-``bool``) and ``Fraction``.  The product brings both factors to integer
-numerators over one common denominator, sums in ``int`` and divides once
-per output coefficient.
+``bool``) and ``Fraction``.  The product is the Cauchy product in ``exact``
+that ``Fps`` shares: both factors go to integer numerators over one common
+denominator, sum in ``int`` and divide once per output coefficient.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression, _common_denominator, _exact
+from .exact import Progression, _common_denominator, _exact, _mul_coeffs, _terms
 
 __all__ = ["Polynomial", "fallfac_poly", "risefac_poly"]
 
@@ -79,17 +79,7 @@ class Polynomial:
         return f"Polynomial({list(self._coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        return " + ".join(terms)
+        return _terms(self._coeffs, "x") if self._coeffs else "0"
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -119,17 +109,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = _exact(other)
             return Polynomial([c * other for c in self._coeffs])
-        if not self._coeffs or not other._coeffs:
-            return Polynomial()
-        na, da = _common_denominator(self._coeffs)
-        nb, db = _common_denominator(other._coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb, i):
-                    out[j] += a * b
-        den = da * db
-        return Polynomial([Fraction(c, den) for c in out])
+        return Polynomial(_mul_coeffs(self._coeffs, other._coeffs, self.degree + other.degree))
 
     __rmul__ = __mul__
 

@@ -172,21 +172,23 @@ def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") 
     raise DomainError(f"unknown o.g.f. route {route!r}")
 
 
-METHOD_NAMES = ("direct", "ordinary", "faulhaber", "egf", "ogf-stacked", "ogf-eulerian")
+# The o.g.f. entries are lambdas, not functools.partial, so that they look
+# gps_coefficients up in the module globals at call time and a wrapper or
+# patch installed there sees every call.
+_METHODS = {
+    "direct": ps_direct,
+    "ordinary": ps_via_ordinary,
+    "faulhaber": ps_faulhaber,
+    "egf": eps_coefficients,
+    "ogf-stacked": lambda prog, n, m: gps_coefficients(prog, n, m, "stacked"),
+    "ogf-eulerian": lambda prog, n, m: gps_coefficients(prog, n, m, "eulerian"),
+}
+METHOD_NAMES = tuple(_METHODS)
 
 
 def evaluate_method(method: str, prog: Progression, n: int, m: int) -> Fraction:
     """Evaluate one named route at a single (n, m) query."""
-    if method == "direct":
-        return ps_direct(prog, n, m)
-    if method == "ordinary":
-        return ps_via_ordinary(prog, n, m)
-    if method == "faulhaber":
-        return ps_faulhaber(prog, n, m)
-    if method == "egf":
-        return eps_coefficients(prog, n, m)
-    if method == "ogf-stacked":
-        return gps_coefficients(prog, n, m, "stacked")
-    if method == "ogf-eulerian":
-        return gps_coefficients(prog, n, m, "eulerian")
-    raise DomainError(f"unknown method {method!r}")
+    route = _METHODS.get(method)
+    if route is None:
+        raise DomainError(f"unknown method {method!r}")
+    return route(prog, n, m)

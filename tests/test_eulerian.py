@@ -75,9 +75,11 @@ class TestExplicitAndRecurrence:
             [0, 1, 4, 1],
         ]
 
-    def test_out_of_triangle(self):
-        with pytest.raises(OutOfTriangle):
-            reu_explicit(Progression(1, 0), 2, 3)
+    @pytest.mark.parametrize("n, k", [(-1, 0), (2, -1), (2, 3)])
+    @pytest.mark.parametrize("route", [reu_explicit, reu_from_s2fac, s2fac_from_reu, reu_from_ordinary])
+    def test_out_of_triangle(self, route, n, k):
+        with pytest.raises(OutOfTriangle, match="lies outside the triangle"):
+            route(Progression(1, 0), n, k)
 
     def test_four_routes_agree(self, identity):
         identity("eulerian: four routes agree (recurrence, explicit, from S2fac, from ordinary)")

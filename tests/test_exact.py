@@ -81,6 +81,12 @@ class TestFactorialProducts:
         with pytest.raises(DomainError):
             risefac(Progression(1, 0), 1, -1)
 
+    @pytest.mark.parametrize("x", [0.1, "1/3", True])
+    @pytest.mark.parametrize("product", [fallfac, risefac])
+    def test_inexact_argument_rejected(self, product, x):
+        with pytest.raises(DomainError):
+            product(Progression(1, 0), x, 2)
+
 
 class TestIntegerPower:
     def test_zero_to_the_zero(self):
@@ -95,6 +101,11 @@ class TestIntegerPower:
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
             integer_power(2, -1)
+
+    @pytest.mark.parametrize("base", [0.1, "1/3", True])
+    def test_inexact_base_rejected(self, base):
+        with pytest.raises(DomainError):
+            integer_power(base, 3)
 
 
 class TestProgression:

@@ -57,6 +57,7 @@ class TestConstruction:
 
     def test_text_form(self):
         assert str(Fps([1, 1, F(1, 2)])) == "1 + 1*t + 1/2*t^2 ; order=2"
+        assert str(Fps([F(-1, 2)])) == "-1/2 ; order=0"
 
 
 class TestMul:

@@ -33,6 +33,7 @@ class TestBasics:
     def test_text(self):
         assert str(Polynomial([0, 2, -3, 1])) == "0 + 2*x + -3*x^2 + 1*x^3"
         assert str(Polynomial()) == "0"
+        assert str(Polynomial([F(-1, 2), 3])) == "-1/2 + 3*x"
 
     def test_equality_is_value_equality(self):
         assert Polynomial([1, 0]) == Polynomial([1])
