@@ -188,7 +188,6 @@ METHOD_NAMES = tuple(_METHODS)
 
 def evaluate_method(method: str, prog: Progression, n: int, m: int) -> Fraction:
     """Evaluate one named route at a single (n, m) query."""
-    route = _METHODS.get(method)
-    if route is None:
+    if method not in METHOD_NAMES:
         raise DomainError(f"unknown method {method!r}")
-    return route(prog, n, m)
+    return _METHODS[method](prog, n, m)

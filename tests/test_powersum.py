@@ -165,8 +165,9 @@ class TestUniversalOracle:
         prog = Progression(2, 1)
         for name in METHOD_NAMES:
             assert evaluate_method(name, prog, 2, 2) == 35
-        with pytest.raises(DomainError):
-            evaluate_method("bogus", prog, 1, 1)
+        for bogus in ("bogus", ["direct"]):
+            with pytest.raises(DomainError):
+                evaluate_method(bogus, prog, 1, 1)
 
 
 class TestPowersGeneratingFunctions:
