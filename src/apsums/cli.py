@@ -2,13 +2,14 @@
 values, the identity verifier, and b-file export.
 
 Exit codes: 0 success, 1 verification failure (including power-sum route
-disagreement), 2 usage or domain error.  All output is deterministic:
-identical invocations produce byte-identical bytes.
+disagreement), 2 usage or domain error or a closed stdout.  All output is
+deterministic: identical invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -317,9 +318,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 on usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except BrokenPipeError:
+        # stdout was closed early; point fd 1 at devnull so the exit flush
+        # of what is still buffered cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -1,64 +1,12 @@
-"""Exception types raised on precondition violations.
+"""The one exception type raised on precondition violations.
 
-All of them derive from :class:`DomainError` (itself a ``ValueError``), so
-verification drivers can aggregate every kind of domain failure with a
-single ``except`` clause.
+Every operation refuses an argument outside its domain with
+:class:`DomainError` (a ``ValueError``).  The message names the rule that
+was broken, so callers catch one type and read the message for the rest.
 """
 
-__all__ = [
-    "DomainError",
-    "NonInvertibleSeries",
-    "CompositionDomainError",
-    "ReversionDomainError",
-    "LogDomainError",
-    "ExpDomainError",
-    "PowDomainError",
-    "InsufficientOrder",
-    "SingularTriangle",
-    "ShapeError",
-    "OutOfTriangle",
-]
+__all__ = ["DomainError"]
 
 
 class DomainError(ValueError):
     """An argument lies outside an operation's domain."""
-
-
-class NonInvertibleSeries(DomainError):
-    """Reciprocal of a series whose constant term is zero."""
-
-
-class CompositionDomainError(DomainError):
-    """Series composition with an inner constant term that is not zero."""
-
-
-class ReversionDomainError(DomainError):
-    """Series reversion without a simple zero at the origin."""
-
-
-class LogDomainError(DomainError):
-    """Series logarithm of a series whose constant term is not one."""
-
-
-class ExpDomainError(DomainError):
-    """Series exponential of a series whose constant term is not zero."""
-
-
-class PowDomainError(DomainError):
-    """Fractional power of a series whose constant term is not one."""
-
-
-class InsufficientOrder(DomainError):
-    """A coefficient beyond the retained truncation order was requested."""
-
-
-class SingularTriangle(DomainError):
-    """Triangular-matrix inversion with a zero on the diagonal."""
-
-
-class ShapeError(DomainError):
-    """Operands whose sizes or lengths do not match."""
-
-
-class OutOfTriangle(DomainError):
-    """A triangle entry with column index above the row index."""

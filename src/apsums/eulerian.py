@@ -15,7 +15,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import ShapeError
+from .errors import DomainError
 from .exact import Progression
 from .sheffer import Triangle
 from .stirling import _recurrence_triangle, _require_in_triangle, s2fac_triangle
@@ -37,7 +37,7 @@ def reorder_b_to_a(b: Sequence[Fraction | int], n: int) -> list[Fraction]:
     a_i = sum_j (-1)^(i-j) C(n-j, i-j) b_j.
     """
     if len(b) != n + 1:
-        raise ShapeError(f"expected {n + 1} coefficients, got {len(b)}")
+        raise DomainError(f"expected {n + 1} coefficients, got {len(b)}")
     out = []
     for i in range(n + 1):
         acc = 0
@@ -54,7 +54,7 @@ def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction]:
     b_j = sum_i C(n-i, j-i) a_i.
     """
     if len(a) != n + 1:
-        raise ShapeError(f"expected {n + 1} coefficients, got {len(a)}")
+        raise DomainError(f"expected {n + 1} coefficients, got {len(a)}")
     out = []
     for j in range(n + 1):
         acc = 0

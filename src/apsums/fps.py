@@ -27,16 +27,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .errors import (
-    CompositionDomainError,
-    DomainError,
-    ExpDomainError,
-    InsufficientOrder,
-    LogDomainError,
-    NonInvertibleSeries,
-    PowDomainError,
-    ReversionDomainError,
-)
+from .errors import DomainError
 from .exact import _common_denominator, _exact, _mul_coeffs, _mul_ints, _terms
 
 __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
@@ -144,7 +135,7 @@ class Fps:
         if k < 0:
             raise DomainError("coefficient index must be non-negative")
         if k > self.order:
-            raise InsufficientOrder(f"coefficient {k} beyond retained order {self.order}")
+            raise DomainError(f"coefficient {k} beyond retained order {self.order}")
         return self._coeffs[k]
 
     def coefficient_times_factorial(self, n: int) -> Fraction:
@@ -153,7 +144,7 @@ class Fps:
 
     def truncated(self, order: int) -> Fps:
         if order > self.order:
-            raise InsufficientOrder(
+            raise DomainError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
         return Fps(self._coeffs[: order + 1])
@@ -213,7 +204,7 @@ class Fps:
     def reciprocal(self) -> Fps:
         """Multiplicative inverse; requires a nonzero constant term."""
         if self._coeffs[0] == 0:
-            raise NonInvertibleSeries("series with zero constant term has no reciprocal")
+            raise DomainError("series with zero constant term has no reciprocal")
         return Fps(_recip_coeffs(self._coeffs, self.order))
 
     def __truediv__(self, other: Fps | Fraction | int) -> Fps:
@@ -237,7 +228,7 @@ class Fps:
         if k < 0:
             raise DomainError("shift must be non-negative")
         if k > self.order:
-            raise InsufficientOrder("cannot shift below the constant term")
+            raise DomainError("cannot shift below the constant term")
         if any(c != 0 for c in self._coeffs[:k]):
             raise DomainError("shifted_down requires the low coefficients to vanish")
         return Fps(self._coeffs[k:])
@@ -245,7 +236,7 @@ class Fps:
     def derivative(self) -> Fps:
         """Coefficient-wise k*c_k shifted down; the order drops by one."""
         if self.order == 0:
-            raise InsufficientOrder("derivative of an order-0 series retains no coefficients")
+            raise DomainError("derivative of an order-0 series retains no coefficients")
         return Fps([k * self._coeffs[k] for k in range(1, self.order + 1)])
 
     def integral(self) -> Fps:
@@ -267,7 +258,7 @@ class Fps:
     def compose(self, inner: Fps) -> Fps:
         """self(inner(t)); the inner constant term must vanish."""
         if inner._coeffs[0] != 0:
-            raise CompositionDomainError("inner series must have zero constant term")
+            raise DomainError("inner series must have zero constant term")
         return Fps(_compose_coeffs(self._coeffs, inner._coeffs, self._binary_order(inner)))
 
     def reverse(self) -> Fps:
@@ -283,7 +274,7 @@ class Fps:
         """
         c = self._coeffs
         if self.order < 1 or c[0] != 0 or c[1] == 0:
-            raise ReversionDomainError("reversion needs c0 = 0 and c1 != 0")
+            raise DomainError("reversion needs c0 = 0 and c1 != 0")
         order = self.order
         fprime = [Fraction(k) * c[k] for k in range(1, order + 1)]
         fprime.append(_ZERO)  # padding; see docstring
@@ -302,7 +293,7 @@ class Fps:
     def log(self) -> Fps:
         """log(self) = integral(self'/self); requires constant term 1."""
         if self._coeffs[0] != 1:
-            raise LogDomainError("series logarithm needs constant term 1")
+            raise DomainError("series logarithm needs constant term 1")
         if self.order == 0:
             return Fps.zero(0)
         return (self.derivative() * self.reciprocal().truncated(self.order - 1)).integral()
@@ -313,7 +304,7 @@ class Fps:
         Solves E' = E*self' coefficient-wise, which keeps the full order.
         """
         if self._coeffs[0] != 0:
-            raise ExpDomainError("series exponential needs constant term 0")
+            raise DomainError("series exponential needs constant term 0")
         # With c = nums/den and N = order, v_k = out_k * den^k * N! satisfies
         # k * v_k = sum_j j * nums[j] * den^(j-1) * v_(k-j).  It is an integer,
         # since out_k sums products of at most k coefficients over m! with m <= k.
@@ -330,7 +321,7 @@ class Fps:
         Requires constant term 1, so the result stays inside the rationals.
         """
         if self._coeffs[0] != 1:
-            raise PowDomainError("fractional power needs constant term 1")
+            raise DomainError("fractional power needs constant term 1")
         return self.log().scale(_exact(exponent)).exp()
 
 
@@ -362,7 +353,7 @@ def reverse_coefficient_lagrange(f: Fps, n: int, k: int = 1) -> Fraction:
     it serves as the independent oracle for :meth:`Fps.reverse`.
     """
     if f.order < 1 or f[0] != 0 or f[1] == 0:
-        raise ReversionDomainError("reversion needs c0 = 0 and c1 != 0")
+        raise DomainError("reversion needs c0 = 0 and c1 != 0")
     if n < 0 or k < 0:
         raise DomainError("indices must be non-negative")
     if k == 0:
@@ -371,7 +362,7 @@ def reverse_coefficient_lagrange(f: Fps, n: int, k: int = 1) -> Fraction:
         return Fraction(0)
     psi = f.shifted_down(1)  # order f.order - 1, enough for the derivative below
     if n - k > psi.order:
-        raise InsufficientOrder("series order too small for the requested coefficient")
+        raise DomainError("series order too small for the requested coefficient")
     # psi^(-n) with psi(0) not necessarily 1: normalize, raise, restore.
     q = psi.truncated(n - k)
     c0 = q[0]

@@ -53,7 +53,7 @@ def lah_pair(prog: Progression, order: int) -> ShefferPair:
     one_minus_d = Fps([1, -prog.d], order=order)
     g = one_minus_d.pow(Fraction(-2 * prog.a, prog.d))
     f = Fps.x(order) * one_minus_d.reciprocal()
-    return ShefferPair(g, f, label=f"lah[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def lah_inverse_pair(prog: Progression, order: int) -> ShefferPair:
@@ -61,7 +61,7 @@ def lah_inverse_pair(prog: Progression, order: int) -> ShefferPair:
     one_plus_d = Fps([1, prog.d], order=order)
     g = one_plus_d.pow(Fraction(-2 * prog.a, prog.d))
     f = Fps.x(order) * one_plus_d.reciprocal()
-    return ShefferPair(g, f, label=f"lahinv[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def lah_column0(prog: Progression, size: int) -> list[Fraction]:

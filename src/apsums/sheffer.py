@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import DomainError, InsufficientOrder, ShapeError, SingularTriangle
+from .errors import DomainError
 from .exact import _FrozenRecord, rational_str
 from .fps import Fps
 from .poly import Polynomial
@@ -47,10 +47,10 @@ class Triangle:
         for n, row in enumerate(rows):
             row = tuple(row)
             if len(row) != n + 1:
-                raise ShapeError(f"row {n} must have {n + 1} entries, got {len(row)}")
+                raise DomainError(f"row {n} must have {n + 1} entries, got {len(row)}")
             converted.append(row)
         if not converted:
-            raise ShapeError("a triangle needs at least row 0")
+            raise DomainError("a triangle needs at least row 0")
         self._rows = tuple(converted)
 
     @property
@@ -106,7 +106,7 @@ class Triangle:
     def multiply(self, other: Triangle) -> Triangle:
         """Exact triangular matrix product; sizes must match."""
         if self.size != other.size:
-            raise ShapeError(f"size mismatch: {self.size} vs {other.size}")
+            raise DomainError(f"size mismatch: {self.size} vs {other.size}")
         rows = []
         for n in range(self.size + 1):
             row = []
@@ -122,7 +122,7 @@ class Triangle:
         """Inverse by forward substitution; needs a nonzero diagonal."""
         for n in range(self.size + 1):
             if self._rows[n][n] == 0:
-                raise SingularTriangle(f"zero diagonal entry at row {n}")
+                raise DomainError(f"zero diagonal entry at row {n}")
         inv: list[list[Fraction]] = []
         for n in range(self.size + 1):
             row = [_ZERO] * (n + 1)
@@ -143,14 +143,14 @@ def identity_triangle(size: int) -> Triangle:
 class ShefferPair(_FrozenRecord):
     """A pair (g, f) of truncated series generating an exponential array."""
 
-    __slots__ = ("g", "f", "label")
+    __slots__ = ("g", "f")
 
-    def __init__(self, g: Fps, f: Fps, label: str = "") -> None:
+    def __init__(self, g: Fps, f: Fps) -> None:
         if g[0] == 0:
             raise DomainError("g must have a nonzero constant term")
         if f.order < 1 or f[0] != 0 or f[1] == 0:
             raise DomainError("f must have a simple zero at the origin")
-        self._set(g, f, label)
+        self._set(g, f)
 
     @property
     def order(self) -> int:
@@ -161,7 +161,7 @@ class ShefferPair(_FrozenRecord):
         if size < 0:
             raise DomainError("size must be non-negative")
         if self.order < size:
-            raise InsufficientOrder(
+            raise DomainError(
                 f"series order {self.order} too small for a size-{size} triangle"
             )
         g = self.g.truncated(size)
@@ -179,15 +179,13 @@ class ShefferPair(_FrozenRecord):
         """Group product: (g1 * (g2 o f1), f2 o f1)."""
         g3 = self.g * other.g.compose(self.f)
         f3 = other.f.compose(self.f)
-        label = f"({self.label})*({other.label})" if self.label or other.label else ""
-        return ShefferPair(g3, f3, label)
+        return ShefferPair(g3, f3)
 
     def inverse(self) -> ShefferPair:
         """Group inverse: (1/(g o f^[-1]), f^[-1])."""
         finv = self.f.reverse()
         ginv = self.g.compose(finv).reciprocal()
-        label = f"({self.label})^-1" if self.label else ""
-        return ShefferPair(ginv, finv, label)
+        return ShefferPair(ginv, finv)
 
     def a_z_sequences(self, order: int) -> tuple[Fps, Fps]:
         """The a- and z-series a(y) = y/f^[-1](y), z(y) = (1 - 1/(g o f^[-1]))/f^[-1].
@@ -198,7 +196,7 @@ class ShefferPair(_FrozenRecord):
         if order < 0:
             raise DomainError("order must be non-negative")
         if self.order < order + 1:
-            raise InsufficientOrder(
+            raise DomainError(
                 f"series order {self.order} too small for a/z sequences at order {order}"
             )
         if self.g[0] != 1:

@@ -23,7 +23,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .errors import DomainError, OutOfTriangle
+from .errors import DomainError
 from .exact import Progression, binomial_general, integer_power, risefac
 from .fps import Fps
 from .sheffer import ShefferPair, Triangle
@@ -55,7 +55,7 @@ __all__ = [
 
 def _require_in_triangle(n: int, m: int) -> None:
     if n < 0 or m < 0 or m > n:
-        raise OutOfTriangle(f"entry ({n}, {m}) lies outside the triangle")
+        raise DomainError(f"entry ({n}, {m}) lies outside the triangle")
 
 
 def _recurrence_triangle(
@@ -296,14 +296,14 @@ def s2_pair(prog: Progression, order: int) -> ShefferPair:
     """(e^(a*t), e^(d*t) - 1)."""
     g = Fps.exp_of(prog.a, order)
     f = Fps.exp_of(prog.d, order) - 1
-    return ShefferPair(g, f, label=f"s2[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def s2hat_pair(prog: Progression, order: int) -> ShefferPair:
     """(e^(a*t), (e^(d*t) - 1)/d)."""
     g = Fps.exp_of(prog.a, order)
     f = (Fps.exp_of(prog.d, order) - 1) / prog.d
-    return ShefferPair(g, f, label=f"s2hat[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def s1_pair(prog: Progression, order: int) -> ShefferPair:
@@ -311,7 +311,7 @@ def s1_pair(prog: Progression, order: int) -> ShefferPair:
     one_plus = Fps([1, 1], order=order)
     g = one_plus.pow(Fraction(-prog.a, prog.d))
     f = one_plus.log() / prog.d
-    return ShefferPair(g, f, label=f"s1[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def s1hat_pair(prog: Progression, order: int) -> ShefferPair:
@@ -319,7 +319,7 @@ def s1hat_pair(prog: Progression, order: int) -> ShefferPair:
     one_plus_d = Fps([1, prog.d], order=order)
     g = one_plus_d.pow(Fraction(-prog.a, prog.d))
     f = one_plus_d.log() / prog.d
-    return ShefferPair(g, f, label=f"s1hat[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)
 
 
 def s1phat_pair(prog: Progression, order: int) -> ShefferPair:
@@ -327,4 +327,4 @@ def s1phat_pair(prog: Progression, order: int) -> ShefferPair:
     one_minus_d = Fps([1, -prog.d], order=order)
     g = one_minus_d.pow(Fraction(-prog.a, prog.d))
     f = -(one_minus_d.log()) / prog.d
-    return ShefferPair(g, f, label=f"s1phat[{prog.d},{prog.a}]")
+    return ShefferPair(g, f)

@@ -589,12 +589,13 @@ def _s1_row_polynomial_egf(size, rng):
 @_S1.identity("pair algebra is a homomorphism onto triangle algebra")
 def _pair_algebra(size, rng):
     pair_specs = [
-        (st.s1phat_pair(Progression(2, 1), size), st.s2hat_pair(Progression(2, 1), size)),
-        (st.s2_pair(Progression(3, 2), size), st.s1phat_pair(Progression(2, 1), size)),
+        ((st.s1phat_pair, Progression(2, 1)), (st.s2hat_pair, Progression(2, 1))),
+        ((st.s2_pair, Progression(3, 2)), (st.s1phat_pair, Progression(2, 1))),
     ]
-    for p1, p2 in pair_specs:
+    for (b1, q1), (b2, q2) in pair_specs:
+        p1, p2 = b1(q1, size), b2(q2, size)
         if p1.multiply(p2).triangle(size) != p1.triangle(size).multiply(p2.triangle(size)):
-            return f"pair product {p1.label} * {p2.label} breaks the homomorphism"
+            return f"pair product {b1.__name__}({q1}) * {b2.__name__}({q2}) breaks the homomorphism"
     for prog in _progressions(2):
         pair = st.s2_pair(prog, size)
         inv = pair.inverse()
@@ -840,17 +841,6 @@ def _b_gen_parity(n_cap, rng):
             for n in range(n_cap + 1):
                 if flipped[n] != (-1) ** n * values[n]:
                     return f"d={d} a={a} n={n}: parity relation fails"
-
-
-@_BERNOULLI.identity("[1,0] reduces to the ordinary numbers and polynomials")
-def _b_gen_reduction(n_cap, rng):
-    numbers = bern.bernoulli_numbers(n_cap)
-    for n in range(n_cap + 1):
-        if bern.b_gen(Progression(1, 0), n) != numbers[n]:
-            return f"n={n}: [1,0] reduction fails for numbers"
-    for n in range(min(n_cap, 8) + 1):
-        if bern.b_gen_poly(Progression(1, 0), n) != bern.bernoulli_poly(n):
-            return f"n={n}: [1,0] reduction fails for polynomials"
 
 
 # -- Faulhaber / power sums ----------------------------------------------------------

@@ -103,7 +103,7 @@ class TestTwoParameterNumbers:
 
 class TestTwoParameterPolynomials:
     def test_reduction(self, identity):
-        identity("bernoulli: [1,0] reduces to the ordinary numbers and polynomials")
+        identity("bernoulli: two-parameter numbers agree along both routes")
 
     def test_linear_case(self):
         assert b_gen_poly(Progression(2, 1), 1) == Polynomial([0, 1])

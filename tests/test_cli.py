@@ -625,6 +625,21 @@ class TestConsoleEntry:
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[2] == "4,13,1"
 
+    def test_closed_stdout_exits_2_without_traceback(self, src_dir):
+        # about 1.8 MB of output: far more than a pipe buffer holds
+        args = [sys.executable, "-m", "apsums", "triangle", "--family", "s2",
+                "--d", str(2**64 - 1), "--a", str(2**64 - 1), "--rows", "64"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                cwd=src_dir, env=env)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in stderr
+        assert "Exception ignored" not in stderr
+
 
 class TestLeanImport:
     def test_cli_import_skips_dataclasses_inspect_json_and_typing(self, src_dir):

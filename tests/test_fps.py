@@ -5,16 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as stn
 
-from apsums.errors import (
-    CompositionDomainError,
-    DomainError,
-    ExpDomainError,
-    InsufficientOrder,
-    LogDomainError,
-    NonInvertibleSeries,
-    PowDomainError,
-    ReversionDomainError,
-)
+from apsums.errors import DomainError
 from apsums.exact import Progression, risefac
 from apsums.fps import Fps, reverse_coefficient_lagrange
 
@@ -48,11 +39,11 @@ class TestConstruction:
         assert f != Fps([1])
 
     def test_coefficient_beyond_order(self):
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(DomainError, match="coefficient 5 beyond retained order 1"):
             Fps([1, 2])[5]
 
     def test_truncated_cannot_extend(self):
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(DomainError, match="cannot extend a series of order 1 to order 3"):
             Fps([1, 2]).truncated(3)
 
     def test_text_form(self):
@@ -90,7 +81,7 @@ class TestReciprocal:
         assert Fps([1, -2], order=2).reciprocal() == Fps([1, 2, 4])
 
     def test_zero_constant_rejected(self):
-        with pytest.raises(NonInvertibleSeries):
+        with pytest.raises(DomainError, match="zero constant term has no reciprocal"):
             Fps([0, 1]).reciprocal()
 
 
@@ -110,7 +101,7 @@ class TestCompose:
         assert f.compose(Fps.zero(2)) == Fps.constant(5, 2)
 
     def test_nonzero_inner_constant_rejected(self):
-        with pytest.raises(CompositionDomainError):
+        with pytest.raises(DomainError, match="inner series must have zero constant term"):
             Fps([1, 1]).compose(Fps([1, 1]))
 
 
@@ -128,11 +119,11 @@ class TestReverse:
         assert f.reverse() == expected
 
     def test_preconditions(self):
-        with pytest.raises(ReversionDomainError):
+        with pytest.raises(DomainError, match="reversion needs c0 = 0 and c1 != 0"):
             Fps([1, 1]).reverse()
-        with pytest.raises(ReversionDomainError):
+        with pytest.raises(DomainError, match="reversion needs c0 = 0 and c1 != 0"):
             Fps([0, 0, 1]).reverse()
-        with pytest.raises(ReversionDomainError):
+        with pytest.raises(DomainError, match="reversion needs c0 = 0 and c1 != 0"):
             Fps([0]).reverse()
 
     @given(series(10, reversible=True))
@@ -173,7 +164,7 @@ class TestLogExpPow:
         assert Fps([1, -2], order=2).log() == Fps([0, -2, -2])
 
     def test_log_precondition(self):
-        with pytest.raises(LogDomainError):
+        with pytest.raises(DomainError, match="series logarithm needs constant term 1"):
             Fps([2, 1]).log()
 
     def test_exp_of_t(self):
@@ -186,7 +177,7 @@ class TestLogExpPow:
         assert Fps([0, 2], order=2).exp() == Fps([1, 2, 2])
 
     def test_exp_precondition(self):
-        with pytest.raises(ExpDomainError):
+        with pytest.raises(DomainError, match="series exponential needs constant term 0"):
             Fps([1, 1]).exp()
 
     @given(series(10, unit_constant=True))
@@ -208,7 +199,7 @@ class TestLogExpPow:
             assert f.coefficient_times_factorial(n) == risefac(prog, 0, n)
 
     def test_pow_precondition(self):
-        with pytest.raises(PowDomainError):
+        with pytest.raises(DomainError, match="fractional power needs constant term 1"):
             Fps([2, 1]).pow(F(1, 2))
 
     @given(series(8, unit_constant=True), rationals, rationals)
@@ -233,7 +224,7 @@ class TestCalculusAndBorel:
         assert f.derivative().integral() == f - 5
 
     def test_derivative_of_constant_order_series(self):
-        with pytest.raises(InsufficientOrder):
+        with pytest.raises(DomainError, match="derivative of an order-0 series retains no coefficients"):
             Fps([3]).derivative()
 
     def test_factorial_transforms(self):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as stn
 
 from apsums.cli import LIMITS
-from apsums.errors import DomainError, OutOfTriangle
+from apsums.errors import DomainError
 from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
 from apsums.poly import Polynomial, fallfac_poly
@@ -66,7 +66,7 @@ class TestSecondKindTriangle:
         assert s2hat_triangle(Progression(3, 2), 3).entry(3, 1) == 39
 
     def test_explicit_rejects_above_diagonal(self):
-        with pytest.raises(OutOfTriangle):
+        with pytest.raises(DomainError, match=r"entry \(2, 3\) lies outside the triangle"):
             s2_explicit(Progression(1, 0), 2, 3)
 
     def test_from_ordinary(self):
