@@ -14,7 +14,8 @@ alternating factorial-weighted sum over the S2[d,a] row, or equivalently
 from the binomial a/d expansion of the ordinary numbers.  The
 one-parameter family B(d;n) = d^n B(n), whose polynomials drive the
 generalized Faulhaber formula, is the a-independent contraction of the
-two-parameter one.  Nothing is cached between calls.
+two-parameter one; at d = 1 its polynomials ``b_d_poly(1, n)`` are the
+ordinary Bernoulli polynomials.  Nothing is cached between calls.
 
 Reference: R. P. Brent and D. Harvey, "Fast computation of Bernoulli,
 Tangent and Secant numbers", Springer Proc. Math. Stat. 50 (2013).
@@ -33,7 +34,6 @@ from .stirling import s2_triangle
 
 __all__ = [
     "bernoulli_numbers",
-    "bernoulli_poly",
     "b_gen",
     "b_gen_numbers",
     "b_gen_poly",
@@ -95,13 +95,6 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 def _appell(numbers: list[Fraction], n: int) -> Polynomial:
     """The Appell polynomial sum_m C(n,m) numbers[n-m] x^m of a number table."""
     return Polynomial([math.comb(n, m) * numbers[n - m] for m in range(n + 1)])
-
-
-def bernoulli_poly(n: int) -> Polynomial:
-    """B(n, x) = sum_m C(n,m) B(n-m) x^m."""
-    if n < 0:
-        raise DomainError("degree must be non-negative")
-    return _appell(bernoulli_numbers(n), n)
 
 
 def b_gen(prog: Progression, n: int) -> Fraction:

@@ -10,8 +10,8 @@ on.  An ``int`` equals the ``Fraction`` of the same value.  :func:`rational_str`
 exporter uses it verbatim.
 
 The package's small value types (:class:`Progression` here, ``ShefferPair``,
-``Alphabet`` and the verifier's records) are plain ``__slots__`` classes
-on :class:`_Record` rather than dataclasses, so that ``import apsums.cli``
+``Alphabet`` and the verifier's records) are immutable ``__slots__`` classes
+on :class:`_FrozenRecord` rather than dataclasses, so that ``import apsums.cli``
 loads no ``dataclasses`` (and, through it, ``inspect``).
 """
 
@@ -38,16 +38,20 @@ def rational_str(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
-class _Record:
-    """A value with the fields named in its class's ``__slots__``.
+class _FrozenRecord:
+    """An immutable, hashable value with the fields named in its class's ``__slots__``.
 
-    ``repr`` and ``==`` go field by field, in slot order, as a dataclass's
-    do; ``==`` holds only between instances of the same class.  A record is
-    mutable and unhashable; see :class:`_FrozenRecord`.
+    ``__init__`` fills the slots once through :meth:`_set`; any later
+    assignment or deletion raises ``AttributeError``.  ``repr``, ``==`` and
+    ``hash`` go field by field, in slot order, as a frozen dataclass's do;
+    ``==`` holds only between instances of the same class.
     """
 
     __slots__ = ()
-    __hash__ = None
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -60,20 +64,6 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
-
-
-class _FrozenRecord(_Record):
-    """An immutable, hashable :class:`_Record`.
-
-    ``__init__`` fills the slots once through :meth:`_set`; any later
-    assignment or deletion raises ``AttributeError``.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

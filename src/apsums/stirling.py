@@ -41,10 +41,8 @@ __all__ = [
     "s1phat_triangle",
     "s1phat_from_sigma",
     "s1phat_from_ordinary",
-    "s1p_ordinary_schlomilch",
     "s1phat_schlomilch",
     "s1phat_schlomilch_v2",
-    "monomial_in_fallfac",
     "s2_pair",
     "s2hat_pair",
     "s1_pair",
@@ -141,17 +139,6 @@ def s2_ordinary_from_general(prog: Progression, n: int, m: int) -> Fraction:
     return integer_power(Fraction(-prog.a, prog.d), n) * acc
 
 
-def monomial_in_fallfac(prog: Progression, n: int) -> list[Fraction]:
-    """Coefficients expressing x^n in the generalized falling-factorial basis.
-
-    These are exactly row n of S2hat; the expansion identity is exercised
-    by the verification suite.
-    """
-    if n < 0:
-        raise DomainError("degree must be non-negative")
-    return list(s2hat_triangle(prog, n).row(n))
-
-
 # -- first kind ----------------------------------------------------------------
 
 
@@ -195,35 +182,15 @@ def s1phat_from_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     return Fraction(acc)  # 0 ** 0 == 1
 
 
-def s1p_ordinary_schlomilch(n: int, m: int) -> Fraction:
-    """Ordinary unsigned Stirling1 by the classical double-binomial sum over
-    ordinary Stirling2 values.
-
-    The printed sum covers n >= 1 (the binomial convention makes it vanish
-    at n = m = 0); the empty case is returned directly.
-    """
-    _require_in_triangle(n, m)
-    if n == 0:
-        return Fraction(1)
-    ordinary_s2 = s2_triangle(Progression(1, 0), 2 * n - m)
-    acc = Fraction(0)
-    for k in range(n - m + 1):
-        sign = -1 if k % 2 else 1
-        acc += (
-            sign
-            * binomial_general(n + k - 1, m - 1)
-            * binomial_general(2 * n - m, n - m - k)
-            * ordinary_s2.entry(n - m + k, k)
-        )
-    return (1 if (n - m) % 2 == 0 else -1) * acc
-
-
 def s1phat_schlomilch(prog: Progression, n: int, m: int) -> Fraction:
     """Generalized Schloemilch formula: triple sum over S2hat values.
 
     The powers of a are combined into a^(n-m+k-l), whose exponent is never
     negative; with 0^0 = 1 the a = 0 case collapses as required and no
     separate branch is needed.  Covers n >= 1 as printed; (0,0) is direct.
+    At (d, a) = (1, 0) only l = n-m+k survives, which the l-range reaches
+    only at j = m: the classical double-binomial sum
+    sum_k (-1)^(n-m+k) C(n+k-1,m-1) C(2n-m,n-m-k) S2(n-m+k,k).
     """
     _require_in_triangle(n, m)
     if n == 0:

@@ -34,8 +34,8 @@ class Alphabet(_FrozenRecord):
     __slots__ = ("prog", "count")
 
     def __init__(self, prog: Progression, count: int) -> None:
-        if count < 0:
-            raise DomainError(f"count must be non-negative, got {count}")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise DomainError(f"count must be a non-negative integer, got {count!r}")
         self._set(prog, count)
 
     @property

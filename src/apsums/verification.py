@@ -29,7 +29,6 @@ from . import stirling as st
 from .exact import (
     Progression,
     _FrozenRecord,
-    _Record,
     binomial_general,
     fallfac,
     integer_power,
@@ -51,17 +50,13 @@ __all__ = [
 ]
 
 
-class CheckResult(_Record):
+class CheckResult(_FrozenRecord):
     __slots__ = ("suite", "name", "passed", "detail", "expected_fail")
 
     def __init__(
         self, suite: str, name: str, passed: bool, detail: str = "", expected_fail: bool = False
     ) -> None:
-        self.suite = suite
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.expected_fail = expected_fail
+        self._set(suite, name, passed, detail, expected_fail)
 
     @property
     def ok(self) -> bool:
@@ -153,7 +148,7 @@ _FPS = _Suite("fps", DEFAULT_ORDER)
 _S2 = _Suite("s2", 10)
 _S1 = _Suite("s1", 8)
 _EULERIAN = _Suite("eulerian", 10)
-_BERNOULLI = _Suite("bernoulli", 12, low=4, lead=4)
+_BERNOULLI = _Suite("bernoulli", 12, lead=4)
 _FAULHABER = _Suite("faulhaber", 8)
 _LAH = _Suite("lah", 10)
 _SYMFUNC = _Suite("symfunc", 9)
@@ -386,7 +381,7 @@ def _s2_monomial_expansion(size, rng):
     for prog in _progressions(3):
         for n in range(size + 1):
             expanded = Polynomial()
-            for m, c in enumerate(st.monomial_in_fallfac(prog, n)):
+            for m, c in enumerate(st.s2hat_triangle(prog, n).row(n)):
                 expanded = expanded + fallfac_poly(prog, m) * c
             if expanded != Polynomial.monomial(n):
                 return f"{prog} degree {n}: falling-factorial expansion is not x^{n}"
@@ -486,12 +481,6 @@ def _s1_five_routes(size, rng):
         "triple-sum-reordered": _entries(st.s1phat_schlomilch_v2),
     }
     return _entrywise(_progressions(3), size, st.s1phat_triangle, routes)
-
-
-@_S1.identity("classical first-kind values from the double-binomial second-kind sum")
-def _s1_classical(size, rng):
-    routes = {"double-binomial": _entries(lambda prog, n, m: st.s1p_ordinary_schlomilch(n, m))}
-    return _entrywise([Progression(1, 0)], size, st.s1phat_triangle, routes)
 
 
 # the group inverse multiplies larger triangles than the rest of the suite

@@ -13,7 +13,6 @@ from apsums.bernoulli import (
     b_gen_poly,
     b_gen_numbers,
     bernoulli_numbers,
-    bernoulli_poly,
 )
 from apsums.errors import DomainError
 from apsums.exact import Progression
@@ -48,19 +47,19 @@ class TestNumbers:
 
 class TestPolynomials:
     def test_linear(self):
-        assert bernoulli_poly(1) == Polynomial([F(-1, 2), 1])
+        assert b_d_poly(1, 1) == Polynomial([F(-1, 2), 1])
 
     def test_constant(self):
-        assert bernoulli_poly(0) == Polynomial([1])
+        assert b_d_poly(1, 0) == Polynomial([1])
 
     def test_telescoping_difference(self):
         # B(2, x+1) - B(2, x) = 2x, checked at x = 0
-        p = bernoulli_poly(2)
+        p = b_d_poly(1, 2)
         assert p.evaluate(1) - p.evaluate(0) == 0
 
     def test_telescoping_generally(self):
         for n in range(1, 8):
-            p = bernoulli_poly(n)
+            p = b_d_poly(1, n)
             diff = p.shifted(1) - p
             assert diff == n * Polynomial.monomial(n - 1)
 

@@ -267,7 +267,7 @@ class TestVerifyCommand:
             "FAIL  s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)",
             f"      first mismatch: Progression(d=2, a=1) (3,1): s1phat_triangle={want} "
             f"but triple-sum-reordered={want + 1}",
-            "checks: 12 total, 11 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
+            "checks: 11 total, 10 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
         ]
 
     def test_broken_power_sum_route_is_named(self, capsys, monkeypatch):
@@ -403,7 +403,7 @@ class TestVerifyCommand:
         assert [line for line in out.splitlines() if not line.startswith("ok")] == [
             "FAIL  s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)",
             "      first mismatch: ZeroDivisionError: division by zero",
-            "checks: 12 total, 11 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
+            "checks: 11 total, 10 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
         ]
         assert err == ""
 

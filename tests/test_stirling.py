@@ -11,11 +11,9 @@ from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
 from apsums.poly import Polynomial, fallfac_poly
 from apsums.stirling import (
-    monomial_in_fallfac,
     s1_pair,
     s1_triangle,
     s1hat_pair,
-    s1p_ordinary_schlomilch,
     s1p_triangle,
     s1phat_from_ordinary,
     s1phat_from_sigma,
@@ -117,16 +115,15 @@ class TestSecondKindGeneratingFunctions:
 
 class TestBasisTransitions:
     def test_monomial_coefficients(self):
-        assert monomial_in_fallfac(Progression(1, 0), 2) == [0, 1, 1]
-        assert monomial_in_fallfac(Progression(2, 1), 2) == [1, 4, 1]
-        assert monomial_in_fallfac(Progression(3, 2), 0) == [1]
+        assert list(s2hat_triangle(Progression(1, 0), 2).row(2)) == [0, 1, 1]
+        assert list(s2hat_triangle(Progression(2, 1), 2).row(2)) == [1, 4, 1]
+        assert list(s2hat_triangle(Progression(3, 2), 0).row(0)) == [1]
 
     @given(stn.integers(1, 3), stn.integers(0, 3), stn.integers(0, 8))
     def test_expansion_recovers_the_monomial(self, d, a, n):
         prog = Progression(d, a)
-        coeffs = monomial_in_fallfac(prog, n)
         acc = Polynomial()
-        for m, c in enumerate(coeffs):
+        for m, c in enumerate(s2hat_triangle(prog, n).row(n)):
             acc = acc + fallfac_poly(prog, m) * c
         assert acc == Polynomial.monomial(n)
 
@@ -176,10 +173,11 @@ class TestFirstKindTriangle:
         assert s1phat_from_ordinary(Progression(3, 1), 2, 0) == 4
 
     def test_ordinary_double_binomial(self):
-        assert s1p_ordinary_schlomilch(4, 2) == 11
-        assert s1p_ordinary_schlomilch(7, 7) == 1
-        assert s1p_ordinary_schlomilch(0, 0) == 1
-        assert s1p_ordinary_schlomilch(5, 1) == 24
+        ordinary = Progression(1, 0)
+        assert s1phat_schlomilch(ordinary, 4, 2) == 11
+        assert s1phat_schlomilch(ordinary, 7, 7) == 1
+        assert s1phat_schlomilch(ordinary, 0, 0) == 1
+        assert s1phat_schlomilch(ordinary, 5, 1) == 24
 
     def test_triple_sum(self):
         assert s1phat_schlomilch(Progression(2, 1), 4, 1) == 176
