@@ -179,6 +179,34 @@ class TestFirstKindTriangle:
         assert s1phat_schlomilch(ordinary, 0, 0) == 1
         assert s1phat_schlomilch(ordinary, 5, 1) == 24
 
+    def test_reduces_to_the_classical_double_binomial_sum(self):
+        # At (1, 0) the triple sum is the classical
+        # sum_k (-1)^(n-m+k) C(n+k-1, m-1) C(2n-m, n-m-k) S2(n-m+k, k).
+        # Both sides and the unsigned first-kind numbers are built here from
+        # their own recurrences, beyond the verifier's s1 cap of 8 rows.
+        rows = 12
+        s2 = [[0] * (2 * rows + 1) for _ in range(2 * rows + 1)]
+        s2[0][0] = 1
+        for n in range(1, 2 * rows + 1):
+            for k in range(1, n + 1):
+                s2[n][k] = k * s2[n - 1][k] + s2[n - 1][k - 1]
+        c = [[0] * (rows + 1) for _ in range(rows + 1)]
+        c[0][0] = 1
+        for n in range(1, rows + 1):
+            for m in range(1, n + 1):
+                c[n][m] = (n - 1) * c[n - 1][m] + c[n - 1][m - 1]
+        for n in range(1, rows + 1):
+            for m in range(1, n + 1):
+                classical = sum(
+                    (-1) ** (n - m + k)
+                    * math.comb(n + k - 1, m - 1)
+                    * math.comb(2 * n - m, n - m - k)
+                    * s2[n - m + k][k]
+                    for k in range(n - m + 1)
+                )
+                assert classical == c[n][m], (n, m)
+                assert s1phat_schlomilch(Progression(1, 0), n, m) == classical, (n, m)
+
     def test_triple_sum(self):
         assert s1phat_schlomilch(Progression(2, 1), 4, 1) == 176
         assert s1phat_schlomilch(Progression(5, 0), 3, 1) == 50
