@@ -211,7 +211,7 @@ class Fps:
         if not isinstance(other, Fps):
             divisor = _exact(other)
             if divisor == 0:
-                raise ZeroDivisionError("division of a series by zero")
+                raise DomainError("division of a series by zero")
             return self.scale(1 / divisor)
         return self * other.reciprocal()
 

@@ -26,14 +26,8 @@ from . import eulerian as eul
 from . import lah as lahmod
 from . import powersum as ps
 from . import stirling as st
-from .exact import (
-    Progression,
-    _FrozenRecord,
-    binomial_general,
-    fallfac,
-    integer_power,
-    risefac,
-)
+from .errors import DomainError
+from .exact import Progression, _FrozenRecord, fallfac, integer_power, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
 from .sheffer import ShefferPair, Triangle, identity_triangle
@@ -240,24 +234,6 @@ def _lowered(poly: Polynomial, weight: Callable[[int], Fraction | int]) -> Polyn
 # -- fps / scalar kernel -------------------------------------------------------
 
 
-@_FPS.identity("scalars: arithmetic keeps gcd(num,den)=1 and den>=1")
-def _scalars_normalized(size, rng):
-    for _ in range(40):
-        x = _random_rational(rng)
-        y = _random_rational(rng, nonzero=True)
-        z = (x + y) * (x - y) / y + x
-        if math.gcd(z.numerator, z.denominator) != 1 or z.denominator < 1:
-            return f"unnormalized value {z.numerator}/{z.denominator}"
-
-
-@_FPS.identity("scalars: binomial symmetry C(n,k) = C(n,n-k)", low=1)
-def _binomial_symmetry(size, rng):
-    for n in range(0, size + 1):
-        for k in range(0, n + 1):
-            if binomial_general(n, k) != binomial_general(n, n - k):
-                return f"binomial symmetry fails at ({n},{k})"
-
-
 @_FPS.identity("scalars: risefac/fallfac duality and d-rescaling")
 def _factorial_duality(size, rng):
     for prog in _progressions(3):
@@ -385,18 +361,6 @@ def _s2_monomial_expansion(size, rng):
                 expanded = expanded + fallfac_poly(prog, m) * c
             if expanded != Polynomial.monomial(n):
                 return f"{prog} degree {n}: falling-factorial expansion is not x^{n}"
-
-
-@_S2.identity("row polynomials obey the (a + d x + d x D) step")
-def _s2_operator_step(size, rng):
-    for prog in _progressions(3):
-        tri = st.s2_triangle(prog, size)
-        d, a = prog.d, prog.a
-        for n in range(1, size + 1):
-            prev = tri.row_polynomial(n - 1)
-            stepped = a * prev + d * Polynomial.x() * prev + d * Polynomial.x() * prev.derivative()
-            if stepped != tri.row_polynomial(n):
-                return f"{prog} n={n}: operator recurrence fails"
 
 
 @_S2.identity("row polynomials obey the logarithmic lowering recurrence")
@@ -848,13 +812,6 @@ def _power_sum_routes(size, rng):
                     return f"{prog} n={n} m={m}: direct={direct} but {wrong}"
 
 
-@_FAULHABER.identity("spot value: odd squares 1+9+25 through the generalized formula")
-def _power_sum_spot_value(size, rng):
-    spot = ps.ps_faulhaber(Progression(2, 1), 2, 2)
-    if spot != 35:
-        return f"got {spot}"
-
-
 @_FAULHABER.identity("single powers come out of both generating functions")
 def _single_powers(size_n, rng):
     geom = Fps.geometric(1, 10)
@@ -994,18 +951,6 @@ def _lah_a_z_sequences(order, rng):
             return f"{prog}: z-sequence closed form mismatch"
 
 
-@_LAH.identity("column zero equals the doubled-offset rising product")
-def _lah_column_zero(size, rng):
-    for prog in _progressions(3):
-        col = lahmod.lah_column0(prog, size)
-        for n in range(size + 1):
-            product = Fraction(1)
-            for j in range(n):
-                product *= 2 * prog.a + j * prog.d
-            if col[n] != product:
-                return f"{prog} n={n}: column 0 is not prod(2a + jd)"
-
-
 def _lah_published_three_term(prog: Progression, size: int, rng: random.Random) -> str | None:
     if lahmod.lah_three_term(prog, size, printed=True) != lahmod.lah_triangle(prog, size):
         return f"variant unexpectedly diverges at d={prog.d}"
@@ -1046,7 +991,7 @@ def _symfunc_enumeration(size, rng):
 @_SYMFUNC.identity("triangle entries are symmetric functions of the progression")
 def _symfunc_triangle_entries(size, rng):
     # complete h is the s2 column-scaled entry's route, whose cap (10) covers this suite's (9)
-    sigma = {"elementary-sigma": _entries(lambda prog, n, m: elementary_sigma(Alphabet(prog, n), n - m))}
+    sigma = {"elementary-sigma": _entries(st.s1phat_from_sigma)}
     return _entrywise(_progressions(3), size, st.s1phat_triangle, sigma)
 
 
@@ -1083,7 +1028,7 @@ MAX_DEPTH = max(entry.size.cap - entry.size.lead for entry in IDENTITIES)
 
 def run_suite(name: str, depth: int, include_printed_three_term: bool = False) -> list[CheckResult]:
     if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise DomainError(f"unknown suite {name!r}")
     return [
         entry.run(depth)
         for entry in IDENTITIES

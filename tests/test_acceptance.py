@@ -41,7 +41,6 @@ def egf_of(values, order):
 
 def test_criterion_01_faulhaber_equivalence(identity):
     identity("faulhaber: all five formula routes equal direct summation")
-    identity("faulhaber: spot value: odd squares 1+9+25 through the generalized formula")
     _passed(1, "six power-sum routes identical over the full grid")
 
 

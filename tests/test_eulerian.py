@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
+from apsums.cli import LIMITS
 from apsums.errors import DomainError
 from apsums.eulerian import (
     reorder_a_to_b,
@@ -83,6 +84,14 @@ class TestExplicitAndRecurrence:
 
     def test_four_routes_agree(self, identity):
         identity("eulerian: four routes agree (recurrence, explicit, from S2fac, from ordinary)")
+
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_explicit_sum_at_the_row_limit(self, prog):
+        size = LIMITS["rows"]
+        tri = reu_triangle(prog, size)
+        for n in range(size + 1):
+            for m in range(n + 1):
+                assert tri.entry(n, m) == reu_explicit(prog, n, m), (n, m)
 
 
 class TestConversions:

@@ -40,6 +40,15 @@ class TestBinomialGeneral:
     def test_upper_smaller_than_lower(self):
         assert binomial_general(3, 5) == 0
 
+    def test_pascal_rule_from_row_zero(self):
+        # C(0, k) = [k == 0] and Pascal's rule fix every C(r, k) for integer r
+        # and k >= -1, without the reflection formula the code uses
+        assert [binomial_general(0, k) for k in range(-1, 13)] == [0, 1] + [0] * 12
+        for r in range(-12, 13):
+            for k in range(-1, 13):
+                pascal = binomial_general(r - 1, k) + binomial_general(r - 1, k - 1)
+                assert binomial_general(r, k) == pascal, (r, k)
+
     @given(stn.integers(0, 40), stn.integers(0, 40))
     def test_symmetry(self, n, k):
         if k <= n:

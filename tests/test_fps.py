@@ -84,6 +84,11 @@ class TestReciprocal:
         with pytest.raises(DomainError, match="zero constant term has no reciprocal"):
             Fps([0, 1]).reciprocal()
 
+    @pytest.mark.parametrize("divisor", [0, F(0)])
+    def test_division_by_zero_rejected(self, divisor):
+        with pytest.raises(DomainError, match="division of a series by zero"):
+            Fps([1, 2]) / divisor
+
 
 class TestCompose:
     def test_exp_after_log(self):

@@ -1,10 +1,22 @@
 """Every entry of the identity registry behind ``apsums verify`` as a named
 test, run at the depth where every size cap binds."""
 
+import sys
+
 import pytest
 
+from apsums.errors import DomainError
 from apsums.fps import DEFAULT_ORDER
-from apsums.verification import IDENTITIES, MAX_DEPTH, CheckResult, Identity, _SizeRule
+from apsums.verification import IDENTITIES, MAX_DEPTH, CheckResult, Identity, _SizeRule, run_suite
+
+LIBRARY = {
+    f"apsums.{name}"
+    for name in (
+        "exact", "fps", "poly", "sheffer", "symfunc", "stirling", "eulerian", "bernoulli", "lah", "powersum"
+    )
+}
+# constructors and ``Progression.term`` (a + j d) compute no value an entry compares
+NOT_COUNTED = {"__init__", "_set", "term"}
 
 
 @pytest.mark.parametrize("label", [entry.label for entry in IDENTITIES])
@@ -16,6 +28,33 @@ def test_identity(identity, label):
 def test_size_is_fixed_from_max_depth(entry):
     """``verify --depth MAX_DEPTH`` runs every entry at its full size."""
     assert {entry.size(depth) for depth in range(MAX_DEPTH, 4 * MAX_DEPTH)} == {entry.size(MAX_DEPTH)}
+
+
+def test_every_entry_calls_the_library():
+    """An entry that reaches no library function compares nothing the package computes."""
+
+    def library_calls(entry):
+        called = set()
+
+        def profile(frame, event, arg):
+            name = frame.f_code.co_name
+            if event == "call" and frame.f_globals.get("__name__") in LIBRARY and name not in NOT_COUNTED:
+                called.add(name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            entry.run(1)
+        finally:
+            sys.setprofile(previous)
+        return called
+
+    assert [entry.label for entry in IDENTITIES if not library_calls(entry)] == []
+
+
+def test_unknown_suite_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        run_suite("nope", 1)
 
 
 def test_entry_size_overrides_keep_the_suite_rule():

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
+from apsums.cli import LIMITS
 from apsums.errors import DomainError
 from apsums.exact import Progression, fallfac, risefac
 from apsums.fps import Fps
 from apsums.lah import (
     lah_four_term,
     lah_inverse,
+    lah_inverse_four_term,
     lah_pair,
     lah_sheffer_triangle,
     lah_three_term,
@@ -43,7 +45,7 @@ class TestConstruction:
         assert int_rows(lah_triangle(Progression(2, 1), 2)) == [[1], [2, 1], [8, 8, 1]]
 
     def test_column_zero_product(self, identity):
-        identity("lah: column zero equals the doubled-offset rising product")
+        identity("lah: product, Sheffer, four-term and three-term routes agree")
 
     def test_negative_size(self):
         with pytest.raises(DomainError):
@@ -103,6 +105,11 @@ class TestInverse:
 
     def test_inverse_pair_route(self, identity):
         identity("lah: inverse triangle: signed entries, own recurrence, identity product")
+
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_row_limit_matches_four_term(self, prog):
+        size = LIMITS["rows"]
+        assert lah_inverse(prog, size) == lah_inverse_four_term(prog, size)
 
 
 class TestTransitionIdentities:

@@ -56,6 +56,19 @@ class TestSecondKindTriangle:
     def test_row_zero(self):
         assert int_rows(s2_triangle(Progression(4, 3), 0)) == [[1]]
 
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_families_match_the_alternating_sum_at_the_row_limit(self, prog):
+        size = LIMITS["rows"]
+        s2 = s2_triangle(prog, size)
+        s2hat = s2hat_triangle(prog, size)
+        s2fac = s2fac_triangle(prog, size)
+        for n in range(size + 1):
+            for m in range(n + 1):
+                want = s2_explicit(prog, n, m)
+                assert s2.entry(n, m) == want, (n, m)
+                assert s2hat.entry(n, m) * prog.d**m == want, (n, m)
+                assert s2fac.entry(n, m) == want * math.factorial(m), (n, m)
+
     def test_explicit_formula(self):
         assert s2_explicit(Progression(2, 1), 3, 2) == 36
         assert s2_explicit(Progression(1, 0), 6, 6) == 1
@@ -281,9 +294,6 @@ class TestRowPolynomialIdentities:
 
     def test_log_lowering_recurrence_for_s2_rows(self, identity):
         identity("s2: row polynomials obey the logarithmic lowering recurrence")
-
-    def test_s2_row_operator_step(self, identity):
-        identity("s2: row polynomials obey the (a + d x + d x D) step")
 
     @given(stn.integers(1, 3), stn.integers(0, 3), rationals)
     def test_fallfac_egf(self, d, a, x):
