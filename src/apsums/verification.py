@@ -11,6 +11,13 @@ overrides, and is capped so that ``depth`` stops mattering above
 Randomized checks draw from a generator seeded with the entry's own label,
 so each entry reports the same bytes whether it runs alone or inside its
 suite.
+
+Each identity is stated once, here.  Where a test also checks a law on
+inputs of its own, the law is a function ``_..._violation`` that takes
+those inputs and returns the mismatch or ``None``; the entry loops over
+its grid and calls it.  A test that checks a whole entry names it through
+the ``identity`` fixture; a test that checks a registered law on its own
+inputs calls that law's function.
 """
 
 from __future__ import annotations
@@ -211,6 +218,13 @@ def _entrywise(
                     return f"{prog} ({n},{m}): {build.__name__}={want} but {wrong}"
 
 
+def _first(mismatches: Iterable[str | None]) -> str | None:
+    """The first mismatch a law reports over an entry's grid, or ``None``.
+    ``mismatches`` is consumed lazily, so the grid stops, and draws nothing
+    more from the entry's generator, at the first failure."""
+    return next(filter(None, mismatches), None)
+
+
 def _egf_diff(values: list[Fraction | int], closed_form: Fps) -> str | None:
     """``_series_diff`` of the e.g.f. of ``values`` against ``closed_form``,
     or ``None`` when they agree."""
@@ -234,30 +248,46 @@ def _lowered(poly: Polynomial, weight: Callable[[int], Fraction | int]) -> Polyn
 # -- fps / scalar kernel -------------------------------------------------------
 
 
+def _factorial_duality_violation(prog: Progression, x: Fraction, n: int) -> str | None:
+    if risefac(prog, x, n) != (-1) ** n * fallfac(prog, -x, n):
+        return f"duality fails at {prog} n={n} x={x}"
+    scaled = Fraction(prog.d) ** n * fallfac(Progression(1, 0), (x - prog.a) / prog.d, n)
+    if fallfac(prog, x, n) != scaled:
+        return f"rescaling fails at {prog} n={n} x={x}"
+
+
 @_FPS.identity("scalars: risefac/fallfac duality and d-rescaling")
 def _factorial_duality(size, rng):
-    for prog in _progressions(3):
-        for n in range(0, 9):
-            x = _random_rational(rng)
-            if risefac(prog, x, n) != (-1) ** n * fallfac(prog, -x, n):
-                return f"duality fails at {prog} n={n} x={x}"
-            scaled = Fraction(prog.d) ** n * fallfac(Progression(1, 0), (x - prog.a) / prog.d, n)
-            if fallfac(prog, x, n) != scaled:
-                return f"rescaling fails at {prog} n={n} x={x}"
+    return _first(
+        _factorial_duality_violation(prog, _random_rational(rng), n) for prog in _progressions(3) for n in range(9)
+    )
+
+
+def _ring_law_violation(f: Fps, g: Fps, h: Fps) -> str | None:
+    if (f * g) * h != f * (g * h):
+        return "associativity fails"
+    if f * g != g * f:
+        return "commutativity fails"
+    if f * (g + h) != f * g + f * h:
+        return "distributivity fails"
 
 
 @_FPS.identity("series: ring laws of truncated multiplication")
 def _ring_laws(order, rng):
-    for _ in range(6):
-        f = _random_series(rng, order)
-        g = _random_series(rng, order)
-        h = _random_series(rng, order)
-        if (f * g) * h != f * (g * h):
-            return "associativity fails"
-        if f * g != g * f:
-            return "commutativity fails"
-        if f * (g + h) != f * g + f * h:
-            return "distributivity fails"
+    return _first(_ring_law_violation(*(_random_series(rng, order) for _ in range(3))) for _ in range(6))
+
+
+def _reversion_violation(f: Fps) -> str | None:
+    g = f.reverse()
+    if g.reverse() != f:
+        return f"double reversion changes {f}"
+    if f.compose(g) != Fps.x(f.order):
+        return f"f o f^[-1] is not the identity for {f}"
+    if g.compose(f) != Fps.x(f.order):
+        return f"f^[-1] o f is not the identity for {f}"
+    for n in range(f.order + 1):
+        if reverse_coefficient_lagrange(f, n, 1) != g[n] * math.factorial(n):
+            return f"Lagrange coefficient {n} disagrees with Newton reversion"
 
 
 @_FPS.identity("series: reversion roundtrip, identity composition, Lagrange crosscheck")
@@ -265,35 +295,35 @@ def _reversion(order, rng):
     for _ in range(4):
         coeffs = [Fraction(0), _random_rational(rng, nonzero=True)]
         coeffs += [_random_rational(rng) for _ in range(order - 1)]
-        f = Fps(coeffs)
-        g = f.reverse()
-        if g.reverse() != f:
-            return f"double reversion changes {f}"
-        if f.compose(g) != Fps.x(order):
-            return f"f o f^[-1] is not the identity for {f}"
-        for n in range(order + 1):
-            if reverse_coefficient_lagrange(f, n, 1) != g[n] * math.factorial(n):
-                return f"Lagrange coefficient {n} disagrees with Newton reversion"
+        if mismatch := _reversion_violation(Fps(coeffs)):
+            return mismatch
+
+
+def _exp_log_pow_violation(f: Fps, p: Fraction, q: Fraction) -> str | None:
+    if f.log().exp() != f:
+        return "exp(log(f)) differs from f"
+    if f.pow(p) * f.pow(q) != f.pow(p + q):
+        return f"pow additivity fails for exponents {p}, {q}"
 
 
 @_FPS.identity("series: exp/log inversion and rational-power additivity")
 def _exp_log_pow(order, rng):
-    for _ in range(4):
-        f = _random_series(rng, order, unit_constant=True)
-        if f.log().exp() != f:
-            return "exp(log(f)) differs from f"
-        p = _random_rational(rng)
-        q = _random_rational(rng)
-        if f.pow(p) * f.pow(q) != f.pow(p + q):
-            return f"pow additivity fails for exponents {p}, {q}"
+    return _first(
+        _exp_log_pow_violation(
+            _random_series(rng, order, unit_constant=True), _random_rational(rng), _random_rational(rng)
+        )
+        for _ in range(4)
+    )
+
+
+def _factorial_transform_violation(f: Fps) -> str | None:
+    if f.ogf_to_egf().egf_to_ogf() != f or f.egf_to_ogf().ogf_to_egf() != f:
+        return "factorial transform roundtrip changes the series"
 
 
 @_FPS.identity("series: factorial-scaling transform roundtrip")
 def _factorial_transform(order, rng):
-    for _ in range(4):
-        f = _random_series(rng, order)
-        if f.ogf_to_egf().egf_to_ogf() != f or f.egf_to_ogf().ogf_to_egf() != f:
-            return "factorial transform roundtrip changes the series"
+    return _first(_factorial_transform_violation(_random_series(rng, order)) for _ in range(4))
 
 
 # -- second-kind Stirling -------------------------------------------------------
@@ -309,19 +339,24 @@ def _s2_four_routes(size, rng):
     return _entrywise(_progressions(4), size, st.s2_triangle, routes)
 
 
+def _s2_column_ogf_violation(prog: Progression, s2: Triangle, m: int) -> str | None:
+    # product route: (d x)^m / prod_j (1 - (a+dj) x)
+    ogf = Fps.one(s2.size)
+    for j in range(m + 1):
+        ogf = ogf * Fps([1, -prog.term(j)], order=s2.size).reciprocal()
+    ogf = ogf.shifted_up(m) * Fraction(prog.d) ** m
+    for n in range(s2.size + 1):
+        if ogf[n] != s2.entry(n, m):
+            return f"{prog} column {m}: o.g.f. coefficient {n} mismatch"
+
+
 @_S2.identity("column o.g.f. (reciprocal product) reproduces the triangle")
 def _s2_column_ogf(size, rng):
     for prog in _progressions(3):
         tri = st.s2_triangle(prog, size)
         for m in range(min(6, size) + 1):
-            # product route: (d x)^m / prod_j (1 - (a+dj) x)
-            ogf = Fps.one(size)
-            for j in range(m + 1):
-                ogf = ogf * Fps([1, -prog.term(j)], order=size).reciprocal()
-            ogf = ogf.shifted_up(m) * Fraction(prog.d) ** m
-            for n in range(size + 1):
-                if ogf[n] != tri.entry(n, m):
-                    return f"{prog} column {m}: o.g.f. coefficient {n} mismatch"
+            if mismatch := _s2_column_ogf_violation(prog, tri, m):
+                return mismatch
 
 
 @_S2.identity("column o.g.f. partial fractions (geometric sums) agree")
@@ -352,15 +387,17 @@ def _s2hat_complete_h(size, rng):
     return _entrywise(_progressions(3), size, st.s2hat_triangle, routes)
 
 
+def _s2_monomial_expansion_violation(prog: Progression, n: int) -> str | None:
+    expanded = Polynomial()
+    for m, c in enumerate(st.s2hat_triangle(prog, n).row(n)):
+        expanded = expanded + fallfac_poly(prog, m) * c
+    if expanded != Polynomial.monomial(n):
+        return f"{prog} degree {n}: falling-factorial expansion is not x^{n}"
+
+
 @_S2.identity("monomials expand over the falling-factorial basis with scaled-row weights")
 def _s2_monomial_expansion(size, rng):
-    for prog in _progressions(3):
-        for n in range(size + 1):
-            expanded = Polynomial()
-            for m, c in enumerate(st.s2hat_triangle(prog, n).row(n)):
-                expanded = expanded + fallfac_poly(prog, m) * c
-            if expanded != Polynomial.monomial(n):
-                return f"{prog} degree {n}: falling-factorial expansion is not x^{n}"
+    return _first(_s2_monomial_expansion_violation(prog, n) for prog in _progressions(3) for n in range(size + 1))
 
 
 @_S2.identity("row polynomials obey the logarithmic lowering recurrence")
@@ -395,18 +432,34 @@ def _s2fac_row_sum_egf(size, rng):
             return f"{prog}: row-sum e.g.f. mismatch; {diff}"
 
 
+def _s2_sequence_transform_violation(
+    prog: Progression, s2_pair: ShefferPair, values: list[Fraction]
+) -> str | None:
+    size = len(values) - 1
+    tri = s2_pair.triangle(size)
+    transformed = [
+        sum((tri.entry(n, m) * values[m] for m in range(n + 1)), Fraction(0)) for n in range(size + 1)
+    ]
+    if diff := _egf_diff(transformed, s2_pair.g * Fps(values).ogf_to_egf().compose(s2_pair.f)):
+        return f"{prog}: transformed sequence e.g.f. is not g * (A o f); {diff}"
+
+
 @_S2.identity("triangle transform of a sequence has e.g.f. g * (A o f)")
 def _s2_sequence_transform(size, rng):
-    for prog in _progressions(2):
-        pair = st.s2_pair(prog, size)
-        tri = pair.triangle(size)
-        values = [_random_rational(rng) for _ in range(size + 1)]
-        transformed = [
-            sum((tri.entry(n, m) * values[m] for m in range(n + 1)), Fraction(0))
-            for n in range(size + 1)
-        ]
-        if diff := _egf_diff(transformed, pair.g * Fps(values).ogf_to_egf().compose(pair.f)):
-            return f"{prog}: transformed sequence e.g.f. is not g * (A o f); {diff}"
+    return _first(
+        _s2_sequence_transform_violation(
+            prog, st.s2_pair(prog, size), [_random_rational(rng) for _ in range(size + 1)]
+        )
+        for prog in _progressions(2)
+    )
+
+
+def _s2_row_polynomial_egf_violation(
+    prog: Progression, s2_pair: ShefferPair, s2: Triangle, x: Fraction
+) -> str | None:
+    values = [s2.row_polynomial(n).evaluate(x) for n in range(s2.size + 1)]
+    if diff := _egf_diff(values, s2_pair.g * (s2_pair.f * x).exp()):
+        return f"{prog} x={x}: row-polynomial e.g.f. mismatch; {diff}"
 
 
 @_S2.identity("row-polynomial e.g.f. equals g(t) e^(x f(t))")
@@ -415,10 +468,8 @@ def _s2_row_polynomial_egf(size, rng):
         pair = st.s2_pair(prog, size)
         tri = pair.triangle(size)
         for _ in range(5):
-            x = _random_rational(rng)
-            values = [tri.row_polynomial(n).evaluate(x) for n in range(size + 1)]
-            if diff := _egf_diff(values, pair.g * (pair.f * x).exp()):
-                return f"{prog} x={x}: row-polynomial e.g.f. mismatch; {diff}"
+            if mismatch := _s2_row_polynomial_egf_violation(prog, pair, tri, _random_rational(rng)):
+                return mismatch
 
 
 @_S2.identity("ordinary values recovered from any [d,a] family (a >= 1)")
@@ -502,24 +553,29 @@ def _s1_lowering(size, rng):
                 return f"{prog} n={n}: factorial lowering operator fails"
 
 
+def _s1_forward_shift_violation(prog: Progression, s1phat: Triangle) -> str | None:
+    for n in range(1, s1phat.size + 1):
+        stepped = Polynomial([prog.a, 1]) * s1phat.row_polynomial(n - 1).shifted(prog.d)
+        if stepped != s1phat.row_polynomial(n):
+            return f"{prog} n={n}: forward shift recurrence fails"
+
+
 @_S1.identity("row polynomials obey P(n,x) = (x+a) P(n-1, x+d)")
 def _s1_forward_shift(size, rng):
-    for prog in _progressions(3):
-        tri = st.s1phat_triangle(prog, size)
-        for n in range(1, size + 1):
-            stepped = Polynomial([prog.a, 1]) * tri.row_polynomial(n - 1).shifted(prog.d)
-            if stepped != tri.row_polynomial(n):
-                return f"{prog} n={n}: forward shift recurrence fails"
+    return _first(_s1_forward_shift_violation(prog, st.s1phat_triangle(prog, size)) for prog in _progressions(3))
+
+
+def _s1_falling_egf_violation(prog: Progression, x: Fraction, order: int) -> str | None:
+    closed = Fps([1, prog.d], order=order).pow((x - prog.a) / prog.d)
+    if diff := _egf_diff([fallfac(prog, x, m) for m in range(order + 1)], closed):
+        return f"{prog} x={x}: falling-factorial e.g.f. mismatch; {diff}"
 
 
 @_S1.identity("falling factorials have e.g.f. (1 + d t)^((x-a)/d)")
 def _s1_falling_egf(size, rng):
-    for prog in _progressions(3):
-        for _ in range(3):
-            x = _random_rational(rng)
-            closed = Fps([1, prog.d], order=size).pow((x - prog.a) / prog.d)
-            if diff := _egf_diff([fallfac(prog, x, m) for m in range(size + 1)], closed):
-                return f"{prog} x={x}: falling-factorial e.g.f. mismatch; {diff}"
+    return _first(
+        _s1_falling_egf_violation(prog, _random_rational(rng), size) for prog in _progressions(3) for _ in range(3)
+    )
 
 
 @_S1.identity("column e.g.f. (1-dt)^(-a/d) (-log(1-dt)/d)^m / m! reproduces the triangle")
@@ -528,15 +584,19 @@ def _s1_column_egf(size, rng):
     return _entrywise(_progressions(3), size, st.s1phat_triangle, routes)
 
 
+def _s1_row_polynomial_egf_violation(prog: Progression, s1phat: Triangle, x: Fraction) -> str | None:
+    values = [s1phat.row_polynomial(n).evaluate(x) for n in range(s1phat.size + 1)]
+    if diff := _egf_diff(values, Fps([1, -prog.d], order=s1phat.size).pow(-(prog.a + x) / prog.d)):
+        return f"{prog} x={x}: bivariate e.g.f. mismatch; {diff}"
+
+
 @_S1.identity("row-polynomial e.g.f. equals (1 - d t)^(-(a+x)/d)")
 def _s1_row_polynomial_egf(size, rng):
     for prog in _progressions(3):
         tri = st.s1phat_triangle(prog, size)
         for _ in range(5):
-            x = _random_rational(rng)
-            values = [tri.row_polynomial(n).evaluate(x) for n in range(size + 1)]
-            if diff := _egf_diff(values, Fps([1, -prog.d], order=size).pow(-(prog.a + x) / prog.d)):
-                return f"{prog} x={x}: bivariate e.g.f. mismatch; {diff}"
+            if mismatch := _s1_row_polynomial_egf_violation(prog, tri, _random_rational(rng)):
+                return mismatch
 
 
 @_S1.identity("pair algebra is a homomorphism onto triangle algebra")
@@ -579,14 +639,19 @@ def _reu_inverse_relation(size, rng):
     return _entrywise(_progressions(3), size, st.s2fac_triangle, {"from-reu": _entries(eul.s2fac_from_reu)})
 
 
+def _reorder_roundtrip_violation(vec: list[Fraction | int]) -> str | None:
+    n = len(vec) - 1
+    if eul.reorder_a_to_b(eul.reorder_b_to_a(vec, n), n) != vec:
+        return f"roundtrip fails at degree {n}"
+    if eul.reorder_b_to_a(eul.reorder_a_to_b(vec, n), n) != vec:
+        return f"reverse roundtrip fails at degree {n}"
+
+
 @_EULERIAN.identity("reordering transform roundtrips exactly on random vectors")
 def _reorder_roundtrip(size, rng):
-    for n in range(0, size + 1):
-        vec = [Fraction(rng.randint(-20, 20)) for _ in range(n + 1)]
-        if eul.reorder_a_to_b(eul.reorder_b_to_a(vec, n), n) != vec:
-            return f"roundtrip fails at degree {n}"
-        if eul.reorder_b_to_a(eul.reorder_a_to_b(vec, n), n) != vec:
-            return f"reverse roundtrip fails at degree {n}"
+    return _first(
+        _reorder_roundtrip_violation([Fraction(rng.randint(-20, 20)) for _ in range(n + 1)]) for n in range(size + 1)
+    )
 
 
 @_EULERIAN.identity("power o.g.f. equals numerator polynomial over (1-x)^(n+1)", cap=8)
@@ -617,19 +682,24 @@ def _reu_from_s2fac_polynomial(size, rng):
                 return f"{prog} n={n}: cleared-denominator polynomial identity fails"
 
 
+def _reu_bivariate_egf_violation(prog: Progression, reu: Triangle, x: Fraction) -> str | None:
+    order = reu.size
+    closed = (
+        Fps.exp_of(prog.a * (1 - x), order)
+        * (Fps.one(order) - Fps.exp_of(prog.d * (1 - x), order) * x).reciprocal()
+        * (1 - x)
+    )
+    if diff := _egf_diff([reu.row_polynomial(n).evaluate(x) for n in range(order + 1)], closed):
+        return f"{prog} x={x}: bivariate e.g.f. mismatch; {diff}"
+
+
 @_EULERIAN.identity("bivariate e.g.f. (1-x) e^(a(1-x)t) / (1 - x e^(d(1-x)t)) matches", low=1)
 def _reu_bivariate_egf(order, rng):
     for prog in _progressions(2):
         tri = eul.reu_triangle(prog, order)
         for _ in range(5):
-            x = _random_rational(rng, avoid_one=True)
-            closed = (
-                Fps.exp_of(prog.a * (1 - x), order)
-                * (Fps.one(order) - Fps.exp_of(prog.d * (1 - x), order) * x).reciprocal()
-                * (1 - x)
-            )
-            if diff := _egf_diff([tri.row_polynomial(n).evaluate(x) for n in range(order + 1)], closed):
-                return f"{prog} x={x}: bivariate e.g.f. mismatch; {diff}"
+            if mismatch := _reu_bivariate_egf_violation(prog, tri, _random_rational(rng, avoid_one=True)):
+                return mismatch
 
 
 @_EULERIAN.identity("row sums equal d^n n! independently of a")
@@ -743,24 +813,28 @@ def _b_gen_poly_routes(n_cap, rng):
                 return f"{prog} n={n}: polynomial routes disagree"
 
 
+def _b_gen_poly_egf_violation(prog: Progression, x: Fraction, order: int) -> str | None:
+    values = [bern.b_gen_poly(prog, n).evaluate(x) for n in range(order + 1)]
+    if diff := _egf_diff(values, bern.b_gen_egf(prog, order) * Fps.exp_of(x, order)):
+        return f"{prog} x={x}: bivariate polynomial e.g.f. mismatch; {diff}"
+
+
 @_BERNOULLI.identity("polynomial system e.g.f. equals the Appell product with e^(xt)", cap=10)
 def _b_gen_poly_egf(order, rng):
-    for prog in _progressions(2):
-        for _ in range(5):
-            x = _random_rational(rng)
-            values = [bern.b_gen_poly(prog, n).evaluate(x) for n in range(order + 1)]
-            if diff := _egf_diff(values, bern.b_gen_egf(prog, order) * Fps.exp_of(x, order)):
-                return f"{prog} x={x}: bivariate polynomial e.g.f. mismatch; {diff}"
+    return _first(
+        _b_gen_poly_egf_violation(prog, _random_rational(rng), order) for prog in _progressions(2) for _ in range(5)
+    )
+
+
+def _b_d_poly_egf_violation(d: int, x: Fraction, order: int) -> str | None:
+    values = [bern.b_d_poly(d, n).evaluate(x) for n in range(order + 1)]
+    if diff := _egf_diff(values, bern.b_gen_egf(Progression(d, 0), order) * Fps.exp_of(x, order)):
+        return f"d={d} x={x}: one-parameter bivariate e.g.f. mismatch; {diff}"
 
 
 @_BERNOULLI.identity("one-parameter polynomial e.g.f. equals d t e^(xt) / (e^(dt) - 1)", cap=10)
 def _b_d_poly_egf(order, rng):
-    for d in range(1, 5):
-        for _ in range(5):
-            x = _random_rational(rng)
-            values = [bern.b_d_poly(d, n).evaluate(x) for n in range(order + 1)]
-            if diff := _egf_diff(values, bern.b_gen_egf(Progression(d, 0), order) * Fps.exp_of(x, order)):
-                return f"d={d} x={x}: one-parameter bivariate e.g.f. mismatch; {diff}"
+    return _first(_b_d_poly_egf_violation(d, _random_rational(rng), order) for d in range(1, 5) for _ in range(5))
 
 
 @_BERNOULLI.identity("the (-a)-convolution contracts to the a-independent numbers")
@@ -785,15 +859,17 @@ def _b_d_appell(n_cap, rng):
                 return f"d={d} n={n}: Appell derivative property fails"
 
 
+def _b_gen_parity_violation(d: int, a: int, n_cap: int) -> str | None:
+    flipped = bern.b_gen_numbers(Progression(d, d - a), n_cap)
+    values = bern.b_gen_numbers(Progression(d, a), n_cap)
+    for n in range(n_cap + 1):
+        if flipped[n] != (-1) ** n * values[n]:
+            return f"d={d} a={a} n={n}: parity relation fails"
+
+
 @_BERNOULLI.identity("parameter flip a -> d-a flips odd-index signs only")
 def _b_gen_parity(n_cap, rng):
-    for d in range(2, 6):
-        for a in range(1, d):
-            flipped = bern.b_gen_numbers(Progression(d, d - a), n_cap)
-            values = bern.b_gen_numbers(Progression(d, a), n_cap)
-            for n in range(n_cap + 1):
-                if flipped[n] != (-1) ** n * values[n]:
-                    return f"d={d} a={a} n={n}: parity relation fails"
+    return _first(_b_gen_parity_violation(d, a, n_cap) for d in range(2, 6) for a in range(1, d))
 
 
 # -- Faulhaber / power sums ----------------------------------------------------------
@@ -988,11 +1064,13 @@ def _symfunc_enumeration(size, rng):
                     return f"{prog} count={count} degree={degree}: h != enumeration"
 
 
-@_SYMFUNC.identity("triangle entries are symmetric functions of the progression")
-def _symfunc_triangle_entries(size, rng):
-    # complete h is the s2 column-scaled entry's route, whose cap (10) covers this suite's (9)
-    sigma = {"elementary-sigma": _entries(st.s1phat_from_sigma)}
-    return _entrywise(_progressions(3), size, st.s1phat_triangle, sigma)
+def _symfunc_duality_violation(alphabet: Alphabet, r: int) -> str | None:
+    acc = Fraction(0)
+    for k in range(min(r, alphabet.count) + 1):
+        sign = -1 if k % 2 else 1
+        acc += sign * elementary_sigma(alphabet, k) * complete_h(alphabet, r - k)
+    if acc != 0:
+        return f"{alphabet.prog} count={alphabet.count} r={r}: duality sum is {acc}"
 
 
 @_SYMFUNC.identity("alternating sigma/h convolution vanishes (builder cross-guard)")
@@ -1001,14 +1079,8 @@ def _symfunc_duality(size, rng):
         for count in range(1, 6):
             alphabet = Alphabet(prog, count)
             for r in range(1, 7):
-                acc = Fraction(0)
-                for k in range(0, r + 1):
-                    if k > count:
-                        break
-                    sign = -1 if k % 2 else 1
-                    acc += sign * elementary_sigma(alphabet, k) * complete_h(alphabet, r - k)
-                if acc != 0:
-                    return f"{prog} count={count} r={r}: duality sum is {acc}"
+                if mismatch := _symfunc_duality_violation(alphabet, r):
+                    return mismatch
 
 
 @_SYMFUNC.identity("at [1,0] the zero symbol can be dropped from the alphabet")

@@ -2,9 +2,11 @@
 independent routes and requires bit-exact agreement (tolerance zero
 throughout; these are identities of exact rationals, not approximations).
 Each test prints one PASS line on success; a pytest failure is the FAIL
-line for that criterion.  A criterion that an identity registry entry
-covers names that entry (``identity`` fixture, see conftest.py) instead of
-restating it; ``tests/test_identities.py`` runs every entry on its own.
+line for that criterion.  No identity of the registry in
+``apsums.verification`` is restated here: a criterion that checks a whole
+entry names it through the ``identity`` fixture (see conftest.py), and one
+that checks a registered law on its own inputs calls that law's function.
+``tests/test_identities.py`` runs every entry on its own.
 """
 
 import math
@@ -20,19 +22,25 @@ from apsums import lah as lahmod
 from apsums import powersum as ps
 from apsums import stirling as st
 from apsums.exact import Progression
-from apsums.fps import Fps, reverse_coefficient_lagrange
+from apsums.fps import Fps
 from apsums.symfunc import Alphabet, complete_h, cuboid_volume_oracle, elementary_sigma
-from apsums.verification import IDENTITIES
+from apsums.verification import (
+    IDENTITIES,
+    _b_d_poly_egf_violation,
+    _b_gen_poly_egf_violation,
+    _exp_log_pow_violation,
+    _progressions,
+    _reu_bivariate_egf_violation,
+    _reversion_violation,
+    _s1_row_polynomial_egf_violation,
+    _s2_column_ogf_violation,
+)
 
 F = Fraction
 
 
 def _passed(n, text):
     print(f"ACCEPTANCE criterion {n}: PASS - {text}")
-
-
-def progressions(d_max):
-    return [Progression(d, a) for d in range(1, d_max + 1) for a in range(d + 1)]
 
 
 def egf_of(values, order):
@@ -70,7 +78,7 @@ def test_criterion_02_worked_volume_examples():
 
 def test_criterion_03_sheffer_group_closure(identity):
     identity("s1: group inverse: S2 and S1 triangles multiply to the identity")
-    for prog in progressions(4):
+    for prog in _progressions(4):
         s1hat = st.s1hat_pair(prog, 12).triangle(12)
         s1phat = st.s1phat_triangle(prog, 12)
         for n in range(13):
@@ -108,24 +116,14 @@ def test_criterion_05_generating_function_suite():
             egf = Fps.exp_of(a, order)
             for j in range(1, m + 1):
                 egf = egf * (Fps.exp_of(d, order) - 1) / j
-            ogf = Fps.one(order)
-            for j in range(m + 1):
-                ogf = ogf * Fps([1, -prog.term(j)], order=order).reciprocal()
-            ogf = ogf.shifted_up(m) * F(d) ** m
             for n in range(order + 1):
                 assert egf.coefficient_times_factorial(n) == tri.entry(n, m)
-                assert ogf[n] == tri.entry(n, m)
+            assert _s2_column_ogf_violation(prog, tri, m) is None
 
         # row-reversed Eulerian bivariate e.g.f.
         reu = eul.reu_triangle(prog, order)
         for x in sample_points(avoid_one=True):
-            rows = [reu.row_polynomial(n).evaluate(x) for n in range(order + 1)]
-            rhs = (
-                Fps.exp_of(a * (1 - x), order)
-                * (Fps.one(order) - Fps.exp_of(d * (1 - x), order) * x).reciprocal()
-                * (1 - x)
-            )
-            assert egf_of(rows, order) == rhs
+            assert _reu_bivariate_egf_violation(prog, reu, x) is None
 
         # power-sum e.g.f. in closed stacked form
         for n in range(7):
@@ -138,10 +136,8 @@ def test_criterion_05_generating_function_suite():
         numbers = [bern.b_gen(prog, n) for n in range(order + 1)]
         assert egf_of(numbers, order) == bern.b_gen_egf(prog, order)
         for x in sample_points():
-            rows = [bern.b_gen_poly(prog, n).evaluate(x) for n in range(order + 1)]
-            assert egf_of(rows, order) == bern.b_gen_egf(prog, order) * Fps.exp_of(x, order)
-            rows_d = [bern.b_d_poly(d, n).evaluate(x) for n in range(order + 1)]
-            assert egf_of(rows_d, order) == bern.b_gen_egf(Progression(d, 0), order) * Fps.exp_of(x, order)
+            assert _b_gen_poly_egf_violation(prog, x, order) is None
+            assert _b_d_poly_egf_violation(d, x, order) is None
 
         # first-kind column e.g.f. and bivariate e.g.f.
         s1phat = st.s1phat_triangle(prog, order)
@@ -155,8 +151,7 @@ def test_criterion_05_generating_function_suite():
             for n in range(m, order + 1):
                 assert column.coefficient_times_factorial(n) == s1phat.entry(n, m)
         for x in sample_points():
-            rows = [s1phat.row_polynomial(n).evaluate(x) for n in range(order + 1)]
-            assert egf_of(rows, order) == base.pow(-(F(a) + x) / d)
+            assert _s1_row_polynomial_egf_violation(prog, s1phat, x) is None
 
         # Lah column e.g.f.
         lah = lahmod.lah_triangle(prog, order)
@@ -205,17 +200,11 @@ def test_criterion_09_series_kernel():
     for _ in range(8):
         coeffs = [F(0), F(rng.choice([1, -1, 2, 3]), rng.randint(1, 3))]
         coeffs += [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(order - 1)]
-        f = Fps(coeffs)
-        g = f.reverse()
-        assert g.reverse() == f
-        assert f.compose(g) == Fps.x(order)
-        for n in range(order + 1):
-            assert reverse_coefficient_lagrange(f, n, 1) == g[n] * math.factorial(n)
+        assert _reversion_violation(Fps(coeffs)) is None
     for _ in range(8):
         coeffs = [F(1)] + [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(order)]
-        h = Fps(coeffs)
-        assert h.log().exp() == h
-    _passed(9, "series reversion, exp/log inversion and the Lagrange oracle agree at order 10")
+        assert _exp_log_pow_violation(Fps(coeffs), F(1, 2), F(-1, 3)) is None
+    _passed(9, "series reversion, exp/log inversion, power additivity and the Lagrange oracle agree at order 10")
 
 
 def test_criterion_10_cli_verify_gate(src_dir):

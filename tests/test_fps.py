@@ -8,6 +8,12 @@ from hypothesis import strategies as stn
 from apsums.errors import DomainError
 from apsums.exact import Progression, risefac
 from apsums.fps import Fps, reverse_coefficient_lagrange
+from apsums.verification import (
+    _exp_log_pow_violation,
+    _factorial_transform_violation,
+    _reversion_violation,
+    _ring_law_violation,
+)
 
 F = Fraction
 
@@ -132,19 +138,8 @@ class TestReverse:
             Fps([0]).reverse()
 
     @given(series(10, reversible=True))
-    def test_roundtrip(self, f):
-        assert f.reverse().reverse() == f
-
-    @given(series(9, reversible=True))
-    def test_composes_to_identity(self, f):
-        assert f.compose(f.reverse()) == Fps.x(9)
-        assert f.reverse().compose(f) == Fps.x(9)
-
-    @given(series(10, reversible=True))
-    def test_lagrange_oracle(self, f):
-        g = f.reverse()
-        for n in range(11):
-            assert reverse_coefficient_lagrange(f, n, 1) == g[n] * math.factorial(n)
+    def test_reversion_law(self, f):
+        assert _reversion_violation(f) is None
 
     def test_lagrange_higher_powers(self):
         f = Fps.exp_of(1, 8) - 1
@@ -185,10 +180,6 @@ class TestLogExpPow:
         with pytest.raises(DomainError, match="series exponential needs constant term 0"):
             Fps([1, 1]).exp()
 
-    @given(series(10, unit_constant=True))
-    def test_exp_log_roundtrip(self, f):
-        assert f.log().exp() == f
-
     def test_binomial_series(self):
         assert Fps([1, -2], order=3).pow(F(-1, 2)) == Fps([1, 1, F(3, 2), F(5, 2)])
 
@@ -207,9 +198,9 @@ class TestLogExpPow:
         with pytest.raises(DomainError, match="fractional power needs constant term 1"):
             Fps([2, 1]).pow(F(1, 2))
 
-    @given(series(8, unit_constant=True), rationals, rationals)
-    def test_pow_additivity(self, f, p, q):
-        assert f.pow(p) * f.pow(q) == f.pow(p + q)
+    @given(series(10, unit_constant=True), rationals, rationals)
+    def test_exp_log_pow_law(self, f, p, q):
+        assert _exp_log_pow_violation(f, p, q) is None
 
 
 class TestCalculusAndBorel:
@@ -238,16 +229,13 @@ class TestCalculusAndBorel:
 
     @given(series(9))
     def test_transform_roundtrip(self, f):
-        assert f.ogf_to_egf().egf_to_ogf() == f
-        assert f.egf_to_ogf().ogf_to_egf() == f
+        assert _factorial_transform_violation(f) is None
 
 
 class TestRingLaws:
     @given(series(16), series(16), series(16))
     def test_mul_laws(self, f, g, h):
-        assert (f * g) * h == f * (g * h)
-        assert f * g == g * f
-        assert f * (g + h) == f * g + f * h
+        assert _ring_law_violation(f, g, h) is None
 
     @given(series(10))
     def test_additive_group(self, f):

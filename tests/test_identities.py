@@ -1,10 +1,13 @@
 """Every entry of the identity registry behind ``apsums verify`` as a named
 test, run at the depth where every size cap binds."""
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+from apsums import verification
 from apsums.errors import DomainError
 from apsums.fps import DEFAULT_ORDER
 from apsums.verification import IDENTITIES, MAX_DEPTH, CheckResult, Identity, _SizeRule, run_suite
@@ -30,26 +33,43 @@ def test_size_is_fixed_from_max_depth(entry):
     assert {entry.size(depth) for depth in range(MAX_DEPTH, 4 * MAX_DEPTH)} == {entry.size(MAX_DEPTH)}
 
 
-def test_every_entry_calls_the_library():
+@pytest.fixture(scope="module")
+def entry_calls():
+    """The (module, function name) pairs each entry calls at depth 1, by label."""
+    calls = {entry.label: set() for entry in IDENTITIES}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    previous = sys.getprofile()
+    try:
+        for entry in IDENTITIES:
+            called = calls[entry.label]
+            sys.setprofile(profile)
+            entry.run(1)
+            sys.setprofile(previous)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_every_entry_calls_the_library(entry_calls):
     """An entry that reaches no library function compares nothing the package computes."""
 
-    def library_calls(entry):
-        called = set()
+    def reaches_library(called):
+        return any(module in LIBRARY and name not in NOT_COUNTED for module, name in called)
 
-        def profile(frame, event, arg):
-            name = frame.f_code.co_name
-            if event == "call" and frame.f_globals.get("__name__") in LIBRARY and name not in NOT_COUNTED:
-                called.add(name)
+    assert [label for label, called in entry_calls.items() if not reaches_library(called)] == []
 
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            entry.run(1)
-        finally:
-            sys.setprofile(previous)
-        return called
 
-    assert [entry.label for entry in IDENTITIES if not library_calls(entry)] == []
+def test_every_law_has_a_test_and_an_entry(entry_calls):
+    """Each law function keeps both callers: a test calls it by name and some entry calls it."""
+    laws = [name for name in vars(verification) if name.endswith("_violation")]
+    sources = "".join(path.read_text() for path in Path(__file__).parent.rglob("*.py"))
+    reached = set().union(*entry_calls.values())
+    assert laws and [law for law in laws if not re.search(rf"\b{law}\(", sources)] == []
+    assert [law for law in laws if (verification.__name__, law) not in reached] == []
 
 
 def test_unknown_suite_is_a_domain_error():

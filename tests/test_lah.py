@@ -44,9 +44,6 @@ class TestConstruction:
     def test_generalized_rows(self):
         assert int_rows(lah_triangle(Progression(2, 1), 2)) == [[1], [2, 1], [8, 8, 1]]
 
-    def test_column_zero_product(self, identity):
-        identity("lah: product, Sheffer, four-term and three-term routes agree")
-
     def test_negative_size(self):
         with pytest.raises(DomainError):
             lah_triangle(Progression(1, 0), -1)
@@ -100,12 +97,6 @@ class TestInverse:
     def test_product_is_identity(self, identity):
         identity("lah: inverse triangle: signed entries, own recurrence, identity product")
 
-    def test_inverse_recurrence(self, identity):
-        identity("lah: inverse triangle: signed entries, own recurrence, identity product")
-
-    def test_inverse_pair_route(self, identity):
-        identity("lah: inverse triangle: signed entries, own recurrence, identity product")
-
     @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
     def test_row_limit_matches_four_term(self, prog):
         size = LIMITS["rows"]
@@ -141,15 +132,9 @@ class TestRowPolynomialRecurrences:
     def test_second_order_raising(self, identity):
         identity("lah: second-order raising and plain lowering recurrences (both signs)")
 
-    def test_inverse_mirrors(self, identity):
-        identity("lah: second-order raising and plain lowering recurrences (both signs)")
-
 
 class TestSequences:
     def test_a_sequence(self, identity):
-        identity("lah: a- and z-sequences match their closed forms")
-
-    def test_z_sequence_closed_form(self, identity):
         identity("lah: a- and z-sequences match their closed forms")
 
     def test_special_z_values(self):

@@ -174,9 +174,6 @@ class TestPowersGeneratingFunctions:
     def test_single_powers_from_egf(self, identity):
         identity("faulhaber: single powers come out of both generating functions")
 
-    def test_single_powers_from_ogf(self, identity):
-        identity("faulhaber: single powers come out of both generating functions")
-
     def test_binomial_splitting(self, identity):
         # the registry covers d <= 4, a <= d, n <= 8, m <= 8 exhaustively
         identity("faulhaber: binomial splitting over the ordinary power sums")

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from apsums.lah import lah_pair
 from apsums.poly import Polynomial
 from apsums.sheffer import ShefferPair, Triangle, identity_triangle
 from apsums.stirling import s1phat_pair, s1phat_triangle, s2_pair, s2hat_pair, s2hat_triangle
+from apsums.verification import _s2_row_polynomial_egf_violation, _s2_sequence_transform_violation
 
 F = Fraction
 
@@ -207,19 +207,11 @@ class TestFamilyPairsMatchRecurrences:
 class TestTransformProperties:
     @given(stn.lists(stn.fractions(min_value=-5, max_value=5, max_denominator=12), min_size=9, max_size=9))
     def test_sequence_transform_has_product_egf(self, values):
-        pair = s2_pair(Progression(2, 1), 8)
-        tri = pair.triangle(8)
-        transformed = [
-            sum((tri.entry(n, m) * values[m] for m in range(n + 1)), F(0)) for n in range(9)
-        ]
-        lhs = Fps([transformed[n] / math.factorial(n) for n in range(9)])
-        egf = Fps([values[n] / math.factorial(n) for n in range(9)])
-        assert lhs == pair.g * egf.compose(pair.f)
+        prog = Progression(2, 1)
+        assert _s2_sequence_transform_violation(prog, s2_pair(prog, 8), values) is None
 
     @given(stn.fractions(min_value=-4, max_value=4, max_denominator=9))
     def test_row_polynomial_egf(self, x):
-        pair = s2_pair(Progression(3, 2), 8)
-        tri = pair.triangle(8)
-        rows = [tri.row_polynomial(n).evaluate(x) for n in range(9)]
-        lhs = Fps([rows[n] / math.factorial(n) for n in range(9)])
-        assert lhs == pair.g * (pair.f * x).exp()
+        prog = Progression(3, 2)
+        pair = s2_pair(prog, 8)
+        assert _s2_row_polynomial_egf_violation(prog, pair, pair.triangle(8), x) is None

@@ -8,8 +8,6 @@ from hypothesis import strategies as stn
 from apsums.cli import LIMITS
 from apsums.errors import DomainError
 from apsums.exact import Progression, fallfac, risefac
-from apsums.fps import Fps
-from apsums.poly import Polynomial, fallfac_poly
 from apsums.stirling import (
     s1_pair,
     s1_triangle,
@@ -28,6 +26,13 @@ from apsums.stirling import (
     s2fac_triangle,
     s2hat_triangle,
 )
+from apsums.verification import (
+    _progressions,
+    _s1_falling_egf_violation,
+    _s1_forward_shift_violation,
+    _s1_row_polynomial_egf_violation,
+    _s2_monomial_expansion_violation,
+)
 
 F = Fraction
 
@@ -36,10 +41,6 @@ rationals = stn.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 def int_rows(tri):
     return [[int(c) for c in row] for row in tri.rows]
-
-
-def progressions(d_max):
-    return [Progression(d, a) for d in range(1, d_max + 1) for a in range(d + 1)]
 
 
 class TestSecondKindTriangle:
@@ -99,6 +100,7 @@ class TestSecondKindTriangle:
             s2_ordinary_from_general(Progression(2, 0), 2, 1)
 
     def test_four_route_agreement(self, identity):
+        # the Sheffer route materializes every column e.g.f. e^(at) (e^(dt)-1)^m / m!
         identity("s2: four routes agree (recurrence, alternating sum, via ordinary, Sheffer)")
 
 
@@ -109,13 +111,9 @@ class TestSecondKindGeneratingFunctions:
     def test_column_ogf_partial_fractions(self, identity):
         identity("s2: column o.g.f. partial fractions (geometric sums) agree")
 
-    def test_column_egf(self, identity):
-        # the Sheffer route materializes every column e.g.f. e^(at) (e^(dt)-1)^m / m!
-        identity("s2: four routes agree (recurrence, alternating sum, via ordinary, Sheffer)")
-
     def test_complete_homogeneous_identity(self, identity):
         identity("s2: column-scaled entries are complete homogeneous symmetric functions")
-        for prog in progressions(3):
+        for prog in _progressions(3):
             scaled = s2hat_triangle(prog, 9)
             s2 = s2_triangle(prog, 9)
             for n in range(10):
@@ -134,11 +132,7 @@ class TestBasisTransitions:
 
     @given(stn.integers(1, 3), stn.integers(0, 3), stn.integers(0, 8))
     def test_expansion_recovers_the_monomial(self, d, a, n):
-        prog = Progression(d, a)
-        acc = Polynomial()
-        for m, c in enumerate(s2hat_triangle(prog, n).row(n)):
-            acc = acc + fallfac_poly(prog, m) * c
-        assert acc == Polynomial.monomial(n)
+        assert _s2_monomial_expansion_violation(Progression(d, a), n) is None
 
 
 class TestS2fac:
@@ -283,11 +277,8 @@ class TestRowPolynomialIdentities:
             assert tri.row_polynomial(n).evaluate(x) == fallfac(prog, x, n)
 
     def test_forward_shift_recurrence(self):
-        for prog in progressions(3):
-            tri = s1phat_triangle(prog, 10)
-            for n in range(1, 11):
-                stepped = Polynomial([prog.a, 1]) * tri.row_polynomial(n - 1).shifted(prog.d)
-                assert stepped == tri.row_polynomial(n)
+        for prog in _progressions(3):
+            assert _s1_forward_shift_violation(prog, s1phat_triangle(prog, 10)) is None
 
     def test_factorial_lowering_recurrence(self, identity):
         identity("s1: monic row polynomials obey the factorial lowering recurrence")
@@ -297,15 +288,9 @@ class TestRowPolynomialIdentities:
 
     @given(stn.integers(1, 3), stn.integers(0, 3), rationals)
     def test_fallfac_egf(self, d, a, x):
-        prog = Progression(d, a)
-        values = [fallfac(prog, x, m) for m in range(11)]
-        lhs = Fps([values[m] / math.factorial(m) for m in range(11)])
-        assert lhs == Fps([1, d], order=10).pow(F(x - a, 1) / d)
+        assert _s1_falling_egf_violation(Progression(d, a), x, 10) is None
 
     @given(stn.integers(1, 3), stn.integers(0, 3), rationals)
     def test_first_kind_bivariate_egf(self, d, a, x):
         prog = Progression(d, a)
-        tri = s1phat_triangle(prog, 10)
-        rows = [tri.row_polynomial(n).evaluate(x) for n in range(11)]
-        lhs = Fps([rows[n] / math.factorial(n) for n in range(11)])
-        assert lhs == Fps([1, -d], order=10).pow(-(F(a) + x) / d)
+        assert _s1_row_polynomial_egf_violation(prog, s1phat_triangle(prog, 10), x) is None
