@@ -18,6 +18,11 @@ those inputs and returns the mismatch or ``None``; the entry loops over
 its grid and calls it.  A test that checks a whole entry names it through
 the ``identity`` fixture; a test that checks a registered law on its own
 inputs calls that law's function.
+
+A family comparison, one triangle checked entry by entry against its other
+routes, is a row of ``_ROUTES``: its grid, its builder and its named routes.
+The entry builds its row when its check runs, so a patched module attribute
+reaches it, and a test breaks each route of each row in turn.
 """
 
 from __future__ import annotations
@@ -123,6 +128,9 @@ class Identity(_FrozenRecord):
 
 
 _REGISTRY: list[Identity] = []
+_Builder = Callable[[Progression, int], Triangle]
+_Row = Callable[[], tuple[list[Progression], _Builder, dict[str, _Builder]]]  # (grid, builder, {name: route})
+_ROUTES: dict[str, _Row] = {}  # label -> row
 
 
 class _Suite:
@@ -143,6 +151,15 @@ class _Suite:
             return check
 
         return register
+
+    def compare(self, name: str, row: _Row, law: Callable[[int], str | None] | None = None, **size) -> None:
+        """Register the family comparison ``name``: ``row`` goes into ``_ROUTES``
+        under the entry's label, where the check looks it up each time it runs.
+        ``law``, when given, must hold first at the same size; ``size`` is as
+        for ``identity``."""
+        label = f"{self.name}: {name}"
+        _ROUTES[label] = row
+        self.identity(name, **size)(lambda size, rng: (law and law(size)) or _entrywise(label, size))
 
 
 _FPS = _Suite("fps", DEFAULT_ORDER)
@@ -187,9 +204,6 @@ def _series_diff(lhs: Fps, rhs: Fps) -> str:
     return f"orders differ: {lhs.order} vs {rhs.order}"
 
 
-_Builder = Callable[[Progression, int], Triangle]
-
-
 def _entries(route: Callable[[Progression, int, int], Fraction | int]) -> _Builder:
     """A per-entry route ``(prog, n, m)`` as a triangle builder."""
     return lambda prog, size: Triangle([route(prog, n, m) for m in range(n + 1)] for n in range(size + 1))
@@ -200,12 +214,12 @@ def _pair_triangle(pair: Callable[[Progression, int], ShefferPair]) -> _Builder:
     return lambda prog, size: pair(prog, size).triangle(size)
 
 
-def _entrywise(
-    progs: Iterable[Progression], size: int, build: _Builder, routes: dict[str, _Builder]
-) -> str | None:
-    """Compare every entry (n, m) of ``build(prog, size)`` with the same entry
-    of each named route's triangle; the first disagreement names (d, a),
-    (n, m), the builder's value and each differing route with its value."""
+def _entrywise(label: str, size: int) -> str | None:
+    """Build the row ``label`` now and compare every entry (n, m) of
+    ``build(prog, size)`` with the same entry of each named route's triangle;
+    the first disagreement names (d, a), (n, m), the builder's value and each
+    differing route with its value."""
+    progs, build, routes = _ROUTES[label]()
     for prog in progs:
         tri = build(prog, size)
         others = {name: route(prog, size) for name, route in routes.items()}
@@ -329,14 +343,9 @@ def _factorial_transform(order, rng):
 # -- second-kind Stirling -------------------------------------------------------
 
 
-@_S2.identity("four routes agree (recurrence, alternating sum, via ordinary, Sheffer)")
-def _s2_four_routes(size, rng):
-    routes = {
-        "alternating-sum": _entries(st.s2_explicit),
-        "via-ordinary": _entries(st.s2_from_ordinary),
-        "sheffer": _pair_triangle(st.s2_pair),
-    }
-    return _entrywise(_progressions(4), size, st.s2_triangle, routes)
+_S2.compare("four routes agree (recurrence, alternating sum, via ordinary, Sheffer)", lambda: (
+    _progressions(4), st.s2_triangle, {"alternating-sum": _entries(st.s2_explicit),
+    "via-ordinary": _entries(st.s2_from_ordinary), "sheffer": _pair_triangle(st.s2_pair)}))
 
 
 def _s2_column_ogf_violation(prog: Progression, s2: Triangle, m: int) -> str | None:
@@ -381,10 +390,9 @@ def _s2_partial_fractions(size, rng):
                     return f"{prog} column {m}: partial-fraction value at n={n} mismatch"
 
 
-@_S2.identity("column-scaled entries are complete homogeneous symmetric functions")
-def _s2hat_complete_h(size, rng):
-    routes = {"complete-h": _entries(lambda prog, n, m: complete_h(Alphabet(prog, m + 1), n - m))}
-    return _entrywise(_progressions(3), size, st.s2hat_triangle, routes)
+_S2.compare("column-scaled entries are complete homogeneous symmetric functions", lambda: (
+    _progressions(3), st.s2hat_triangle,
+    {"complete-h": _entries(lambda prog, n, m: complete_h(Alphabet(prog, m + 1), n - m))}))
 
 
 def _s2_monomial_expansion_violation(prog: Progression, n: int) -> str | None:
@@ -410,17 +418,16 @@ def _s2_lowering(size, rng):
                 return f"{prog} n={n}: lowering operator fails"
 
 
-@_S2.identity("factorial-scaled triangle matches S2 * m! and has diagonal d^n n!")
-def _s2fac_scaling(size, rng):
+def _s2fac_diagonal(size: int) -> str | None:
     for prog in _progressions(3):
         if st.s2fac_triangle(prog, size).entry(size, size) != Fraction(prog.d) ** size * math.factorial(size):
             return f"{prog}: diagonal is not d^n n!"
 
-    def s2_times_factorial(prog, size):
-        rows = st.s2_triangle(prog, size).rows
-        return Triangle([c * math.factorial(m) for m, c in enumerate(row)] for row in rows)
 
-    return _entrywise(_progressions(3), size, st.s2fac_triangle, {"s2-times-m!": s2_times_factorial})
+_S2.compare("factorial-scaled triangle matches S2 * m! and has diagonal d^n n!", lambda: (
+    _progressions(3), st.s2fac_triangle, {"s2-times-m!": lambda prog, size: Triangle(
+        [c * math.factorial(m) for m, c in enumerate(row)] for row in st.s2_triangle(prog, size).rows)}),
+    law=_s2fac_diagonal)
 
 
 @_S2.identity("factorial-scaled row sums have the geometric-of-exponential e.g.f.")
@@ -487,20 +494,13 @@ def _s2_ordinary_recovery(size, rng):
 # -- first-kind Stirling ----------------------------------------------------------
 
 
-@_S1.identity("five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)")
-def _s1_five_routes(size, rng):
-    routes = {
-        "sigma": _entries(st.s1phat_from_sigma),
-        "via-ordinary": _entries(st.s1phat_from_ordinary),
-        "triple-sum": _entries(st.s1phat_schlomilch),
-        "triple-sum-reordered": _entries(st.s1phat_schlomilch_v2),
-    }
-    return _entrywise(_progressions(3), size, st.s1phat_triangle, routes)
+_S1.compare("five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)", lambda: (
+    _progressions(3), st.s1phat_triangle, {"sigma": _entries(st.s1phat_from_sigma),
+    "via-ordinary": _entries(st.s1phat_from_ordinary), "triple-sum": _entries(st.s1phat_schlomilch),
+    "triple-sum-reordered": _entries(st.s1phat_schlomilch_v2)}))
 
 
-# the group inverse multiplies larger triangles than the rest of the suite
-@_S1.identity("group inverse: S2 and S1 triangles multiply to the identity", cap=DEFAULT_ORDER, lead=4)
-def _s1_group_inverse(inv_size, rng):
+def _s1_group_inverse(inv_size: int) -> str | None:
     for prog in _progressions(4):
         s2 = st.s2_triangle(prog, inv_size)
         s1 = st.s1_triangle(prog, inv_size)
@@ -508,7 +508,17 @@ def _s1_group_inverse(inv_size, rng):
             return f"{prog}: S2 * S1 is not the identity"
         if s1.multiply(s2) != identity_triangle(inv_size):
             return f"{prog}: S1 * S2 is not the identity"
-    return _entrywise(_progressions(4), inv_size, st.s1_triangle, {"sheffer": _pair_triangle(st.s1_pair)})
+
+
+# the group inverse multiplies larger triangles than the rest of the suite
+_S1.compare("group inverse: S2 and S1 triangles multiply to the identity", lambda: (
+    _progressions(4), st.s1_triangle, {"sheffer": _pair_triangle(st.s1_pair)}),
+    law=_s1_group_inverse, cap=DEFAULT_ORDER, lead=4)
+
+
+def _s1_scaled_inverse_violation(prog: Progression, s1hat: Triangle, s1phat: Triangle) -> str | None:
+    if s1hat.signed() != s1phat or s1hat.unsigned() != s1phat:
+        return f"{prog}: sign pattern (-1)^(n-m) broken"
 
 
 @_S1.identity("scaled inverse pair: |signed triangle| = non-negative triangle")
@@ -518,8 +528,8 @@ def _s1_scaled_inverse(size, rng):
         s1phat = st.s1phat_triangle(prog, size)
         if st.s2hat_triangle(prog, size).inverse() != s1hat:
             return f"{prog}: scaled second-kind inverse is not the signed first-kind triangle"
-        if s1hat.signed() != s1phat or s1hat.unsigned() != s1phat:
-            return f"{prog}: sign pattern (-1)^(n-m) broken"
+        if mismatch := _s1_scaled_inverse_violation(prog, s1hat, s1phat):
+            return mismatch
 
 
 @_S1.identity("row polynomials are the generalized rising factorials")
@@ -578,10 +588,8 @@ def _s1_falling_egf(size, rng):
     )
 
 
-@_S1.identity("column e.g.f. (1-dt)^(-a/d) (-log(1-dt)/d)^m / m! reproduces the triangle")
-def _s1_column_egf(size, rng):
-    routes = {"column-egf": _pair_triangle(st.s1phat_pair)}
-    return _entrywise(_progressions(3), size, st.s1phat_triangle, routes)
+_S1.compare("column e.g.f. (1-dt)^(-a/d) (-log(1-dt)/d)^m / m! reproduces the triangle", lambda: (
+    _progressions(3), st.s1phat_triangle, {"column-egf": _pair_triangle(st.s1phat_pair)}))
 
 
 def _s1_row_polynomial_egf_violation(prog: Progression, s1phat: Triangle, x: Fraction) -> str | None:
@@ -624,19 +632,11 @@ def _pair_algebra(size, rng):
 # -- Eulerian ---------------------------------------------------------------------
 
 
-@_EULERIAN.identity("four routes agree (recurrence, explicit, from S2fac, from ordinary)")
-def _reu_four_routes(size, rng):
-    routes = {
-        "explicit": _entries(eul.reu_explicit),
-        "from-s2fac": _entries(eul.reu_from_s2fac),
-        "from-ordinary": _entries(eul.reu_from_ordinary),
-    }
-    return _entrywise(_progressions(3), size, eul.reu_triangle, routes)
-
-
-@_EULERIAN.identity("inverse relation recovers S2(n,m) m! from the Eulerian row")
-def _reu_inverse_relation(size, rng):
-    return _entrywise(_progressions(3), size, st.s2fac_triangle, {"from-reu": _entries(eul.s2fac_from_reu)})
+_EULERIAN.compare("four routes agree (recurrence, explicit, from S2fac, from ordinary)", lambda: (
+    _progressions(3), eul.reu_triangle, {"explicit": _entries(eul.reu_explicit),
+    "from-s2fac": _entries(eul.reu_from_s2fac), "from-ordinary": _entries(eul.reu_from_ordinary)}))
+_EULERIAN.compare("inverse relation recovers S2(n,m) m! from the Eulerian row", lambda: (
+    _progressions(3), st.s2fac_triangle, {"from-reu": _entries(eul.s2fac_from_reu)}))
 
 
 def _reorder_roundtrip_violation(vec: list[Fraction | int]) -> str | None:
@@ -936,15 +936,11 @@ def _stacked_coefficients(size, rng):
 # -- Lah ------------------------------------------------------------------------------
 
 
-@_LAH.identity("product, Sheffer, four-term and three-term routes agree")
-def _lah_routes(size, rng):
-    routes = {
-        "product": lambda prog, size: st.s1phat_triangle(prog, size).multiply(st.s2hat_triangle(prog, size)),
-        "sheffer": lahmod.lah_sheffer_triangle,
-        "four-term": lahmod.lah_four_term,
-        "three-term": lahmod.lah_three_term,
-    }
-    return _entrywise(_progressions(3), size, lahmod.lah_triangle, routes)
+_LAH.compare("product, Sheffer, four-term and three-term routes agree", lambda: (
+    _progressions(3), lahmod.lah_triangle,
+    {"product": lambda prog, size: st.s1phat_triangle(prog, size).multiply(st.s2hat_triangle(prog, size)),
+     "sheffer": lahmod.lah_sheffer_triangle, "four-term": lahmod.lah_four_term,
+     "three-term": lahmod.lah_three_term}))
 
 
 @_LAH.identity("transition identities between rising and falling factorials", cap=8)
@@ -964,15 +960,18 @@ def _lah_transitions(size, rng):
                 return f"{prog} n={n}: falling-in-rising transition fails"
 
 
-@_LAH.identity("inverse triangle: signed entries, own recurrence, identity product")
-def _lah_inverse(size, rng):
+def _lah_inverse_product(size: int) -> str | None:
     for prog in _progressions(3):
         tri = lahmod.lah_triangle(prog, size)
         inv = lahmod.lah_inverse(prog, size)
         if tri.multiply(inv) != identity_triangle(size) or inv.multiply(tri) != identity_triangle(size):
             return f"{prog}: L * L^(-1) is not the identity"
-    routes = {"four-term": lahmod.lah_inverse_four_term, "sheffer": _pair_triangle(lahmod.lah_inverse_pair)}
-    return _entrywise(_progressions(3), size, lahmod.lah_inverse, routes)
+
+
+_LAH.compare("inverse triangle: signed entries, own recurrence, identity product", lambda: (
+    _progressions(3), lahmod.lah_inverse,
+    {"four-term": lahmod.lah_inverse_four_term, "sheffer": _pair_triangle(lahmod.lah_inverse_pair)}),
+    law=_lah_inverse_product)
 
 
 @_LAH.identity("row polynomials obey the geometric lowering recurrence", cap=8)
@@ -1083,11 +1082,10 @@ def _symfunc_duality(size, rng):
                     return mismatch
 
 
-@_SYMFUNC.identity("at [1,0] the zero symbol can be dropped from the alphabet")
-def _symfunc_zero_symbol(size, rng):
-    # the zero symbol contributes nothing: m active symbols 1..m suffice
-    routes = {"without-zero": _entries(lambda prog, n, m: complete_h(Alphabet(Progression(1, 1), m), n - m))}
-    return _entrywise([Progression(1, 0)], size, st.s2_triangle, routes)
+# the zero symbol contributes nothing: m active symbols 1..m suffice
+_SYMFUNC.compare("at [1,0] the zero symbol can be dropped from the alphabet", lambda: (
+    [Progression(1, 0)], st.s2_triangle,
+    {"without-zero": _entries(lambda prog, n, m: complete_h(Alphabet(Progression(1, 1), m), n - m))}))
 
 
 # -- driver -------------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
-from apsums.verification import SUITE_NAMES
+from apsums.verification import IDENTITIES, SUITE_NAMES, _ROUTES
 
 
 def run_cli(capsys, *args):
@@ -250,26 +250,6 @@ class TestVerifyCommand:
         assert "first mismatch: entry (2,1): 5 != 7" in out
         assert "1 failed" in out.splitlines()[-1]
 
-    def test_broken_route_is_named_with_both_values(self, capsys, monkeypatch):
-        from apsums import stirling
-
-        route = stirling.s1phat_schlomilch_v2
-        broken_at = (Progression(2, 1), 3, 1)
-
-        def broken(prog, n, m):
-            return route(prog, n, m) + ((prog, n, m) == broken_at)
-
-        monkeypatch.setattr(stirling, "s1phat_schlomilch_v2", broken)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "s1", "--depth", "3", "--explain")
-        want = stirling.s1phat_triangle(Progression(2, 1), 3).entry(3, 1)
-        assert code == 1
-        assert [line for line in out.splitlines() if not line.startswith("ok")] == [
-            "FAIL  s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)",
-            f"      first mismatch: Progression(d=2, a=1) (3,1): s1phat_triangle={want} "
-            f"but triple-sum-reordered={want + 1}",
-            "checks: 11 total, 10 ok, 0 expected-fail, 1 failed (suite=s1, depth=3)",
-        ]
-
     def test_broken_power_sum_route_is_named(self, capsys, monkeypatch):
         route = powersum.gps_coefficients
 
@@ -372,25 +352,6 @@ class TestVerifyCommand:
         assert len(failed) == 3
         assert err == ""
 
-    def test_broken_triangle_route_is_named_with_both_values(self, capsys, monkeypatch):
-        from apsums import lah
-
-        route = lah.lah_four_term
-
-        def broken(prog, size):
-            tri = route(prog, size)
-            if prog != Progression(2, 1):
-                return tri
-            rows = [list(row) for row in tri.rows]
-            rows[3][1] += 1
-            return Triangle(rows)
-
-        monkeypatch.setattr(lah, "lah_four_term", broken)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "lah", "--depth", "3", "--explain")
-        assert code == 1
-        want = "      first mismatch: Progression(d=2, a=1) (3,1): lah_triangle=72 but four-term=73"
-        assert want in out.splitlines()
-
     def test_raising_route_is_a_failed_check(self, capsys, monkeypatch):
         from apsums import stirling
 
@@ -419,7 +380,55 @@ class TestVerifyCommand:
         assert code == 1
         assert "xfail" not in out
         assert "FAIL  lah: published three-term variant reproduces the triangle at d=2 a=1" in out
+        assert "FAIL  lah: product, Sheffer, four-term and three-term routes agree" in out
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "label, route",
+        [pytest.param(label, route, id=f"{label} / {route}")
+         for label, row in _ROUTES.items() for route in row()[2]],
+    )
+    def test_each_route_of_each_row_is_named_when_off_by_one(self, capsys, monkeypatch, label, route):
+        """Entry (2,1) of one route, at the row's first grid point, off by one:
+        ``verify`` fails that row's entry alone and names the route with both values."""
+        row = _ROUTES[label]
+
+        def broken_row():
+            grid, build, routes = row()
+            right = routes[route]
+
+            def broken(prog, size):
+                rows = [list(r) for r in right(prog, size).rows]
+                rows[2][1] += prog == grid[0]
+                return Triangle(rows)
+
+            return grid, build, {**routes, route: broken}
+
+        monkeypatch.setitem(_ROUTES, label, broken_row)
+        code, out, err = run_cli(capsys, "verify", "--suite", label.split(": ")[0], "--depth", "3", "--explain")
+        grid, build, _ = row()
+        size = next(entry.size(3) for entry in IDENTITIES if entry.label == label)
+        want = build(grid[0], size).entry(2, 1)
+        lines = out.splitlines()
+        failed = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+        assert code == 1
+        assert [lines[i] for i in failed] == [f"FAIL  {label}"]
+        assert lines[failed[0] + 1] == (
+            f"      first mismatch: {grid[0]} (2,1): {build.__name__}={want} but {route}={want + 1}"
+        )
+        assert err == ""
+
+    def test_row_builders_are_the_cli_family_builders(self):
+        """A row whose builder serves a CLI family checks the very function the CLI calls."""
+        families = {builder.__name__: family for family, builder in FAMILY_BUILDERS.items()}
+        served = set()
+        for row in _ROUTES.values():
+            build = row()[1]
+            if build.__name__ in families:
+                assert build is FAMILY_BUILDERS[families[build.__name__]]
+                served.add(families[build.__name__])
+        # s1p is s1 unsigned: test_integer_route_matches_sheffer_at_the_row_limit compares the two
+        assert set(FAMILY_BUILDERS) - served == {"s1p"}
 
 
 class TestExportBfile:

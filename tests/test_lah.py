@@ -18,6 +18,7 @@ from apsums.lah import (
     lah_triangle,
 )
 from apsums.stirling import s1phat_triangle, s2hat_triangle
+from apsums.verification import _progressions
 
 F = Fraction
 
@@ -26,10 +27,6 @@ rationals = stn.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 def int_rows(tri):
     return [[int(c) for c in row] for row in tri.rows]
-
-
-def progressions(d_max):
-    return [Progression(d, a) for d in range(1, d_max + 1) for a in range(d + 1)]
 
 
 class TestConstruction:
@@ -71,7 +68,7 @@ class TestRecurrences:
 
     def test_all_routes_agree(self, identity):
         identity("lah: product, Sheffer, four-term and three-term routes agree")
-        for prog in progressions(3):  # size 0 is below every verify depth
+        for prog in _progressions(3):  # size 0 is below every verify depth
             tri = lah_triangle(prog, 0)
             assert lah_sheffer_triangle(prog, 0) == tri
             assert lah_four_term(prog, 0) == tri

@@ -18,12 +18,9 @@ from apsums.powersum import (
     ps_via_ordinary,
     sigma_s2,
 )
+from apsums.verification import _progressions
 
 F = Fraction
-
-
-def progressions(d_max):
-    return [Progression(d, a) for d in range(1, d_max + 1) for a in range(d + 1)]
 
 
 class TestDirect:
@@ -88,12 +85,12 @@ class TestStackedCoefficients:
 
     def test_index_zero_is_power_of_a(self):
         assert sigma_s2(Progression(2, 1), 1, 0) == 1
-        for prog in progressions(3):
+        for prog in _progressions(3):
             for n in range(7):
                 assert sigma_s2(prog, n, 0) == integer_power(prog.a, n)
 
     def test_top_index(self):
-        for prog in progressions(3):
+        for prog in _progressions(3):
             for n in range(7):
                 assert sigma_s2(prog, n, n + 1) == F(prog.d) ** n * math.factorial(n)
 
