@@ -20,9 +20,10 @@ the ``identity`` fixture; a test that checks a registered law on its own
 inputs calls that law's function.
 
 A family comparison, one triangle checked entry by entry against its other
-routes, is a row of ``_ROUTES``: its grid, its builder and its named routes.
-The entry builds its row when its check runs, so a patched module attribute
-reaches it, and a test breaks each route of each row in turn.
+routes, is a row of ``_ROUTES`` registered by ``_Suite.compare``: its grid,
+its builder and its named routes.  The entry builds its row each time its
+check runs, so a patched module attribute reaches it.  The route-mutation
+test in ``tests/test_cli.py`` breaks every route of every row in turn.
 """
 
 from __future__ import annotations
