@@ -7,7 +7,10 @@ holds :class:`fractions.Fraction`, which keeps the canonical reduced
 form gcd(num, den) = 1 with den >= 1 that bit-exact comparison relies
 on.  An ``int`` equals the ``Fraction`` of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
-exporter uses it verbatim.
+exporter uses it verbatim.  An ``int`` or a ``Fraction`` already prints
+that text through its own ``str`` (a ``Fraction`` is reduced with a
+positive denominator whenever it is built), so only other inputs pass
+through a new ``Fraction`` on the way.
 
 The package's small value types (:class:`Progression` here, ``ShefferPair``,
 ``Alphabet`` and the verifier's records) are immutable ``__slots__`` classes
@@ -34,7 +37,19 @@ __all__ = [
 
 
 def rational_str(value: Fraction | int) -> str:
-    """Canonical text form ``p/q`` (bare ``p`` when the denominator is 1)."""
+    """Canonical text form ``p/q`` (bare ``p`` when the denominator is 1).
+
+    ``str`` of an ``int`` is already the bare ``p``, and ``str`` of a
+    ``Fraction`` is already the canonical text, because a ``Fraction`` is
+    stored in lowest terms with q >= 1.  So an input whose type is exactly
+    ``int`` or ``Fraction`` prints through its own ``str``; anything else
+    (``bool``, ``float``, a subclass) is converted to ``Fraction`` first.
+
+    >>> rational_str(Fraction(6, -4)), rational_str(Fraction(7)), rational_str(True)
+    ('-3/2', '7', '1')
+    """
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -177,6 +177,23 @@ class TestScalars:
         assert rational_str(Fraction(7)) == "7"
         assert rational_str(0) == "0"
 
+    def test_rendering_of_inputs_that_are_not_exactly_int_or_fraction(self):
+        assert rational_str(True) == "1"
+        assert rational_str(False) == "0"
+        assert rational_str(0.5) == "1/2"
+
+    def test_rendering_of_fractions_is_canonical(self):
+        assert rational_str(Fraction(6, -4)) == "-3/2"
+        assert rational_str(-Fraction(10, 4)) == "-5/2"
+        assert rational_str(Fraction(7)) == "7"
+        assert rational_str(Fraction(-14, 2)) == "-7"
+
+    def test_rendering_refuses_an_int_past_the_str_digit_limit(self):
+        with pytest.raises(ValueError):
+            rational_str(10**4999)
+        with pytest.raises(ValueError):
+            rational_str(Fraction(10**4999, 3))
+
     @given(rationals, rationals, rationals)
     def test_arithmetic_chain_stays_normalized(self, x, y, z):
         value = x * y - z
