@@ -45,8 +45,8 @@ class TestConstruction:
         with pytest.raises(DomainError):
             lah_triangle(Progression(1, 0), -1)
 
-    def test_input_limit_matches_product_and_four_term(self):
-        prog = Progression(2**64 - 1, 2**64 - 1)
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_input_limit_matches_product_and_four_term(self, prog):
         for size in (0, 1, 64):
             tri = lah_triangle(prog, size)
             assert tri == s1phat_triangle(prog, size).multiply(s2hat_triangle(prog, size))

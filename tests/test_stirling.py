@@ -255,6 +255,25 @@ class TestInversePairing:
         assert s1p_triangle(prog, size) == sheffer.signed()
         assert all(type(c) is Fraction for row in s1.rows for c in row)
 
+    def test_families_at_the_input_limit_scale_the_unit_triangle(self):
+        """At d = a = lam every first-kind coefficient is lam times its value at
+        (1, 1), so S1phat(lam,lam;n,m) = lam^(n-m) S1phat(1,1;n,m) and
+        S1p(lam,lam;n,m) = S1phat(1,1;n,m) / lam^m, over every served row."""
+        size = LIMITS["rows"]
+        lam = LIMITS["parameter"]
+        unit = s1phat_triangle(Progression(1, 1), size)
+        prog = Progression(lam, lam)
+        s1phat = s1phat_triangle(prog, size)
+        s1p = s1p_triangle(prog, size)
+        s1 = s1_triangle(prog, size)
+        for n in range(size + 1):
+            for m in range(n + 1):
+                c = unit.entry(n, m)
+                assert c == s1phat_from_ordinary(Progression(1, 1), n, m), (n, m)
+                assert s1phat.entry(n, m) == lam ** (n - m) * c, (n, m)
+                assert s1p.entry(n, m) == F(c, lam**m), (n, m)
+                assert s1.entry(n, m) == (-1) ** (n - m) * F(c, lam**m), (n, m)
+
     def test_inverse_pair_closed_form(self):
         inv = s2_pair(Progression(2, 1), 6).inverse()
         pair = s1_pair(Progression(2, 1), 6)
