@@ -80,7 +80,7 @@ def reu_triangle(prog: Progression, size: int) -> Triangle:
     rEu(n,m) = (d*(n-m) + (d-a)) * rEu(n-1,m-1) + (a + d*m) * rEu(n-1,m).
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (d * n + (d - a), -d), lambda n: (a, d))
+    return _recurrence_triangle(size, lambda n, m: d * (n - m) + (d - a), lambda n, m: a + d * m)
 
 
 def reu_from_s2fac(prog: Progression, n: int, k: int) -> Fraction:

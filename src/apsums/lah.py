@@ -82,7 +82,7 @@ def lah_triangle(prog: Progression, size: int) -> Triangle:
     four- and three-term recurrences are the verifier's cross-checks.
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (1, 0), lambda n: (2 * a + d * (n - 1), d))
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: 2 * a + d * (n - 1 + m))
 
 
 def lah_sheffer_triangle(prog: Progression, size: int) -> Triangle:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import count
-from operator import add, mul
 
 from .errors import DomainError
 from .exact import Progression, binomial_general, integer_power, risefac
@@ -60,27 +58,17 @@ def _require_in_triangle(n: int, m: int) -> None:
 
 def _recurrence_triangle(
     size: int,
-    left: Callable[[int], tuple[int, int]],
-    right: Callable[[int], tuple[int, int]],
+    left: Callable[[int, int], int],
+    right: Callable[[int, int], int],
 ) -> Triangle:
-    """Rows 0..size of T(n,m) = L(n,m) T(n-1,m-1) + R(n,m) T(n-1,m)
-    from T(0,0) = 1, on int: integer coefficients keep every entry integral.
-
-    Both coefficients must be affine in m.  ``left(n)`` and ``right(n)``
-    return the pair (value at m = 0, step in m) for row n, so
-    L(n,m) = left(n)[0] + m*left(n)[1], and likewise R.  Each row is then
-    two ``itertools.count`` walks over the columns, with no call per entry.
-    """
+    """Rows 0..size of T(n,m) = left(n,m) T(n-1,m-1) + right(n,m) T(n-1,m)
+    from T(0,0) = 1, on int: integer coefficients keep every entry integral."""
     if size < 0:
         raise DomainError("size must be non-negative")
     rows = [[1]]
     for n in range(1, size + 1):
-        prev = rows[-1]
-        rows.append(list(map(
-            add,
-            map(mul, count(*left(n)), [0, *prev]),
-            map(mul, count(*right(n)), [*prev, 0]),
-        )))
+        prev = [0, *rows[-1], 0]
+        rows.append([left(n, m) * prev[m] + right(n, m) * prev[m + 1] for m in range(n + 1)])
     return Triangle(rows)
 
 
@@ -88,9 +76,7 @@ def _recurrence_triangle(
 
 
 def s2_triangle(prog: Progression, size: int) -> Triangle:
-    """S2[d,a] rows 0..size from the three-term recurrence
-
-    S2(n,m) = d * S2(n-1,m-1) + (a + d*m) * S2(n-1,m).
+    """S2[d,a] rows 0..size from the three-term recurrence.
 
     The entries are plain ints:
 
@@ -98,7 +84,7 @@ def s2_triangle(prog: Progression, size: int) -> Triangle:
     ((1,), (1, 2), (1, 8, 4))
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (d, 0), lambda n: (a, d))
+    return _recurrence_triangle(size, lambda n, m: d, lambda n, m: a + d * m)
 
 
 def s2hat_triangle(prog: Progression, size: int) -> Triangle:
@@ -107,16 +93,13 @@ def s2hat_triangle(prog: Progression, size: int) -> Triangle:
     S2hat(n,m) = S2hat(n-1,m-1) + (a + d*m) * S2hat(n-1,m).
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (1, 0), lambda n: (a, d))
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: a + d * m)
 
 
 def s2fac_triangle(prog: Progression, size: int) -> Triangle:
-    """S2fac(n,m) = S2(n,m) * m!, built from its own recurrence
-
-    S2fac(n,m) = d*m * S2fac(n-1,m-1) + (a + d*m) * S2fac(n-1,m).
-    """
+    """S2fac(n,m) = S2(n,m) * m!, built from its own recurrence."""
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (0, d), lambda n: (a, d))
+    return _recurrence_triangle(size, lambda n, m: m * d, lambda n, m: a + d * m)
 
 
 def s2_explicit(prog: Progression, n: int, m: int) -> Fraction:
@@ -165,7 +148,7 @@ def s1phat_triangle(prog: Progression, size: int) -> Triangle:
     S1phat(n,m) = S1phat(n-1,m-1) + (d*n - (d-a)) * S1phat(n-1,m).
     """
     d, a = prog.d, prog.a
-    return _recurrence_triangle(size, lambda n: (1, 0), lambda n: (d * n - (d - a), 0))
+    return _recurrence_triangle(size, lambda n, m: 1, lambda n, m: d * n - (d - a))
 
 
 def s1p_triangle(prog: Progression, size: int) -> Triangle:
