@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from apsums.cli import FAMILY_BUILDERS, main
+from apsums import cli
 from apsums.verification import SUITE_NAMES
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
@@ -38,7 +38,7 @@ def commands() -> list[list[str]]:
     grid = []
     for d, a in PROGRESSIONS:
         da = ["--d", str(d), "--a", str(a)]
-        for family in sorted(FAMILY_BUILDERS):
+        for family in sorted(cli.FAMILY_BUILDERS):
             for fmt in FORMATS:
                 for rational in ([], ["--rational"]):
                     for rows in ROWS:
@@ -65,7 +65,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = out, err
     try:
-        code = main(argv)
+        code = cli.main(argv)
     finally:
         sys.stdout, sys.stderr = saved
     return code, out.getvalue(), err.getvalue()
@@ -80,7 +80,7 @@ def record(code: int, out: str, err: str) -> dict:
     }
 
 
-def main_(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--show", metavar="ARGV", help="print one command's exit code and output")
     args = parser.parse_args(argv)
@@ -96,4 +96,4 @@ def main_(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_())
+    sys.exit(main())
