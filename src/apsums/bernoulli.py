@@ -5,9 +5,10 @@ T(1..k) of Brent and Harvey's O(k^2) in-place recurrence give
 B(2k) = (-1)^(k-1) 2k T(k) / (4^k (4^k - 1)), with B(0) = 1, the
 convention B(1) = -1/2, and B(n) = 0 for odd n >= 3.  The table is kept
 as integer numerators over one common denominator L, so the routes that
-sum over it (the two-parameter and one-parameter numbers here, the
-ordinary and generalized Faulhaber formulas in ``powersum``) add in
-``int`` and reduce each output value to a ``Fraction`` exactly once.
+sum over it (the two-parameter and one-parameter numbers and the
+shifted-power route of the two-parameter polynomials here, the ordinary
+and generalized Faulhaber formulas in ``powersum``) add in ``int`` and
+reduce each output value to a ``Fraction`` exactly once.
 The defining recursion survives only as the verifier's independent
 cross-check.  The two-parameter numbers B(d,a;n) arise from an
 alternating factorial-weighted sum over the S2[d,a] row, or equivalently
@@ -141,18 +142,24 @@ def b_gen_poly(prog: Progression, n: int) -> Polynomial:
 def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
     """Same polynomial assembled the other way:
 
-    B(d,a;n,x) = sum_m C(n,m) d^m B(m) (a+x)^(n-m).
+    B(d,a;n,x) = sum_m C(n,m) d^m B(m) (a+x)^(n-m),
+
+    with (a+x)^(n-m) expanded binomially in int, summed over the numerators
+    of one table of B(0..n) and divided once per coefficient by its common
+    denominator.
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
-    numbers = bernoulli_numbers(n)
-    shifted = Polynomial([prog.a, 1])
-    acc = Polynomial()
-    for m in range(n + 1):
-        coeff = math.comb(n, m) * prog.d**m * numbers[m]
-        if coeff != 0:
-            acc = acc + shifted ** (n - m) * coeff
-    return acc
+    nums, den = _bernoulli_table(n)
+    acc = [0] * (n + 1)
+    shifted = [1]  # coefficients of (a+x)^(n-m), from m = n down to 0
+    for m in range(n, -1, -1):
+        if nums[m]:
+            coeff = math.comb(n, m) * prog.d**m * nums[m]
+            for i, c in enumerate(shifted):
+                acc[i] += coeff * c
+        shifted = [prog.a * lo + hi for lo, hi in zip([*shifted, 0], [0, *shifted])]
+    return Polynomial([Fraction(c, den) for c in acc])
 
 
 def b_d_numbers(d: int, n_max: int) -> list[Fraction]:

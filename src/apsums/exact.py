@@ -187,7 +187,8 @@ def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
     """Generalized falling factorial: product of (x - (a + j*d)) for j < m.
 
     The empty product (m = 0) is 1.  Satisfies
-    fallfac(d,a; x, m) = d^m * fallfac(1,0; (x-a)/d, m).
+    fallfac(d,a; x, m) = d^m * fallfac(1,0; (x-a)/d, m).  With x = p/q the
+    product of the integers p - (a + j*d)*q is divided by q^m once.
 
     >>> print(fallfac(Progression(1, 0), 4, 2))   # 4 * 3
     12
@@ -197,22 +198,25 @@ def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
     if m < 0:
         raise DomainError(f"length must be non-negative, got {m}")
     x = _exact(x)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    prod = 1
     for j in range(m):
-        out *= x - prog.term(j)
-    return out
+        prod *= p - prog.term(j) * q
+    return Fraction(prod, q**m)
 
 
 def risefac(prog: Progression, x: Fraction | int, n: int) -> Fraction:
     """Generalized rising factorial: product of (x + (a + j*d)) for j < n.
 
     The empty product (n = 0) is 1.  Dual to the falling version:
-    risefac(d,a; x, n) = (-1)^n * fallfac(d,a; -x, n).
+    risefac(d,a; x, n) = (-1)^n * fallfac(d,a; -x, n).  With x = p/q the
+    product of the integers p + (a + j*d)*q is divided by q^n once.
     """
     if n < 0:
         raise DomainError(f"length must be non-negative, got {n}")
     x = _exact(x)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    prod = 1
     for j in range(n):
-        out *= x + prog.term(j)
-    return out
+        prod *= p + prog.term(j) * q
+    return Fraction(prod, q**n)

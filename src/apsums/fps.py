@@ -8,9 +8,10 @@ known input coefficients.
 
 Coefficients are ``Fraction``; a constructor accepts only ``int`` (not
 ``bool``) and ``Fraction``.  The product (the Cauchy product in ``exact``,
-shared with ``Polynomial``), reciprocal, composition and exponential
-kernels bring each operand to integer numerators over one common
-denominator, sum in ``int`` and divide once per output coefficient.
+shared with ``Polynomial``), reciprocal, composition, exponential and
+power kernels bring each operand to integer numerators over one common
+denominator, sum in ``int`` and divide once per output coefficient.  The
+power runs J. C. P. Miller's recurrence directly, not through log and exp.
 
 Two conventions matter throughout:
 
@@ -319,10 +320,39 @@ class Fps:
         """self**exponent = exp(exponent * log(self)) for rational exponents.
 
         Requires constant term 1, so the result stays inside the rationals.
+        Computed by J. C. P. Miller's recurrence for powers of a series
+        (Knuth, TAOCP Vol. 2, Sec. 4.7): h = f^e with f_0 = h_0 = 1 satisfies
+
+            k * h_k = sum_(j=1..k) ((e + 1) * j - k) * f_j * h_(k-j).
+
+        With f = nums/den and e = p/q, w_k = h_k * (den*q)^k * k! is an
+        integer, and w_k = sum_j ((p + q) * j - k*q) * nums_j * (den*q)^(j-1)
+        * (k-1)!/(k-j)! * w_(k-j), so the loop runs in ``int`` and each
+        coefficient is divided once.
+
+        >>> print(Fps([1, -4], order=3).pow(Fraction(-1, 2)))   # central binomials
+        1 + 2*t + 6*t^2 + 20*t^3 ; order=3
         """
         if self._coeffs[0] != 1:
             raise DomainError("fractional power needs constant term 1")
-        return self.log().scale(_exact(exponent)).exp()
+        exponent = _exact(exponent)
+        p, q = exponent.numerator, exponent.denominator
+        nums, den = _common_denominator(self._coeffs)
+        step = den * q
+        weights = [nums[j] * step ** (j - 1) for j in range(1, len(nums))]
+        linear = [(p + q) * j * wj for j, wj in enumerate(weights, start=1)]
+        constant = [q * wj for wj in weights]
+        # history[i] = w_i * (k-1)!/i! for i < k, at the start of step k
+        history = [1]
+        out, scale = [_ONE], 1
+        for k in range(1, self.order + 1):
+            past = history[::-1]
+            wk = sum(map(operator.mul, linear, past)) - k * sum(map(operator.mul, constant, past))
+            scale *= step * k
+            out.append(Fraction(wk, scale))
+            history = [k * hi for hi in history]
+            history.append(wk)
+        return Fps(out)
 
 
 def _compose_coeffs(outer: Sequence[Fraction], g: Sequence[Fraction], order: int) -> list[Fraction]:

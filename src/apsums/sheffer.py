@@ -11,16 +11,20 @@ and the triangle of a product is the matrix product of the triangles.
 
 :class:`Triangle` is the materialized N x N array.  It holds entries and
 nothing else, so triangles built along different routes compare equal
-exactly when their entries do.
+exactly when their entries do.  The triangle product and the pair
+materialization bring their operands to integer numerators over one
+common denominator, sum in ``int`` and divide once per entry.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import _FrozenRecord, rational_str
+from .exact import _FrozenRecord, _common_denominator, _mul_ints, rational_str
 from .fps import Fps
 from .poly import Polynomial
 
@@ -104,19 +108,32 @@ class Triangle:
         return Triangle([[abs(c) for c in row] for row in self._rows])
 
     def multiply(self, other: Triangle) -> Triangle:
-        """Exact triangular matrix product; sizes must match."""
+        """Exact triangular matrix product; sizes must match.
+
+        Each factor goes to integer numerators over one common denominator,
+        each entry sums in ``int`` and is divided once.  The product holds
+        ``int`` when both factors hold only ``int``, ``Fraction`` otherwise.
+
+        >>> from apsums.exact import Progression
+        >>> from apsums.stirling import s1_triangle, s2_triangle
+        >>> print(s2_triangle(Progression(2, 1), 2).multiply(s1_triangle(Progression(2, 1), 2)).text())
+        1
+        0 1
+        0 0 1
+        """
         if self.size != other.size:
             raise DomainError(f"size mismatch: {self.size} vs {other.size}")
-        rows = []
-        for n in range(self.size + 1):
-            row = []
-            for m in range(n + 1):
-                acc = 0
-                for k in range(m, n + 1):
-                    acc += self._rows[n][k] * other._rows[k][m]
-                row.append(acc)
-            rows.append(row)
-        return Triangle(rows)
+        left, left_den = _flat_numerators(self._rows)
+        right, right_den = _flat_numerators(other._rows)
+        columns = [[row[m] for row in right[m:]] for m in range(self.size + 1)]
+        rows = [
+            [sum(map(operator.mul, row[m:], columns[m])) for m in range(n + 1)]
+            for n, row in enumerate(left)
+        ]
+        if left_den is None and right_den is None:
+            return Triangle(rows)
+        den = (left_den or 1) * (right_den or 1)
+        return Triangle([Fraction(c, den) for c in row] for row in rows)
 
     def inverse(self) -> Triangle:
         """Inverse by forward substitution; needs a nonzero diagonal."""
@@ -134,6 +151,20 @@ class Triangle:
                 row[m] = -acc / self._rows[n][n]
             inv.append(row)
         return Triangle(inv)
+
+
+def _flat_numerators(rows: tuple[tuple[Fraction | int, ...], ...]) -> tuple[list[list[int]], int | None]:
+    """Rows of integer numerators over one common denominator.
+
+    The denominator is ``None`` when every entry is an ``int``, so that a
+    product of two integer triangles stays in ``int``.
+    """
+    flat = [c for row in rows for c in row]
+    if all(type(c) is int for c in flat):
+        return [list(row) for row in rows], None
+    nums, den = _common_denominator(flat)
+    start = [n * (n + 1) // 2 for n in range(len(rows))]
+    return [nums[s : s + n + 1] for n, s in enumerate(start)], den
 
 
 def identity_triangle(size: int) -> Triangle:
@@ -164,15 +195,16 @@ class ShefferPair(_FrozenRecord):
             raise DomainError(
                 f"series order {self.order} too small for a size-{size} triangle"
             )
-        g = self.g.truncated(size)
-        f = self.f.truncated(size)
+        column, den = _common_denominator(self.g.coefficients[: size + 1])
+        f, f_den = _common_denominator(self.f.coefficients[: size + 1])
         rows = [[_ZERO] * (n + 1) for n in range(size + 1)]
-        column = g
         for m in range(size + 1):
             if m > 0:
-                column = column * f / m
+                # column m is g * f^m / m! with numerators over g_den * f_den^m * m!
+                column = _mul_ints(column, f, size)
+                den *= f_den * m
             for n in range(m, size + 1):
-                rows[n][m] = column.coefficient_times_factorial(n)
+                rows[n][m] = Fraction(column[n] * math.factorial(n), den)
         return Triangle(rows)
 
     def multiply(self, other: ShefferPair) -> ShefferPair:

@@ -154,7 +154,11 @@ def s1phat_triangle(prog: Progression, size: int) -> Triangle:
 def s1p_triangle(prog: Progression, size: int) -> Triangle:
     """Unsigned S1p(n,m) = S1phat(n,m) / d^n, as Fraction; fractional for d > 1."""
     rows = s1phat_triangle(prog, size).rows
-    return Triangle([Fraction(c, prog.d**n) for c in row] for n, row in enumerate(rows))
+    out, den = [], 1
+    for row in rows:
+        out.append([Fraction(c, den) for c in row])
+        den *= prog.d
+    return Triangle(out)
 
 
 def s1_triangle(prog: Progression, size: int) -> Triangle:

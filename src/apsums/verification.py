@@ -317,7 +317,10 @@ def _reversion(order, rng):
 def _exp_log_pow_violation(f: Fps, p: Fraction, q: Fraction) -> str | None:
     if f.log().exp() != f:
         return "exp(log(f)) differs from f"
-    if f.pow(p) * f.pow(q) != f.pow(p + q):
+    power = f.pow(p)
+    if power != f.log().scale(p).exp():
+        return f"pow recurrence differs from exp(p*log(f)) for exponent {p}"
+    if power * f.pow(q) != f.pow(p + q):
         return f"pow additivity fails for exponents {p}, {q}"
 
 

@@ -9,9 +9,11 @@ from apsums.bernoulli import (
     b_d_poly,
     b_gen,
     b_gen_poly,
+    b_gen_poly_via_ordinary,
     b_gen_numbers,
     bernoulli_numbers,
 )
+from apsums.cli import LIMITS
 from apsums.errors import DomainError
 from apsums.exact import Progression
 from apsums.poly import Polynomial
@@ -107,6 +109,11 @@ class TestTwoParameterPolynomials:
 
     def test_both_routes_agree(self, identity):
         identity("bernoulli: polynomial routes (convolve numbers vs shifted powers) agree")
+
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_both_routes_agree_at_the_input_limit(self, prog):
+        n = LIMITS["bernoulli"]
+        assert b_gen_poly_via_ordinary(prog, n) == b_gen_poly(prog, n)
 
 
 class TestOneParameterFamily:

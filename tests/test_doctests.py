@@ -2,11 +2,11 @@ import doctest
 
 import pytest
 
-from apsums import bernoulli, eulerian, exact, fps, powersum, stirling, symfunc
+from apsums import bernoulli, eulerian, exact, fps, powersum, sheffer, stirling, symfunc
 
 
 @pytest.mark.parametrize(
-    "module", [bernoulli, eulerian, exact, fps, powersum, stirling, symfunc], ids=lambda m: m.__name__
+    "module", [bernoulli, eulerian, exact, fps, powersum, sheffer, stirling, symfunc], ids=lambda m: m.__name__
 )
 def test_module_doctests(module):
     result = doctest.testmod(module, extraglobs={}, verbose=False)

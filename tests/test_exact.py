@@ -78,6 +78,17 @@ class TestFactorialProducts:
     def test_duality_and_rescaling_to_unit_step(self, x, d, a, n):
         assert _factorial_duality_violation(Progression(d, a), x, n) is None
 
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), Fraction(5, 2), Fraction(1, 2**64 - 1), Fraction(4)])
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(3, 2), Progression(2**64 - 1, 2**64 - 1)])
+    def test_products_match_a_fraction_product(self, prog, x):
+        falling = rising = Fraction(1)
+        for m in range(10):
+            assert fallfac(prog, x, m) == falling
+            assert risefac(prog, x, m) == rising
+            assert type(fallfac(prog, x, m)) is type(risefac(prog, x, m)) is Fraction
+            falling *= x - (prog.a + m * prog.d)
+            rising *= x + (prog.a + m * prog.d)
+
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
             fallfac(Progression(1, 0), 1, -1)

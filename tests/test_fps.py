@@ -311,6 +311,20 @@ class TestIntegerKernelsAgainstSchoolbook:
         assert composed.coefficients == tuple(expected)
         assert exact_fractions(composed)
 
+    @given(coefficient_lists(9), rationals)
+    @example([F(-4), F(0), F(0)], F(-1, 2))
+    def test_pow(self, rest, exponent):
+        inner = [F(0)] + rest
+        order = len(inner) - 1
+        # (1 + g)^e = sum_m C(e, m) g^m once g(0) = 0
+        binomials = [F(1)]
+        for m in range(order):
+            binomials.append(binomials[-1] * (exponent - m) / (m + 1))
+        expected = schoolbook_power_sum(binomials, inner, order, lambda m: 1)
+        result = Fps([F(1)] + rest).pow(exponent)
+        assert result.coefficients == tuple(expected)
+        assert exact_fractions(result)
+
     @given(coefficient_lists(9))
     def test_exp(self, rest):
         inner = [F(0)] + rest

@@ -53,6 +53,10 @@ class TestConstruction:
         assert tri == lah_four_term(prog, 64)
         assert all(type(c) is int for row in tri.rows for c in row)
 
+    @pytest.mark.parametrize("prog", [Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)])
+    def test_sheffer_pair_matches_the_recurrence_at_the_input_limit(self, prog):
+        assert lah_sheffer_triangle(prog, LIMITS["rows"]) == lah_triangle(prog, LIMITS["rows"])
+
 
 class TestRecurrences:
     def test_four_term_entries(self):

@@ -11,7 +11,15 @@ from apsums.fps import Fps
 from apsums.lah import lah_pair
 from apsums.poly import Polynomial
 from apsums.sheffer import ShefferPair, Triangle, identity_triangle
-from apsums.stirling import s1phat_pair, s1phat_triangle, s2_pair, s2hat_pair, s2hat_triangle
+from apsums.stirling import (
+    s1_triangle,
+    s1p_triangle,
+    s1phat_pair,
+    s1phat_triangle,
+    s2_pair,
+    s2hat_pair,
+    s2hat_triangle,
+)
 from apsums.verification import _s2_row_polynomial_egf_violation, _s2_sequence_transform_violation
 
 F = Fraction
@@ -126,6 +134,28 @@ class TestTriangleAlgebra:
         tri = s2hat_triangle(Progression(3, 2), 5)
         assert identity_triangle(5).multiply(tri) == tri
         assert tri.multiply(identity_triangle(5)) == tri
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "left, right, entry_type",
+        [
+            (s2hat_triangle, lambda prog, size: s1phat_triangle(prog, size).signed(), int),
+            (s2hat_triangle, s1_triangle, Fraction),
+            (s1_triangle, s2hat_triangle, Fraction),
+            (s1_triangle, lambda prog, size: s1p_triangle(Progression(2, 1), size), Fraction),
+        ],
+        ids=["int-int", "int-fraction", "fraction-int", "fraction-fraction"],
+    )
+    def test_multiply_matches_a_fraction_triple_loop(self, left, right, entry_type, size):
+        prog = Progression(3, 2)
+        a, b = left(prog, size), right(prog, size)
+        expected = [
+            [sum((F(a.entry(n, k)) * F(b.entry(k, m)) for k in range(m, n + 1)), F(0)) for m in range(n + 1)]
+            for n in range(size + 1)
+        ]
+        product = a.multiply(b)
+        assert [list(row) for row in product.rows] == expected
+        assert all(type(c) is entry_type for row in product.rows for c in row)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DomainError, match="size mismatch: 3 vs 4"):
