@@ -83,9 +83,9 @@ class TestFactorialProducts:
     def test_products_match_a_fraction_product(self, prog, x):
         falling = rising = Fraction(1)
         for m in range(10):
-            assert fallfac(prog, x, m) == falling
-            assert risefac(prog, x, m) == rising
-            assert type(fallfac(prog, x, m)) is type(risefac(prog, x, m)) is Fraction
+            products = fallfac(prog, x, m), risefac(prog, x, m)
+            assert products == (falling, rising)
+            assert all(type(value) is Fraction for value in products)
             falling *= x - (prog.a + m * prog.d)
             rising *= x + (prog.a + m * prog.d)
 
