@@ -19,11 +19,23 @@ a query costs O(n) products once the row is built:
   [x^m] x^k/(1-x)^(n+2) = C(m-k+n+1,n+1):  PS = sum_k rEu(n,k) C(m-k+n+1,n+1).
 
 The series forms themselves are checked by the faulhaber verify suite.
+
+Every route but ``direct`` runs in two stages.  The first depends on
+(prog, n) alone and builds, once, the Bernoulli table and weights
+(``ordinary``), the Horner coefficients and the three m-free points
+(``faulhaber``), the SigmaS2 row (``egf``), the S2(n,k) k! row
+(``ogf-stacked``) or the rEu row (``ogf-eulerian``); the second evaluates
+at m.  ``method_evaluator(method, prog, n)`` returns that second stage, so
+a caller that needs many m builds each row once; each per-m public
+function is its evaluator applied at one m, so every formula has one
+definition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
@@ -43,6 +55,7 @@ __all__ = [
     "gps_coefficients",
     "METHOD_NAMES",
     "evaluate_method",
+    "method_evaluator",
 ]
 
 
@@ -57,6 +70,11 @@ def ps_direct(prog: Progression, n: int, m: int) -> Fraction:
     return Fraction(sum(prog.term(j) ** n for j in range(m + 1)))  # 0 ** 0 == 1
 
 
+def _check(index: int) -> None:
+    if index < 0:
+        raise DomainError("indices must be non-negative")
+
+
 def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     """Binomial a/d expansion over the ordinary Faulhaber formula:
 
@@ -68,21 +86,33 @@ def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     (n+1) L PS = (n+1) L a^n
                  + sum_k C(n+1,k+1) a^(n-k) d^k sum_{j>=1} C(k+1,j) N(k+1-j) ((m+1)^j - 1),
 
-    and the sum is divided once, by (n+1) L.
+    and the sum is divided once, by (n+1) L.  The weights C(n+1,k+1)
+    a^(n-k) d^k and the inner coefficients C(k+1,j) N(k+1-j) depend on
+    (prog, n) alone.
     """
-    if n < 0 or m < 0:
-        raise DomainError("indices must be non-negative")
+    return _ordinary(prog, n)(m)
+
+
+def _ordinary(prog: Progression, n: int) -> Callable[[int], Fraction]:
+    _check(n)
     nums, den = _bernoulli_table(n + 1)
     d, a = prog.d, prog.a
-    rises = [power - 1 for power in accumulate(repeat(m + 1, n + 1), mul, initial=1)]
-    acc = (n + 1) * den * a**n  # 0 ** 0 == 1
+    # (weight, [C(k+1,j) N(k+1-j) for j = 1..k+1]) for each k with a nonzero weight
+    terms = []
     for k in range(n + 1):
         weight = math.comb(n + 1, k + 1) * a ** (n - k) * d**k
-        if weight == 0:
-            continue
-        top = k + 1
-        acc += weight * sum(math.comb(top, j) * nums[top - j] * rises[j] for j in range(1, top + 1))
-    return Fraction(acc, (n + 1) * den)
+        if weight:
+            top = k + 1
+            terms.append((weight, [math.comb(top, j) * nums[top - j] for j in range(1, top + 1)]))
+    base = (n + 1) * den * a**n  # 0 ** 0 == 1
+
+    def at(m: int) -> Fraction:
+        _check(m)
+        rises = [power - 1 for power in accumulate(repeat(m + 1, n), mul, initial=m + 1)]  # j = 1..n+1
+        acc = base + sum(weight * sum(map(mul, inner, rises)) for weight, inner in terms)
+        return Fraction(acc, (n + 1) * den)
+
+    return at
 
 
 def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
@@ -94,21 +124,24 @@ def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
     L B(d;n+1,x) has the integer coefficients C(n+1,i) d^(n+1-i) N(n+1-i)
     over the table B(j) = N(j)/L; they are evaluated by Horner at the
     four integer points and the bracket is divided once, by d (n+1) L.
+    Only the first point depends on m.
     """
-    if n < 0 or m < 0:
-        raise DomainError("indices must be non-negative")
+    return _faulhaber(prog, n)(m)
+
+
+def _faulhaber(prog: Progression, n: int) -> Callable[[int], Fraction]:
+    _check(n)
     nums, den = _bernoulli_table(n + 1)
     d, a = prog.d, prog.a
     top = n + 1
     coeffs = [math.comb(top, i) * d ** (top - i) * nums[top - i] for i in range(top + 1)]
-    value = (
-        _horner(coeffs, a + d * (m + 1))
-        - _horner(coeffs, d)
-        - _horner(coeffs, a)
-        + coeffs[0]
-        + (d * den if n == 0 else 0)
-    )
-    return Fraction(value, d * top * den)
+    fixed = -_horner(coeffs, d) - _horner(coeffs, a) + coeffs[0] + (d * den if n == 0 else 0)
+
+    def at(m: int) -> Fraction:
+        _check(m)
+        return Fraction(_horner(coeffs, a + d * (m + 1)) + fixed, d * top * den)
+
+    return at
 
 
 def _horner(coeffs: list[int], x: int) -> int:
@@ -145,9 +178,18 @@ def eps_coefficients(prog: Progression, n: int, m: int) -> Fraction:
 
     m! [t^m] of that series is sum_j C(m,j) SigmaS2(n,j).
     """
-    if n < 0 or m < 0:
-        raise DomainError("indices must be non-negative")
-    return Fraction(sum(math.comb(m, j) * s for j, s in enumerate(_sigma_row(prog, n))))
+    return _egf(prog, n)(m)
+
+
+def _egf(prog: Progression, n: int) -> Callable[[int], Fraction]:
+    _check(n)
+    row = _sigma_row(prog, n)
+
+    def at(m: int) -> Fraction:
+        _check(m)
+        return Fraction(sum(math.comb(m, j) * s for j, s in enumerate(row)))
+
+    return at
 
 
 def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") -> Fraction:
@@ -161,15 +203,28 @@ def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") 
     >>> [int(gps_coefficients(Progression(2, 1), 2, m, "eulerian")) for m in range(3)]
     [1, 10, 35]
     """
-    if n < 0 or m < 0:
-        raise DomainError("indices must be non-negative")
+    return _ogf(prog, n, route)(m)
+
+
+def _ogf(prog: Progression, n: int, route: str) -> Callable[[int], Fraction]:
+    _check(n)
     if route == "stacked":
         row = _s2_factorial_row(prog, n)
-        return Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
-    if route == "eulerian":
+
+        def at(m: int) -> Fraction:
+            _check(m)
+            return Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
+
+    elif route == "eulerian":
         row = reu_triangle(prog, n).row(n)
-        return Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
-    raise DomainError(f"unknown o.g.f. route {route!r}")
+
+        def at(m: int) -> Fraction:
+            _check(m)
+            return Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
+
+    else:
+        raise DomainError(f"unknown o.g.f. route {route!r}")
+    return at
 
 
 # The o.g.f. entries are lambdas, not functools.partial, so that they look
@@ -191,3 +246,37 @@ def evaluate_method(method: str, prog: Progression, n: int, m: int) -> Fraction:
     if method not in METHOD_NAMES:
         raise DomainError(f"unknown method {method!r}")
     return _METHODS[method](prog, n, m)
+
+
+def _direct(prog: Progression, n: int) -> Callable[[int], Fraction]:
+    _check(n)
+    return functools.partial(ps_direct, prog, n)
+
+
+# Each route's per-(prog, n) stage; the per-m public functions above apply
+# the same stage at one m.
+_STAGES = {
+    "direct": _direct,
+    "ordinary": _ordinary,
+    "faulhaber": _faulhaber,
+    "egf": _egf,
+    "ogf-stacked": lambda prog, n: _ogf(prog, n, "stacked"),
+    "ogf-eulerian": lambda prog, n: _ogf(prog, n, "eulerian"),
+}
+
+
+def method_evaluator(method: str, prog: Progression, n: int) -> Callable[[int], Fraction]:
+    """One named route staged at (prog, n): a function of m alone.
+
+    The stage builds once what the route needs from (d, a, n), its
+    Bernoulli table, Horner coefficients or integer row, so evaluating at
+    many m costs one sum per m.  ``method_evaluator(method, prog, n)(m)``
+    equals ``evaluate_method(method, prog, n, m)``.
+
+    >>> at = method_evaluator("ogf-eulerian", Progression(2, 1), 2)
+    >>> [int(at(m)) for m in range(3)]
+    [1, 10, 35]
+    """
+    if method not in METHOD_NAMES:
+        raise DomainError(f"unknown method {method!r}")
+    return _STAGES[method](prog, n)

@@ -11,9 +11,10 @@ and the triangle of a product is the matrix product of the triangles.
 
 :class:`Triangle` is the materialized N x N array.  It holds entries and
 nothing else, so triangles built along different routes compare equal
-exactly when their entries do.  The triangle product and the pair
-materialization bring their operands to integer numerators over one
-common denominator, sum in ``int`` and divide once per entry.
+exactly when their entries do.  The triangle product, the triangle
+inverse and the pair materialization bring their operands to integer
+numerators over one common denominator, sum in ``int`` and divide once per
+entry.
 """
 
 from __future__ import annotations
@@ -136,20 +137,34 @@ class Triangle:
         return Triangle([Fraction(c, den) for c in row] for row in rows)
 
     def inverse(self) -> Triangle:
-        """Inverse by forward substitution; needs a nonzero diagonal."""
+        """Inverse by forward substitution; needs a nonzero diagonal.
+
+        With the entries as numerators N over one denominator D, the inverse
+        is D N^-1.  Column m of N^-1 is carried in ``int`` as
+        Y_n = X_n * P_n, P_n = prod_{k=m..n} N_kk, which is an integer by
+        Cramer's rule: Y_m = 1 and Y_n = -sum_{k=m..n-1} N_nk Y_k P_(n-1)/P_k,
+        summed by Horner over the diagonal.  Each entry is one
+        ``Fraction(D Y_n, P_n)``.
+        """
         for n in range(self.size + 1):
             if self._rows[n][n] == 0:
                 raise DomainError(f"zero diagonal entry at row {n}")
-        inv: list[list[Fraction]] = []
-        for n in range(self.size + 1):
-            row = [_ZERO] * (n + 1)
-            row[n] = Fraction(1) / self._rows[n][n]
-            for m in range(n - 1, -1, -1):
-                acc = _ZERO
-                for k in range(m, n):
-                    acc += self._rows[n][k] * inv[k][m]
-                row[m] = -acc / self._rows[n][n]
-            inv.append(row)
+        nums, den = _flat_numerators(self._rows)
+        den = den or 1
+        diag = [row[n] for n, row in enumerate(nums)]
+        inv: list[list[Fraction]] = [[_ZERO] * (n + 1) for n in range(self.size + 1)]
+        for m in range(self.size + 1):
+            ys = [1]
+            scale = diag[m]
+            inv[m][m] = Fraction(den, scale)
+            for n in range(m + 1, self.size + 1):
+                row = nums[n]
+                acc = 0
+                for k, y in enumerate(ys, m):
+                    acc = acc * diag[k] + row[k] * y
+                ys.append(-acc)
+                scale *= diag[n]
+                inv[n][m] = Fraction(-acc * den, scale)
         return Triangle(inv)
 
 

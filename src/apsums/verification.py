@@ -884,9 +884,10 @@ def _power_sum_routes(size, rng):
     routes = [name for name in ps.METHOD_NAMES if name != "direct"]
     for prog in _progressions(4):
         for n in range(size + 1):
+            evaluators = {name: ps.method_evaluator(name, prog, n) for name in routes}
             for m in range(13):
                 direct = ps.ps_direct(prog, n, m)
-                values = {name: ps.evaluate_method(name, prog, n, m) for name in routes}
+                values = {name: at(m) for name, at in evaluators.items()}
                 wrong = {k: v for k, v in values.items() if v != direct}
                 if wrong:
                     return f"{prog} n={n} m={m}: direct={direct} but {wrong}"
@@ -894,16 +895,19 @@ def _power_sum_routes(size, rng):
 
 @_FAULHABER.identity("single powers come out of both generating functions")
 def _single_powers(size_n, rng):
-    geom = Fps.geometric(1, 10)
+    geom, exp = Fps.geometric(1, 10), Fps.exp_of(1, 10)
+    stacked = []  # x^k / (1-x)^(k+1) for k = 0..size_n
+    power = geom
+    for k in range(size_n + 1):
+        stacked.append(power.shifted_up(k))
+        power = power * geom
     for prog in _progressions(3):
         tri = st.s2_triangle(prog, size_n)
         for n in range(size_n + 1):
-            egf = Fps.exp_of(1, 10) * Fps([tri.entry(n, k) for k in range(n + 1)], order=10)
+            egf = exp * Fps([tri.entry(n, k) for k in range(n + 1)], order=10)
             ogf = Fps.zero(10)
-            power = geom
             for k in range(n + 1):
-                ogf = ogf + power.shifted_up(k) * (tri.entry(n, k) * math.factorial(k))
-                power = power * geom
+                ogf = ogf + stacked[k] * (tri.entry(n, k) * math.factorial(k))
             for m in range(10 + 1):
                 want = integer_power(prog.term(m), n)
                 if egf.coefficient_times_factorial(m) != want:
@@ -1068,22 +1072,25 @@ def _symfunc_enumeration(size, rng):
 
 
 def _symfunc_duality_violation(alphabet: Alphabet, r: int) -> str | None:
-    acc = Fraction(0)
-    for k in range(min(r, alphabet.count) + 1):
-        sign = -1 if k % 2 else 1
-        acc += sign * elementary_sigma(alphabet, k) * complete_h(alphabet, r - k)
-    if acc != 0:
-        return f"{alphabet.prog} count={alphabet.count} r={r}: duality sum is {acc}"
+    """The first r' in 1..r where sum_k (-1)^k sigma_k h_(r'-k) is not 0.
+
+    Every symbol is an integer, so both lists are summed by numerator.
+    """
+    sigma = [(-1) ** k * elementary_sigma(alphabet, k).numerator
+             for k in range(min(r, alphabet.count) + 1)]
+    h = [complete_h(alphabet, j).numerator for j in range(r + 1)]
+    for top in range(1, r + 1):
+        acc = sum(sigma[k] * h[top - k] for k in range(min(top, alphabet.count) + 1))
+        if acc != 0:
+            return f"{alphabet.prog} count={alphabet.count} r={top}: duality sum is {acc}"
 
 
 @_SYMFUNC.identity("alternating sigma/h convolution vanishes (builder cross-guard)")
 def _symfunc_duality(size, rng):
     for prog in _progressions(3):
         for count in range(1, 6):
-            alphabet = Alphabet(prog, count)
-            for r in range(1, 7):
-                if mismatch := _symfunc_duality_violation(alphabet, r):
-                    return mismatch
+            if mismatch := _symfunc_duality_violation(Alphabet(prog, count), 6):
+                return mismatch
 
 
 # the zero symbol contributes nothing: m active symbols 1..m suffice

@@ -30,7 +30,7 @@ EDGE = 2**64 - 1
 PROGRESSIONS = ((1, 0), (2, 1), (7, 5), (EDGE, EDGE))
 FORMATS = ("pretty", "csv", "json", "bfile")
 ROWS = (0, 1, 7, 64)
-DEPTHS = (1, 3)
+DEPTHS = (1, 3, 4, 8, 12)
 
 
 def commands() -> list[list[str]]:
@@ -55,7 +55,10 @@ def commands() -> list[list[str]]:
                 grid.append(["export-bfile", "--sequence", sequence, *given, "--count", "61"])
     for suite in SUITE_NAMES:
         for depth in DEPTHS:
-            grid.append(["verify", "--suite", suite, "--depth", str(depth), "--explain"])
+            verify = ["verify", "--suite", suite, "--depth", str(depth), "--explain"]
+            grid.append(verify)
+            if suite == "lah":
+                grid.append([*verify, "--include-printed-three-term"])
     return grid
 
 

@@ -250,21 +250,40 @@ class TestVerifyCommand:
         assert "first mismatch: entry (2,1): 5 != 7" in out
         assert "1 failed" in out.splitlines()[-1]
 
-    def test_broken_power_sum_route_is_named(self, capsys, monkeypatch):
-        route = powersum.gps_coefficients
+    @pytest.mark.parametrize("method", [name for name in powersum.METHOD_NAMES if name != "direct"])
+    def test_broken_power_sum_route_is_named(self, capsys, monkeypatch, method):
+        # the verifier stages each route once per (prog, n) and evaluates it at every m
+        staged = powersum.method_evaluator
 
-        def broken(prog, n, m, route_name="stacked"):
-            return route(prog, n, m, route_name) + (route_name == "eulerian" and m == 5)
+        def broken(name, prog, n):
+            at = staged(name, prog, n)
+            return lambda m: at(m) + (name == method and m == 5)
 
-        monkeypatch.setattr(powersum, "gps_coefficients", broken)
+        monkeypatch.setattr(powersum, "method_evaluator", broken)
         code, out, _ = run_cli(capsys, "verify", "--suite", "faulhaber", "--depth", "1", "--explain")
         failed = [line for line in out.splitlines() if not line.startswith("ok")]
         assert code == 1
         assert failed[0] == "FAIL  faulhaber: all five formula routes equal direct summation"
-        assert "m=5" in failed[1] and "'ogf-eulerian'" in failed[1]
-        assert "'ogf-stacked'" not in failed[1]
+        assert "m=5" in failed[1] and f"'{method}'" in failed[1]
+        others = [name for name in powersum.METHOD_NAMES if name != method]
+        assert [name for name in others if f"'{name}'" in failed[1]] == []
         assert failed[2].startswith("checks: ") and " 1 failed " in failed[2]
         assert len(failed) == 3
+
+    def test_broken_complete_h_names_the_first_failing_degree(self, capsys, monkeypatch):
+        from apsums import verification
+
+        builder = verification.complete_h
+
+        def broken(alphabet, degree):
+            return builder(alphabet, degree) + (degree == 3)
+
+        monkeypatch.setattr(verification, "complete_h", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "symfunc", "--depth", "1", "--explain")
+        lines = out.splitlines()
+        assert code == 1
+        failed = lines.index("FAIL  symfunc: alternating sigma/h convolution vanishes (builder cross-guard)")
+        assert lines[failed + 1] == "      first mismatch: Progression(d=1, a=0) count=1 r=3: duality sum is 1"
 
     def test_broken_tangent_kernel_is_named(self, capsys, monkeypatch):
         from apsums import bernoulli

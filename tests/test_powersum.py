@@ -13,6 +13,7 @@ from apsums.powersum import (
     eps_coefficients,
     evaluate_method,
     gps_coefficients,
+    method_evaluator,
     ps_direct,
     ps_faulhaber,
     ps_via_ordinary,
@@ -165,6 +166,32 @@ class TestUniversalOracle:
         for bogus in ("bogus", ["direct"]):
             with pytest.raises(DomainError):
                 evaluate_method(bogus, prog, 1, 1)
+
+
+class TestMethodEvaluator:
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    @pytest.mark.parametrize(
+        "prog", [Progression(7, 5), Progression(_LIMIT, _LIMIT)], ids=lambda p: f"d={p.d},a={p.a}"
+    )
+    def test_equals_the_per_m_function(self, method, prog):
+        # evaluate_method calls the method's per-m public function
+        for n in (0, 1, 2, 30, 60):
+            at = method_evaluator(method, prog, n)
+            for m in (0, 1, 2, 7, 5000):
+                value = at(m)
+                assert value == evaluate_method(method, prog, n, m), (n, m)
+                assert type(value) is Fraction
+
+    def test_domain(self):
+        prog = Progression(2, 1)
+        for bogus in ("bogus", ["direct"]):
+            with pytest.raises(DomainError, match="unknown method"):
+                method_evaluator(bogus, prog, 1)
+        for method in METHOD_NAMES:
+            with pytest.raises(DomainError, match="^indices must be non-negative$"):
+                method_evaluator(method, prog, -1)
+            with pytest.raises(DomainError, match="^indices must be non-negative$"):
+                method_evaluator(method, prog, 2)(-1)
 
 
 class TestPowersGeneratingFunctions:

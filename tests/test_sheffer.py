@@ -17,6 +17,7 @@ from apsums.stirling import (
     s1phat_pair,
     s1phat_triangle,
     s2_pair,
+    s2_triangle,
     s2hat_pair,
     s2hat_triangle,
 )
@@ -156,6 +157,32 @@ class TestTriangleAlgebra:
         product = a.multiply(b)
         assert [list(row) for row in product.rows] == expected
         assert all(type(c) is entry_type for row in product.rows for c in row)
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            s2_triangle,
+            s2hat_triangle,
+            s1_triangle,
+            lambda prog, size: s1p_triangle(Progression(2, 1), size),
+            lambda prog, size: s2_triangle(Progression(2**64 - 1, 2**64 - 1), size),
+        ],
+        ids=["s2-int", "s2hat-int", "s1-fraction", "s1p-fraction", "s2-int-at-the-edge"],
+    )
+    def test_inverse_matches_a_fraction_forward_substitution(self, build, size):
+        tri = build(Progression(3, 2), size)
+        expected: list[list[Fraction]] = []
+        for n in range(size + 1):
+            row = [F(0)] * (n + 1)
+            row[n] = 1 / F(tri.entry(n, n))
+            for m in range(n - 1, -1, -1):
+                acc = sum((tri.entry(n, k) * expected[k][m] for k in range(m, n)), F(0))
+                row[m] = -acc / tri.entry(n, n)
+            expected.append(row)
+        inverse = tri.inverse()
+        assert [list(row) for row in inverse.rows] == expected
+        assert all(type(c) is Fraction for row in inverse.rows for c in row)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(DomainError, match="size mismatch: 3 vs 4"):
