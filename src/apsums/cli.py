@@ -22,7 +22,7 @@ from . import stirling as st
 from .errors import DomainError
 from .exact import Progression, rational_str
 from .sheffer import Triangle
-from .verification import MAX_DEPTH, SUITE_NAMES, run_suites
+from .verification import MAX_DEPTH, SUITE_NAMES, run_suite
 
 # The largest value of every open-ended input (the smallest is 0, or 1 for
 # --depth and --d); a request outside exits 2, one inside finishes within
@@ -254,28 +254,18 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_range("--depth", args.depth, 1, LIMITS["depth"])
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(names, args.depth, args.include_printed_three_term)
-    failed = 0
-    passed = 0
-    xfailed = 0
-    for res in results:
-        label = f"{res.suite}: {res.name}"
-        if res.expected_fail and not res.passed:
-            xfailed += 1
-            sys.stdout.write(f"xfail {label}\n")
-        elif res.ok:
-            passed += 1
-            sys.stdout.write(f"ok    {label}\n")
-        else:
-            failed += 1
-            sys.stdout.write(f"FAIL  {label}\n")
+    counts = {"ok": 0, "xfail": 0, "FAIL": 0}
+    for name in names:
+        for res in run_suite(name, args.depth, args.include_printed_three_term):
+            counts[res.status] += 1
+            sys.stdout.write(f"{res.status:<6}{res.suite}: {res.name}\n")
             if args.explain and res.detail:
                 sys.stdout.write(f"      first mismatch: {res.detail}\n")
     sys.stdout.write(
-        f"checks: {len(results)} total, {passed} ok, {xfailed} expected-fail, "
-        f"{failed} failed (suite={args.suite}, depth={args.depth})\n"
+        f"checks: {sum(counts.values())} total, {counts['ok']} ok, {counts['xfail']} expected-fail, "
+        f"{counts['FAIL']} failed (suite={args.suite}, depth={args.depth})\n"
     )
-    return 1 if failed else 0
+    return 1 if counts["FAIL"] else 0
 
 
 def _bfile_sequence(args: argparse.Namespace) -> list[Fraction | int]:

@@ -48,20 +48,22 @@ __all__ = [
 ]
 
 
-def lah_pair(prog: Progression, order: int) -> ShefferPair:
-    """((1 - d*t)^(-2a/d), t/(1 - d*t))."""
-    one_minus_d = Fps([1, -prog.d], order=order)
-    g = one_minus_d.pow(Fraction(-2 * prog.a, prog.d))
+def _pair(d: int, a: int, order: int) -> ShefferPair:
+    """((1 - d*t)^(-2a/d), t/(1 - d*t)); at (-d, -a) it is the inverse pair."""
+    one_minus_d = Fps([1, -d], order=order)
+    g = one_minus_d.pow(Fraction(-2 * a, d))
     f = Fps.x(order) * one_minus_d.reciprocal()
     return ShefferPair(g, f)
 
 
+def lah_pair(prog: Progression, order: int) -> ShefferPair:
+    """((1 - d*t)^(-2a/d), t/(1 - d*t))."""
+    return _pair(prog.d, prog.a, order)
+
+
 def lah_inverse_pair(prog: Progression, order: int) -> ShefferPair:
     """((1 + d*t)^(-2a/d), t/(1 + d*t)), the group inverse of lah_pair."""
-    one_plus_d = Fps([1, prog.d], order=order)
-    g = one_plus_d.pow(Fraction(-2 * prog.a, prog.d))
-    f = Fps.x(order) * one_plus_d.reciprocal()
-    return ShefferPair(g, f)
+    return _pair(-prog.d, -prog.a, order)
 
 
 def lah_column0(prog: Progression, size: int) -> list[Fraction]:

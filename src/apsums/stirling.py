@@ -200,7 +200,7 @@ def s1phat_schlomilch(prog: Progression, n: int, m: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     s2h = s2hat_triangle(prog, max(n, 2 * (n - m)))  # the l-sum reaches index 2(n-m)
-    acc = Fraction(0)
+    acc = 0  # every term is an integer
     for j in range(m, n + 1):
         cjm = math.comb(j, m)
         for k in range(n - j + 1):
@@ -211,17 +211,17 @@ def s1phat_schlomilch(prog: Progression, n: int, m: int) -> Fraction:
             )
             if outer == 0:
                 continue
-            inner = Fraction(0)
-            for l in range(n - j + k + 1):
+            inner = 0
+            for l in range(k, n - j + k + 1):  # S2hat(l, k) vanishes for l < k
                 sign = -1 if l % 2 else 1
                 inner += (
                     sign
                     * math.comb(n - j + k, l)
-                    * integer_power(prog.a, n - m + k - l)
+                    * prog.a ** (n - m + k - l)
                     * s2h.entry(l, k)
                 )
             acc += outer * inner
-    return acc
+    return Fraction(acc)
 
 
 def s1phat_schlomilch_v2(prog: Progression, n: int, m: int) -> Fraction:
@@ -285,17 +285,20 @@ def s1_pair(prog: Progression, order: int) -> ShefferPair:
     return ShefferPair(g, f)
 
 
+def _log_pair(d: int, a: int, order: int) -> ShefferPair:
+    """((1-d*y)^(-a/d), -log(1-d*y)/d); at (-d, -a) it is
+    ((1+d*y)^(-a/d), log(1+d*y)/d)."""
+    one_minus_d = Fps([1, -d], order=order)
+    g = one_minus_d.pow(Fraction(-a, d))
+    f = -(one_minus_d.log()) / d
+    return ShefferPair(g, f)
+
+
 def s1hat_pair(prog: Progression, order: int) -> ShefferPair:
     """((1+d*y)^(-a/d), log(1+d*y)/d), the inverse pair of s2hat."""
-    one_plus_d = Fps([1, prog.d], order=order)
-    g = one_plus_d.pow(Fraction(-prog.a, prog.d))
-    f = one_plus_d.log() / prog.d
-    return ShefferPair(g, f)
+    return _log_pair(-prog.d, -prog.a, order)
 
 
 def s1phat_pair(prog: Progression, order: int) -> ShefferPair:
     """((1-d*y)^(-a/d), -log(1-d*y)/d)."""
-    one_minus_d = Fps([1, -prog.d], order=order)
-    g = one_minus_d.pow(Fraction(-prog.a, prog.d))
-    f = -(one_minus_d.log()) / prog.d
-    return ShefferPair(g, f)
+    return _log_pair(prog.d, prog.a, order)

@@ -19,11 +19,15 @@ its grid and calls it.  A test that checks a whole entry names it through
 the ``identity`` fixture; a test that checks a registered law on its own
 inputs calls that law's function.
 
-A family comparison, one triangle checked entry by entry against its other
-routes, is a row of ``_ROUTES`` registered by ``_Suite.compare``: its grid,
-its builder and its named routes.  The entry builds its row each time its
-check runs, so a patched module attribute reaches it.  The route-mutation
-test in ``tests/test_cli.py`` breaks every route of every row in turn.
+An entry that compares two triangles entry by entry is a row of ``_ROUTES``
+registered by ``_Suite.compare``: its grid, its builder and its named
+routes, with the table's one mismatch text.  The entry builds its row each
+time its check runs, so a patched module attribute reaches it.  The
+route-mutation test in ``tests/test_cli.py`` breaks every route of every
+row in turn.
+
+``Identity.run`` alone decides an entry's verdict, the ``status`` of its
+``CheckResult``; callers print and count it.
 """
 
 from __future__ import annotations
@@ -53,26 +57,18 @@ __all__ = [
     "MAX_DEPTH",
     "SUITE_NAMES",
     "run_suite",
-    "run_suites",
 ]
 
 
 class CheckResult(_FrozenRecord):
-    __slots__ = ("suite", "name", "passed", "detail", "expected_fail")
+    """One entry's verdict: ``status`` is ``"ok"``, ``"xfail"`` (a documented
+    discrepancy confirmed) or ``"FAIL"``; only a ``"FAIL"`` carries a
+    ``detail``."""
 
-    def __init__(
-        self, suite: str, name: str, passed: bool, detail: str = "", expected_fail: bool = False
-    ) -> None:
-        self._set(suite, name, passed, detail, expected_fail)
+    __slots__ = ("suite", "name", "status", "detail")
 
-    @property
-    def ok(self) -> bool:
-        """True when the result should not fail the gate.
-
-        An expected-fail check confirms a documented discrepancy: failing is
-        the healthy outcome, and passing would mean the discrepancy is gone.
-        """
-        return (not self.passed) if self.expected_fail else self.passed
+    def __init__(self, suite: str, name: str, status: str, detail: str = "") -> None:
+        self._set(suite, name, status, detail)
 
 
 class _SizeRule(_FrozenRecord):
@@ -121,11 +117,14 @@ class Identity(_FrozenRecord):
         try:
             mismatch = self.check(self.size(depth), random.Random(self.label))
         except Exception as exc:
-            return CheckResult(self.suite, self.name, False, f"{type(exc).__name__}: {exc}")
-        if self.expected_fail:
-            detail = "" if mismatch else "variant unexpectedly agrees; the documented discrepancy is gone"
-            return CheckResult(self.suite, self.name, mismatch is None, detail, expected_fail=True)
-        return CheckResult(self.suite, self.name, mismatch is None, mismatch or "")
+            return CheckResult(self.suite, self.name, "FAIL", f"{type(exc).__name__}: {exc}")
+        if not self.expected_fail:
+            return CheckResult(self.suite, self.name, "ok" if mismatch is None else "FAIL", mismatch or "")
+        if mismatch is not None:
+            return CheckResult(self.suite, self.name, "xfail")
+        return CheckResult(
+            self.suite, self.name, "FAIL", "variant unexpectedly agrees; the documented discrepancy is gone"
+        )
 
 
 _REGISTRY: list[Identity] = []
@@ -215,15 +214,30 @@ def _pair_triangle(pair: Callable[[Progression, int], ShefferPair]) -> _Builder:
     return lambda prog, size: pair(prog, size).triangle(size)
 
 
+def _poly_rows(poly: Callable[[Progression, int], Polynomial]) -> _Builder:
+    """A per-row route ``(prog, n)`` that returns a polynomial as the builder,
+    under the route's name, of the triangle of its coefficient rows.  Row n
+    is padded with zeros to n + 1 entries; a degree above n is no row."""
+
+    def build(prog: Progression, size: int) -> Triangle:
+        polys = (poly(prog, n) for n in range(size + 1))
+        return Triangle((*p.coefficients, *[0] * (n - p.degree)) for n, p in enumerate(polys))
+
+    build.__name__ = poly.__name__
+    return build
+
+
 def _entrywise(label: str, size: int) -> str | None:
-    """Build the row ``label`` now and compare every entry (n, m) of
-    ``build(prog, size)`` with the same entry of each named route's triangle;
-    the first disagreement names (d, a), (n, m), the builder's value and each
-    differing route with its value."""
+    """Build the row ``label`` now and compare ``build(prog, size)`` with each
+    named route's triangle; where one differs, the first disagreeing entry
+    (n, m) names (d, a), (n, m), the builder's value and each differing route
+    with its value."""
     progs, build, routes = _ROUTES[label]()
     for prog in progs:
         tri = build(prog, size)
         others = {name: route(prog, size) for name, route in routes.items()}
+        if all(other == tri for other in others.values()):
+            continue
         for n in range(size + 1):
             for m in range(n + 1):
                 want = tri.entry(n, m)
@@ -248,16 +262,24 @@ def _egf_diff(values: list[Fraction | int], closed_form: Fps) -> str | None:
         return _series_diff(egf, closed_form)
 
 
-def _lowered(poly: Polynomial, weight: Callable[[int], Fraction | int]) -> Polynomial:
-    """The lowering operator sum_{k >= 1} weight(k) D^k applied to ``poly``."""
-    acc = Polynomial()
-    deriv = poly.derivative()
-    k = 1
-    while deriv:
-        acc = acc + deriv * weight(k)
-        deriv = deriv.derivative()
-        k += 1
-    return acc
+def _lowered(
+    size: int, build: _Builder, weight: Callable[[int, int], Fraction | int], operator: str
+) -> str | None:
+    """The first (d, a) with d <= 3 and n >= 1 where the lowering operator
+    sum_{k >= 1} weight(d, k) D^k does not take the row polynomial P(n) of
+    ``build(prog, size)`` to n P(n-1), as the failure of ``operator``."""
+    for prog in _progressions(3):
+        tri = build(prog, size)
+        for n in range(1, size + 1):
+            acc = Polynomial()
+            deriv = tri.row_polynomial(n).derivative()
+            k = 1
+            while deriv:
+                acc = acc + deriv * weight(prog.d, k)
+                deriv = deriv.derivative()
+                k += 1
+            if acc != n * tri.row_polynomial(n - 1):
+                return f"{prog} n={n}: {operator} fails"
 
 
 # -- fps / scalar kernel -------------------------------------------------------
@@ -414,12 +436,7 @@ def _s2_monomial_expansion(size, rng):
 
 @_S2.identity("row polynomials obey the logarithmic lowering recurrence")
 def _s2_lowering(size, rng):
-    for prog in _progressions(3):
-        tri = st.s2_triangle(prog, size)
-        for n in range(1, size + 1):
-            acc = _lowered(tri.row_polynomial(n), lambda k: Fraction((-1) ** (k + 1), k))
-            if acc * Fraction(1, prog.d) != n * tri.row_polynomial(n - 1):
-                return f"{prog} n={n}: lowering operator fails"
+    return _lowered(size, st.s2_triangle, lambda d, k: Fraction((-1) ** (k + 1), k * d), "lowering operator")
 
 
 def _s2fac_diagonal(size: int) -> str | None:
@@ -483,16 +500,14 @@ def _s2_row_polynomial_egf(size, rng):
                 return mismatch
 
 
-@_S2.identity("ordinary values recovered from any [d,a] family (a >= 1)")
-def _s2_ordinary_recovery(size, rng):
-    ordinary = st.s2_triangle(Progression(1, 0), size)
-    for prog in _progressions(4):
-        if prog.a == 0:
-            continue
-        for n in range(size + 1):
-            for m in range(n + 1):
-                if st.s2_ordinary_from_general(prog, n, m) != ordinary.entry(n, m):
-                    return f"{prog} ({n},{m}): ordinary recovery fails"
+def _ordinary_s2_triangle(prog: Progression, size: int) -> Triangle:
+    """S2[1,0], whatever ``prog``: what every [d,a] family recovers."""
+    return st.s2_triangle(Progression(1, 0), size)
+
+
+_S2.compare("ordinary values recovered from any [d,a] family (a >= 1)", lambda: (
+    [prog for prog in _progressions(4) if prog.a], _ordinary_s2_triangle,
+    {"from-general": _entries(st.s2_ordinary_from_general)}))
 
 
 # -- first-kind Stirling ----------------------------------------------------------
@@ -536,35 +551,16 @@ def _s1_scaled_inverse(size, rng):
             return mismatch
 
 
-@_S1.identity("row polynomials are the generalized rising factorials")
-def _s1_rising(size, rng):
-    for prog in _progressions(3):
-        tri = st.s1phat_triangle(prog, size)
-        for n in range(size + 1):
-            if tri.row_polynomial(n) != risefac_poly(prog, n):
-                return f"{prog} n={n}: row polynomial is not the rising factorial"
-
-
-@_S1.identity("signed-triangle row polynomials are the generalized falling factorials")
-def _s1_falling(size, rng):
-    for prog in _progressions(3):
-        s1hat = st.s1hat_pair(prog, size).triangle(size)
-        for n in range(size + 1):
-            if s1hat.row_polynomial(n) != fallfac_poly(prog, n):
-                return f"{prog} n={n}: signed row polynomial is not the falling factorial"
+_S1.compare("row polynomials are the generalized rising factorials", lambda: (
+    _progressions(3), st.s1phat_triangle, {"rising-factorial": _poly_rows(risefac_poly)}))
+_S1.compare("signed-triangle row polynomials are the generalized falling factorials", lambda: (
+    _progressions(3), _poly_rows(fallfac_poly), {"sheffer": _pair_triangle(st.s1hat_pair)}))
 
 
 @_S1.identity("monic row polynomials obey the factorial lowering recurrence")
 def _s1_lowering(size, rng):
-    for prog in _progressions(3):
-        tri = st.s1phat_triangle(prog, size)
-        d = prog.d
-        for n in range(1, size + 1):
-            acc = _lowered(
-                tri.row_polynomial(n), lambda k: Fraction((-d) ** (k - 1), math.factorial(k))
-            )
-            if acc != n * tri.row_polynomial(n - 1):
-                return f"{prog} n={n}: factorial lowering operator fails"
+    return _lowered(size, st.s1phat_triangle, lambda d, k: Fraction((-d) ** (k - 1), math.factorial(k)),
+                    "factorial lowering operator")
 
 
 def _s1_forward_shift_violation(prog: Progression, s1phat: Triangle) -> str | None:
@@ -672,18 +668,15 @@ def _reu_power_ogf(size, rng):
                 return f"{prog} n={n}: power o.g.f. decomposition fails"
 
 
-@_EULERIAN.identity("numerator polynomial equals (1-x)^n-twisted factorial-scaled row", cap=8)
-def _reu_from_s2fac_polynomial(size, rng):
-    one_minus_x = Polynomial([1, -1])
-    for prog in _progressions(3):
-        tri = eul.reu_triangle(prog, size)
-        sfac = st.s2fac_triangle(prog, size)
-        for n in range(size + 1):
-            acc = Polynomial()
-            for m in range(n + 1):
-                acc = acc + Polynomial.monomial(m) * one_minus_x ** (n - m) * sfac.entry(n, m)
-            if acc != tri.row_polynomial(n):
-                return f"{prog} n={n}: cleared-denominator polynomial identity fails"
+def _twisted_s2fac(prog: Progression, n: int) -> Polynomial:
+    """sum_m S2fac(n,m) x^m (1-x)^(n-m)."""
+    row = st.s2fac_triangle(prog, n).row(n)
+    terms = (Polynomial.monomial(m, c) * Polynomial([1, -1]) ** (n - m) for m, c in enumerate(row))
+    return sum(terms, Polynomial())
+
+
+_EULERIAN.compare("numerator polynomial equals (1-x)^n-twisted factorial-scaled row", lambda: (
+    _progressions(3), eul.reu_triangle, {"twisted-s2fac": _poly_rows(_twisted_s2fac)}), cap=8)
 
 
 def _reu_bivariate_egf_violation(prog: Progression, reu: Triangle, x: Fraction) -> str | None:
@@ -715,15 +708,10 @@ def _reu_row_sums(size, rng):
                 return f"{prog} n={n}: row sum is not d^n n!"
 
 
-@_EULERIAN.identity("parameter flip a -> d-a reverses every row", cap=8)
-def _reu_row_reversal(size, rng):
-    for d in range(2, 6):
-        for a in range(1, d):
-            t1 = eul.reu_triangle(Progression(d, d - a), size)
-            t2 = eul.reu_triangle(Progression(d, a), size)
-            for n in range(size + 1):
-                if list(t1.row(n)) != list(reversed(t2.row(n))):
-                    return f"d={d} a={a} n={n}: row reversal symmetry fails"
+_EULERIAN.compare("parameter flip a -> d-a reverses every row", lambda: (
+    [Progression(d, a) for d in range(2, 6) for a in range(1, d)], eul.reu_triangle,
+    {"flipped-reversed": lambda prog, size: Triangle(
+        row[::-1] for row in eul.reu_triangle(Progression(prog.d, prog.d - prog.a), size).rows)}), cap=8)
 
 
 @_EULERIAN.identity("the extended explicit sum vanishes just past the diagonal")
@@ -809,12 +797,9 @@ def _b_gen_egf(order, rng):
             return f"{prog}: number e.g.f. mismatch; {diff}"
 
 
-@_BERNOULLI.identity("polynomial routes (convolve numbers vs shifted powers) agree", cap=10)
-def _b_gen_poly_routes(n_cap, rng):
-    for prog in _progressions(3):
-        for n in range(n_cap + 1):
-            if bern.b_gen_poly(prog, n) != bern.b_gen_poly_via_ordinary(prog, n):
-                return f"{prog} n={n}: polynomial routes disagree"
+_BERNOULLI.compare("polynomial routes (convolve numbers vs shifted powers) agree", lambda: (
+    _progressions(3), _poly_rows(bern.b_gen_poly), {"shifted-powers": _poly_rows(bern.b_gen_poly_via_ordinary)}),
+    cap=10)
 
 
 def _b_gen_poly_egf_violation(prog: Progression, x: Fraction, order: int) -> str | None:
@@ -984,42 +969,27 @@ _LAH.compare("inverse triangle: signed entries, own recurrence, identity product
 
 @_LAH.identity("row polynomials obey the geometric lowering recurrence", cap=8)
 def _lah_lowering(size, rng):
-    for prog in _progressions(3):
-        tri = lahmod.lah_triangle(prog, size)
-        d = prog.d
-        for n in range(1, size + 1):
-            acc = _lowered(tri.row_polynomial(n), lambda k: (-d) ** (k - 1))
-            if acc != n * tri.row_polynomial(n - 1):
-                return f"{prog} n={n}: geometric lowering operator fails"
+    return _lowered(size, lahmod.lah_triangle, lambda d, k: (-d) ** (k - 1), "geometric lowering operator")
 
 
 @_LAH.identity("second-order raising and plain lowering recurrences (both signs)", cap=8)
 def _lah_raising(size, rng):
     x = Polynomial.x()
     for prog in _progressions(3):
-        tri = lahmod.lah_triangle(prog, size)
-        inv = lahmod.lah_inverse(prog, size)
-        d, a = prog.d, prog.a
+        # L^(-1) obeys the raising operator of L at (-d, -a)
+        twins = [(lahmod.lah_triangle(prog, size), prog.d, prog.a, "second-order"),
+                 (lahmod.lah_inverse(prog, size), -prog.d, -prog.a, "inverse")]
         for n in range(1, size + 1):
-            p = tri.row_polynomial(n - 1)
-            stepped = (
-                Polynomial([2 * a, 1]) * p
-                + Polynomial([a, 1]) * p.derivative() * (2 * d)
-                + x * p.derivative().derivative() * d**2
-            )
-            if stepped != tri.row_polynomial(n):
-                return f"{prog} n={n}: second-order raising operator fails"
-            q = inv.row_polynomial(n - 1)
-            stepped_inv = (
-                Polynomial([-2 * a, 1]) * q
-                - Polynomial([-a, 1]) * q.derivative() * (2 * d)
-                + x * q.derivative().derivative() * d**2
-            )
-            if stepped_inv != inv.row_polynomial(n):
-                return f"{prog} n={n}: inverse raising operator fails"
-            acc = _lowered(inv.row_polynomial(n), lambda k: d ** (k - 1))
-            if acc != n * inv.row_polynomial(n - 1):
-                return f"{prog} n={n}: inverse lowering operator fails"
+            for tri, d, a, kind in twins:
+                p = tri.row_polynomial(n - 1)
+                stepped = (
+                    Polynomial([2 * a, 1]) * p
+                    + Polynomial([a, 1]) * p.derivative() * (2 * d)
+                    + x * p.derivative().derivative() * d**2
+                )
+                if stepped != tri.row_polynomial(n):
+                    return f"{prog} n={n}: {kind} raising operator fails"
+    return _lowered(size, lahmod.lah_inverse, lambda d, k: d ** (k - 1), "inverse lowering operator")
 
 
 @_LAH.identity("a- and z-sequences match their closed forms", cap=8, low=1)
@@ -1115,12 +1085,3 @@ def run_suite(name: str, depth: int, include_printed_three_term: bool = False) -
         for entry in IDENTITIES
         if entry.suite == name and (include_printed_three_term or not entry.printed_three_term)
     ]
-
-
-def run_suites(
-    names: Iterable[str], depth: int, include_printed_three_term: bool = False
-) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(run_suite(name, depth, include_printed_three_term))
-    return results

@@ -30,7 +30,7 @@ EDGE = 2**64 - 1
 PROGRESSIONS = ((1, 0), (2, 1), (7, 5), (EDGE, EDGE))
 FORMATS = ("pretty", "csv", "json", "bfile")
 ROWS = (0, 1, 7, 64)
-DEPTHS = (1, 3, 4, 8, 12)
+DEPTHS = (1, 2, 3, 4, 8, 12)
 
 
 def commands() -> list[list[str]]:

@@ -237,18 +237,42 @@ class TestVerifyCommand:
         from apsums import cli as cli_module
         from apsums.verification import CheckResult
 
-        def fake_run_suites(names, depth, include_printed_three_term=False):
+        def fake_run_suite(name, depth, include_printed_three_term=False):
             return [
-                CheckResult("fps", "a healthy identity", True),
-                CheckResult("fps", "a broken identity", False, "entry (2,1): 5 != 7"),
+                CheckResult("fps", "a healthy identity", "ok"),
+                CheckResult("fps", "a broken identity", "FAIL", "entry (2,1): 5 != 7"),
             ]
 
-        monkeypatch.setattr(cli_module, "run_suites", fake_run_suites)
+        monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
         code, out, _ = run_cli(capsys, "verify", "--suite", "fps", "--explain")
         assert code == 1
         assert "FAIL  fps: a broken identity" in out
         assert "first mismatch: entry (2,1): 5 != 7" in out
         assert "1 failed" in out.splitlines()[-1]
+
+    def test_published_variant_that_agrees_is_a_failed_check(self, capsys, monkeypatch):
+        from apsums import lah
+
+        three_term = lah.lah_three_term
+
+        def corrected(prog, size, printed=False):
+            return three_term(prog, size)
+
+        monkeypatch.setattr(lah, "lah_three_term", corrected)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lah", "--depth", "3", "--explain",
+                                 "--include-printed-three-term")
+        lines = out.splitlines()
+        variant = "lah: published three-term variant reproduces the triangle at"
+        assert code == 1
+        for d, a in ((d, a) for d in range(1, 4) for a in range(d + 1)):
+            at = lines.index(f"{'ok' if d == 1 else 'FAIL':<6}{variant} d={d} a={a}")
+            if d >= 2:
+                assert lines[at + 1] == (
+                    "      first mismatch: variant unexpectedly agrees; the documented discrepancy is gone"
+                )
+        assert "xfail" not in out
+        assert lines[-1] == "checks: 15 total, 8 ok, 0 expected-fail, 7 failed (suite=lah, depth=3)"
+        assert err == ""
 
     @pytest.mark.parametrize("method", [name for name in powersum.METHOD_NAMES if name != "direct"])
     def test_broken_power_sum_route_is_named(self, capsys, monkeypatch, method):

@@ -104,16 +104,14 @@ def test_entry_size_overrides_keep_the_suite_rule():
 
 class TestRecords:
     def test_check_result(self):
-        result = CheckResult("s2", "rows", False, detail="row 3")
-        assert repr(result) == (
-            "CheckResult(suite='s2', name='rows', passed=False, detail='row 3', expected_fail=False)"
-        )
-        assert result == CheckResult(suite="s2", name="rows", passed=False, detail="row 3")
-        assert result != CheckResult("s2", "rows", False, "row 3", expected_fail=True)
-        assert not result.ok and CheckResult("s2", "rows", False, expected_fail=True).ok
-        assert hash(result) == hash(CheckResult("s2", "rows", False, "row 3"))
+        result = CheckResult("s2", "rows", "FAIL", detail="row 3")
+        assert repr(result) == "CheckResult(suite='s2', name='rows', status='FAIL', detail='row 3')"
+        assert result == CheckResult(suite="s2", name="rows", status="FAIL", detail="row 3")
+        assert result != CheckResult("s2", "rows", "xfail")
+        assert CheckResult("s2", "rows", "ok") == CheckResult("s2", "rows", "ok", "")
+        assert hash(result) == hash(CheckResult("s2", "rows", "FAIL", "row 3"))
         with pytest.raises(AttributeError):
-            result.detail = "row 4"
+            result.status = "ok"
 
     def test_size_rule(self):
         rule = _SizeRule(8, lead=1)
@@ -126,6 +124,8 @@ class TestRecords:
 
     def test_identity_entry(self):
         def check(size, rng):
+            if size == 6:
+                raise ZeroDivisionError("division by zero")
             return None if size < 4 else f"size {size}"
 
         entry = Identity("s2", "rows", check, _SizeRule(6))
@@ -139,8 +139,14 @@ class TestRecords:
         with pytest.raises(AttributeError):
             entry.name = "other"
         assert entry.label == "s2: rows"
-        assert entry.run(1) == CheckResult("s2", "rows", True)
-        assert entry.run(5) == CheckResult("s2", "rows", False, "size 5")
-        xfail = Identity("s2", "rows", check, _SizeRule(6), expected_fail=True).run(5)
-        assert xfail == CheckResult("s2", "rows", False, "", expected_fail=True)
-        assert xfail.ok
+        # Identity.run alone decides the status
+        variant = Identity("s2", "rows", check, _SizeRule(6), expected_fail=True)
+        assert entry.run(1) == CheckResult("s2", "rows", "ok")
+        assert entry.run(5) == CheckResult("s2", "rows", "FAIL", "size 5")
+        assert variant.run(5) == CheckResult("s2", "rows", "xfail")
+        assert variant.run(1) == CheckResult(
+            "s2", "rows", "FAIL", "variant unexpectedly agrees; the documented discrepancy is gone"
+        )
+        # a check that raises fails, expected-fail or not
+        for raising in (entry, variant):
+            assert raising.run(6) == CheckResult("s2", "rows", "FAIL", "ZeroDivisionError: division by zero")
