@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import Progression
 from .fps import Fps
-from .poly import Polynomial
+from .poly import Polynomial, _poly
 from .stirling import s2_triangle
 
 __all__ = [
@@ -145,8 +145,8 @@ def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
     B(d,a;n,x) = sum_m C(n,m) d^m B(m) (a+x)^(n-m),
 
     with (a+x)^(n-m) expanded binomially in int, summed over the numerators
-    of one table of B(0..n) and divided once per coefficient by its common
-    denominator.
+    of one table of B(0..n) and kept over its common denominator as the
+    polynomial's numerator pair, reduced once.
     """
     if n < 0:
         raise DomainError("degree must be non-negative")
@@ -159,7 +159,7 @@ def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
             for i, c in enumerate(shifted):
                 acc[i] += coeff * c
         shifted = [prog.a * lo + hi for lo, hi in zip([*shifted, 0], [0, *shifted])]
-    return Polynomial([Fraction(c, den) for c in acc])
+    return _poly(acc, den)
 
 
 def b_d_numbers(d: int, n_max: int) -> list[Fraction]:

@@ -2,10 +2,14 @@
 
 Every quantity in this package is an exact rational, never a float.  The
 integer triangle families (s2, s2hat, s2fac, s1phat, reu, lah, lahinv)
-come from integer recurrences and hold plain ``int``; everything else
-holds :class:`fractions.Fraction`, which keeps the canonical reduced
-form gcd(num, den) = 1 with den >= 1 that bit-exact comparison relies
-on.  An ``int`` equals the ``Fraction`` of the same value.  :func:`rational_str` gives the canonical text form
+come from integer recurrences and hold plain ``int``.  ``Fps`` and
+``Polynomial`` hold one canonical pair ``(nums, den)`` of integer
+numerators over one denominator, reduced by :func:`_reduced` with one
+multi-argument gcd, and hand out ``Fraction`` coefficients on demand.
+Every other value is a :class:`fractions.Fraction`, which keeps the
+canonical reduced form gcd(num, den) = 1 with den >= 1 that bit-exact
+comparison relies on, as the pairs do.  An ``int`` equals the ``Fraction``
+of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
 exporter uses it verbatim.  An ``int`` or a ``Fraction`` already prints
 that text through its own ``str`` (a ``Fraction`` is reduced with a
@@ -21,7 +25,7 @@ loads no ``dataclasses`` (and, through it, ``inspect``).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError
@@ -119,6 +123,9 @@ class Progression(_FrozenRecord):
         return self.a + self.d * j
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _exact(value: Fraction | int) -> Fraction:
     """``value`` as a ``Fraction``; only ``int`` (not ``bool``) and ``Fraction`` are exact."""
     if isinstance(value, Fraction):
@@ -128,10 +135,30 @@ def _exact(value: Fraction | int) -> Fraction:
     raise DomainError(f"exact scalar must be an int or a Fraction, got {value!r}")
 
 
+def _ratio(value: Fraction | int) -> tuple[int, int]:
+    """``(p, q)`` with ``value == p/q`` in lowest terms and q >= 1, under the
+    checks of :func:`_exact` but building no ``Fraction`` for an ``int``."""
+    if type(value) is int or type(value) is Fraction:
+        return value.as_integer_ratio()
+    return _exact(value).as_integer_ratio()
+
+
+def _exact_list(values: Iterable[Fraction | int]) -> tuple[list[Fraction | int], bool]:
+    """``values`` as a list of ``int`` and ``Fraction`` (any other value goes
+    through :func:`_exact`), and whether every entry is a ``Fraction``."""
+    coeffs = list(values)
+    kinds = set(map(type, coeffs))
+    if not kinds <= _EXACT_TYPES:
+        coeffs = [c if type(c) is int else _exact(c) for c in coeffs]
+        kinds = set(map(type, coeffs))
+    return coeffs, kinds == {Fraction}
+
+
 def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """Integer numerators over one common denominator: values[k] == nums[k] / den."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{q for _, q in ratios})
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _mul_ints(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
@@ -144,12 +171,16 @@ def _mul_ints(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     return out
 
 
-def _mul_coeffs(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Cauchy product of two coefficient lists, truncated at ``order``."""
-    na, da = _common_denominator(a[: order + 1])
-    nb, db = _common_denominator(b[: order + 1])
-    den = da * db
-    return [Fraction(c, den) for c in _mul_ints(na, nb, order)]
+def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair of the values nums[k] / den: den >= 1 and
+    gcd(den, *nums) = 1, reached with one multi-argument gcd.  ``den`` may
+    be negative but not zero."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([n // g for n in nums]), den // g
 
 
 def _terms(coeffs: Sequence[Fraction], var: str) -> str:

@@ -6,12 +6,23 @@ Binary operations truncate to the smaller operand order, so a coefficient
 is never fabricated: everything a series claims to know was computed from
 known input coefficients.
 
-Coefficients are ``Fraction``; a constructor accepts only ``int`` (not
-``bool``) and ``Fraction``.  The product (the Cauchy product in ``exact``,
-shared with ``Polynomial``), reciprocal, composition, exponential and
-power kernels bring each operand to integer numerators over one common
-denominator, sum in ``int`` and divide once per output coefficient.  The
-power runs J. C. P. Miller's recurrence directly, not through log and exp.
+A series is stored as one canonical pair ``(nums, den)`` of integer
+numerators over one denominator: coefficient k is nums[k] / den, with
+den >= 1 and gcd(den, *nums) = 1.  Equal series therefore hold equal
+pairs, and ``==`` and ``hash`` go through the pair.  Every kernel (the
+ring operations, reciprocal, composition, reversion, exp, log, pow, the
+shifts, the calculus and the factorial transforms) reads the pairs of its
+operands, sums in ``int`` and brings its result to canonical form with one
+multi-argument gcd; none builds a ``Fraction`` per coefficient.  The
+modules of this package that consume a series's numerators (``sheffer``)
+read the pair directly.
+
+The constructor accepts only ``int`` (not ``bool``) and ``Fraction``
+coefficients.  ``coefficients``, ``[k]`` and
+:meth:`~Fps.coefficient_times_factorial` return ``Fraction``, built on
+demand; a series constructed from ``Fraction`` coefficients keeps them, so
+printing it builds none.  The power runs J. C. P. Miller's recurrence
+directly, not through log and exp.
 
 Two conventions matter throughout:
 
@@ -29,7 +40,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import _common_denominator, _exact, _mul_coeffs, _mul_ints, _terms
+from .exact import _common_denominator, _exact_list, _mul_ints, _ratio, _reduced, _terms
 
 __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
 
@@ -37,35 +48,76 @@ __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
 DEFAULT_ORDER = 12
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+# A pair (nums, den) stands for the coefficients nums[k] / den.  The kernels
+# below return pairs that need not be canonical; ``_reduced`` makes them so.
+_Pair = tuple[Sequence[int], int]
 
 
-def _recip_coeffs(f: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Coefficients of 1/f up to ``order``; f[0] must be nonzero.
+def _sum(a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int = 1) -> _Pair:
+    """a/da + sign * b/db over the shorter of the two lengths."""
+    den = math.lcm(da, db)
+    ma, mb = den // da, sign * (den // db)
+    return [x * ma + y * mb for x, y in zip(a, b)], den
 
-    With f = nums/den, the integers r_k = out_k * c0^(k+1) / den (c0 = nums[0])
-    satisfy r_0 = 1 and r_k = -sum_j nums[j] * c0^(j-1) * r_(k-j).
+
+def _recip(nums: Sequence[int], den: int, order: int) -> _Pair:
+    """1/f up to ``order`` for f = nums/den; nums[0] must be nonzero.
+
+    With c0 = nums[0], the integers r_k = out_k * c0^(k+1) / den satisfy
+    r_0 = 1 and r_k = -sum_j nums[j] * c0^(j-1) * r_(k-j); over the common
+    denominator c0^(order+1), out_k has numerator den * r_k * c0^(order-k).
     """
-    nums, den = _common_denominator(f[: order + 1])
     c0 = nums[0]
-    weights = [nums[j] * c0 ** (j - 1) for j in range(1, len(nums))]
+    weights = [nums[j] * c0 ** (j - 1) for j in range(1, min(len(nums), order + 1))]
     r = [1]
     for _ in range(order):
         r.append(-sum(map(operator.mul, weights, reversed(r))))
-    out, power = [], 1
-    for rk in r:
+    power = den
+    for k in range(order, -1, -1):
+        r[k] *= power
         power *= c0
-        out.append(Fraction(den * rk, power))
-    return out
+    return r, power // den
+
+
+def _compose(nums: Sequence[int], den: int, gnums: Sequence[int], gden: int, order: int) -> _Pair:
+    """f(g) up to ``order`` for f = nums/den, g = gnums/gden; g[0] must be zero.
+
+    Coefficients of f beyond ``order`` cannot reach down to it because g
+    starts at t^1, so they are skipped.  Horner runs on the numerators:
+    after the step for k, acc / (den * gden^(top-k)) = sum_(i>=k) f_i g^(i-k).
+    """
+    top = min(len(nums) - 1, order)
+    acc = [nums[top]] + [0] * order
+    scale = 1
+    for k in range(top - 1, -1, -1):
+        acc = _mul_ints(gnums, acc, order)
+        scale *= gden
+        acc[0] += nums[k] * scale
+    return acc, den * scale
+
+
+def _integral(nums: Sequence[int], den: int) -> _Pair:
+    """Antiderivative with constant term 0, over den * lcm(1..len(nums))."""
+    lcm = math.lcm(*range(1, len(nums) + 1))
+    return [0] + [c * (lcm // k) for k, c in enumerate(nums, start=1)], den * lcm
+
+
+def _fps(nums: Sequence[int], den: int) -> Fps:
+    """The series with coefficients nums[k] / den, in canonical form."""
+    series = object.__new__(Fps)
+    series._nums, series._den = _reduced(nums, den)
+    series._fracs = None
+    return series
 
 
 class Fps:
     """A formal power series truncated at an explicit order."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_fracs")
 
     def __init__(self, coefficients: Iterable[Fraction | int], order: int | None = None):
-        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
+        coeffs, all_fractions = _exact_list(coefficients)
         if order is not None:
             if order < 0:
                 raise DomainError(f"order must be non-negative, got {order}")
@@ -75,7 +127,10 @@ class Fps:
                 coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise DomainError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(coeffs)
+        # reduced inputs over their least common denominator are already canonical
+        nums, self._den = _common_denominator(coeffs)
+        self._nums = tuple(nums)
+        self._fracs = tuple(coeffs) if all_fractions else None
 
     # -- construction helpers -------------------------------------------------
 
@@ -103,89 +158,86 @@ class Fps:
         >>> print(Fps.exp_of(2, 3))
         1 + 2*t + 2*t^2 + 4/3*t^3 ; order=3
         """
-        rate = _exact(rate)
-        p, q = rate.numerator, rate.denominator
-        out, num, den = [], 1, 1
-        for n in range(order + 1):
-            out.append(Fraction(num, den))
-            num *= p
-            den *= q * (n + 1)
-        return cls(out)
+        return cls.geometric(rate, order).ogf_to_egf()
 
     @classmethod
     def geometric(cls, ratio: Fraction | int, order: int) -> Fps:
         """1/(1 - ratio*t): coefficients ratio^n."""
-        ratio = _exact(ratio)
-        out, term = [], _ONE
-        for _ in range(order + 1):
-            out.append(term)
-            term *= ratio
-        return cls(out)
+        p, q = _ratio(ratio)
+        return _fps([p**n * q ** (order - n) for n in range(order + 1)], q**order)
 
     # -- basic accessors ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        if self._fracs is None:
+            den = self._den
+            self._fracs = tuple([Fraction(c, den) for c in self._nums])
+        return self._fracs
 
-    def __getitem__(self, k: int) -> Fraction:
+    def _numerator(self, k: int) -> int:
         if k < 0:
             raise DomainError("coefficient index must be non-negative")
         if k > self.order:
             raise DomainError(f"coefficient {k} beyond retained order {self.order}")
-        return self._coeffs[k]
+        return self._nums[k]
+
+    def __getitem__(self, k: int) -> Fraction:
+        num = self._numerator(k)
+        return Fraction(num, self._den) if self._fracs is None else self._fracs[k]
 
     def coefficient_times_factorial(self, n: int) -> Fraction:
         """n! * [t^n], the e.g.f. reading of coefficient n."""
-        return self[n] * math.factorial(n)
+        return Fraction(self._numerator(n) * math.factorial(n), self._den)
 
     def truncated(self, order: int) -> Fps:
         if order > self.order:
             raise DomainError(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
-        return Fps(self._coeffs[: order + 1])
+        return _fps(self._nums[: order + 1], self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fps):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Fps({list(self._coeffs)!r})"
+        return f"Fps({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        return _terms(self._coeffs, "t") + f" ; order={self.order}"
+        return _terms(self.coefficients, "t") + f" ; order={self.order}"
 
     # -- ring operations ------------------------------------------------------
 
-    def _binary_order(self, other: Fps) -> int:
-        return min(self.order, other.order)
+    def _plus(self, other: Fps | Fraction | int, sign: int) -> Fps:
+        """self + sign * other."""
+        if isinstance(other, Fps):
+            return _fps(*_sum(self._nums, self._den, other._nums, other._den, sign))
+        p, q = _ratio(other)
+        den = math.lcm(self._den, q)
+        scale = den // self._den
+        nums = [c * scale for c in self._nums]
+        nums[0] += sign * p * (den // q)
+        return _fps(nums, den)
 
     def __add__(self, other: Fps | Fraction | int) -> Fps:
-        if not isinstance(other, Fps):
-            coeffs = list(self._coeffs)
-            coeffs[0] += _exact(other)
-            return Fps(coeffs)
-        order = self._binary_order(other)
-        return Fps([self._coeffs[k] + other._coeffs[k] for k in range(order + 1)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Fps:
-        return Fps([-c for c in self._coeffs])
+        return _fps([-c for c in self._nums], self._den)
 
     def __sub__(self, other: Fps | Fraction | int) -> Fps:
-        if not isinstance(other, Fps):
-            other = _exact(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Fraction | int) -> Fps:
         return -self + other
@@ -193,27 +245,27 @@ class Fps:
     def __mul__(self, other: Fps | Fraction | int) -> Fps:
         if not isinstance(other, Fps):
             return self.scale(other)
-        order = self._binary_order(other)
-        return Fps(_mul_coeffs(self._coeffs, other._coeffs, order))
+        order = min(self.order, other.order)
+        return _fps(_mul_ints(self._nums, other._nums, order), self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, factor: Fraction | int) -> Fps:
-        factor = _exact(factor)
-        return Fps([c * factor for c in self._coeffs])
+        p, q = _ratio(factor)
+        return _fps([c * p for c in self._nums], self._den * q)
 
     def reciprocal(self) -> Fps:
         """Multiplicative inverse; requires a nonzero constant term."""
-        if self._coeffs[0] == 0:
+        if self._nums[0] == 0:
             raise DomainError("series with zero constant term has no reciprocal")
-        return Fps(_recip_coeffs(self._coeffs, self.order))
+        return _fps(*_recip(self._nums, self._den, self.order))
 
     def __truediv__(self, other: Fps | Fraction | int) -> Fps:
         if not isinstance(other, Fps):
-            divisor = _exact(other)
-            if divisor == 0:
+            p, q = _ratio(other)
+            if p == 0:
                 raise DomainError("division of a series by zero")
-            return self.scale(1 / divisor)
+            return _fps([c * q for c in self._nums], self._den * p)
         return self * other.reciprocal()
 
     # -- shifts and transforms ------------------------------------------------
@@ -222,7 +274,7 @@ class Fps:
         """Multiply by t^k, keeping the order (top coefficients fall off)."""
         if k < 0:
             raise DomainError("shift must be non-negative")
-        return Fps(([_ZERO] * k + list(self._coeffs)), order=self.order)
+        return _fps(([0] * k + list(self._nums))[: self.order + 1], self._den)
 
     def shifted_down(self, k: int = 1) -> Fps:
         """Divide by t^k; the k lowest coefficients must be zero."""
@@ -230,37 +282,52 @@ class Fps:
             raise DomainError("shift must be non-negative")
         if k > self.order:
             raise DomainError("cannot shift below the constant term")
-        if any(c != 0 for c in self._coeffs[:k]):
+        if any(self._nums[:k]):
             raise DomainError("shifted_down requires the low coefficients to vanish")
-        return Fps(self._coeffs[k:])
+        return _fps(self._nums[k:], self._den)
 
     def derivative(self) -> Fps:
         """Coefficient-wise k*c_k shifted down; the order drops by one."""
         if self.order == 0:
             raise DomainError("derivative of an order-0 series retains no coefficients")
-        return Fps([k * self._coeffs[k] for k in range(1, self.order + 1)])
+        nums = self._nums
+        return _fps([k * nums[k] for k in range(1, len(nums))], self._den)
 
     def integral(self) -> Fps:
         """Antiderivative with constant term 0; the order grows by one."""
-        out = [_ZERO]
-        out.extend(self._coeffs[k] / (k + 1) for k in range(self.order + 1))
-        return Fps(out)
+        return _fps(*_integral(self._nums, self._den))
 
     def ogf_to_egf(self) -> Fps:
-        """Divide coefficient n by n! (o.g.f. -> e.g.f. reading)."""
-        return Fps([c / math.factorial(n) for n, c in enumerate(self._coeffs)])
+        """Divide coefficient n by n! (o.g.f. -> e.g.f. reading).
+
+        Over the denominator den * N!, coefficient n has numerator
+        nums[n] * N!/n!, built from the top down.
+        """
+        out = list(self._nums)
+        scale = 1
+        for n in range(self.order, 0, -1):
+            out[n] *= scale
+            scale *= n
+        out[0] *= scale
+        return _fps(out, self._den * scale)
 
     def egf_to_ogf(self) -> Fps:
         """Multiply coefficient n by n! (e.g.f. -> o.g.f. reading)."""
-        return Fps([c * math.factorial(n) for n, c in enumerate(self._coeffs)])
+        out = list(self._nums)
+        scale = 1
+        for n in range(2, len(out)):
+            scale *= n
+            out[n] *= scale
+        return _fps(out, self._den)
 
     # -- composition, reversion, transcendental maps ---------------------------
 
     def compose(self, inner: Fps) -> Fps:
         """self(inner(t)); the inner constant term must vanish."""
-        if inner._coeffs[0] != 0:
+        if inner._nums[0] != 0:
             raise DomainError("inner series must have zero constant term")
-        return Fps(_compose_coeffs(self._coeffs, inner._coeffs, self._binary_order(inner)))
+        order = min(self.order, inner.order)
+        return _fps(*_compose(self._nums, self._den, inner._nums, inner._den, order))
 
     def reverse(self) -> Fps:
         """Compositional inverse, by order-doubling Newton iteration.
@@ -268,53 +335,62 @@ class Fps:
         Requires a simple zero at the origin (c0 = 0, c1 != 0).  Each pass
         computes g <- g - (f(g) - t)/f'(g); the quotient's top coefficient
         only ever multiplies the residue's zero constant term, so padding
-        the derivative by one slot cannot contaminate the result.
+        the derivative by one slot cannot contaminate the result.  Every
+        intermediate is a canonical pair.
 
         >>> print((Fps.exp_of(1, 4) - 1).reverse())   # log(1+t)
         0 + 1*t + -1/2*t^2 + 1/3*t^3 + -1/4*t^4 ; order=4
         """
-        c = self._coeffs
-        if self.order < 1 or c[0] != 0 or c[1] == 0:
+        c, den, order = self._nums, self._den, self.order
+        if order < 1 or c[0] != 0 or c[1] == 0:
             raise DomainError("reversion needs c0 = 0 and c1 != 0")
-        order = self.order
-        fprime = [Fraction(k) * c[k] for k in range(1, order + 1)]
-        fprime.append(_ZERO)  # padding; see docstring
-        g = [_ZERO, 1 / c[1]] + [_ZERO] * (order - 1)
-        identity = [_ZERO, _ONE] + [_ZERO] * (order - 1)
+        fprime = [k * c[k] for k in range(1, order + 1)]
+        fprime.append(0)  # padding; see docstring
+        g, gden = _reduced([0, den] + [0] * (order - 1), c[1])
         for _ in range(order.bit_length() + 2):
-            fg = _compose_coeffs(self._coeffs, g, order)
-            residue = [fg[k] - identity[k] for k in range(order + 1)]
-            if all(r == 0 for r in residue):
-                return Fps(g)
-            dfg = _compose_coeffs(fprime, g, order)
-            correction = _mul_coeffs(residue, _recip_coeffs(dfg, order), order)
-            g = [g[k] - correction[k] for k in range(order + 1)]
+            residue, rden = _compose(c, den, g, gden, order)
+            residue[1] -= rden  # f(g) - t
+            if not any(residue):
+                return _fps(g, gden)
+            slope, sden = _reduced(*_compose(fprime, den, g, gden, order))
+            inv, iden = _reduced(*_recip(slope, sden, order))
+            step, step_den = _reduced(_mul_ints(residue, inv, order), rden * iden)
+            g, gden = _reduced(*_sum(g, gden, step, step_den, -1))
         raise AssertionError("Newton reversion failed to converge")  # pragma: no cover
 
     def log(self) -> Fps:
         """log(self) = integral(self'/self); requires constant term 1."""
-        if self._coeffs[0] != 1:
+        nums, den, order = self._nums, self._den, self.order
+        if nums[0] != den:
             raise DomainError("series logarithm needs constant term 1")
-        if self.order == 0:
+        if order == 0:
             return Fps.zero(0)
-        return (self.derivative() * self.reciprocal().truncated(self.order - 1)).integral()
+        slope = self.derivative()
+        inv, iden = _recip(nums, den, order - 1)
+        return _fps(*_integral(_mul_ints(slope._nums, inv, order - 1), slope._den * iden))
 
     def exp(self) -> Fps:
         """exp(self); requires constant term 0.
 
         Solves E' = E*self' coefficient-wise, which keeps the full order.
+        With c = nums/den and N = order, v_k = out_k * den^k * N! satisfies
+        k * v_k = sum_j j * nums[j] * den^(j-1) * v_(k-j).  It is an integer,
+        since out_k sums products of at most k coefficients over m! with
+        m <= k.  Over the denominator den^N * N!, out_k has numerator
+        v_k * den^(N-k).
         """
-        if self._coeffs[0] != 0:
+        nums, den, order = self._nums, self._den, self.order
+        if nums[0] != 0:
             raise DomainError("series exponential needs constant term 0")
-        # With c = nums/den and N = order, v_k = out_k * den^k * N! satisfies
-        # k * v_k = sum_j j * nums[j] * den^(j-1) * v_(k-j).  It is an integer,
-        # since out_k sums products of at most k coefficients over m! with m <= k.
-        nums, den = _common_denominator(self._coeffs)
-        weights = [j * nums[j] * den ** (j - 1) for j in range(1, len(nums))]
-        v = [math.factorial(self.order)]
-        for k in range(1, self.order + 1):
+        weights = [j * nums[j] * den ** (j - 1) for j in range(1, order + 1)]
+        v = [math.factorial(order)]
+        for k in range(1, order + 1):
             v.append(sum(map(operator.mul, weights, reversed(v))) // k)
-        return Fps([Fraction(vk, den**k * v[0]) for k, vk in enumerate(v)])
+        power = 1
+        for k in range(order, -1, -1):
+            v[k] *= power
+            power *= den
+        return _fps(v, power // den * math.factorial(order))
 
     def pow(self, exponent: Fraction | int) -> Fps:
         """self**exponent = exp(exponent * log(self)) for rational exponents.
@@ -327,52 +403,35 @@ class Fps:
 
         With f = nums/den and e = p/q, w_k = h_k * (den*q)^k * k! is an
         integer, and w_k = sum_j ((p + q) * j - k*q) * nums_j * (den*q)^(j-1)
-        * (k-1)!/(k-j)! * w_(k-j), so the loop runs in ``int`` and each
-        coefficient is divided once.
+        * (k-1)!/(k-j)! * w_(k-j), so the loop runs in ``int``.  Over the
+        denominator (den*q)^N * N!, h_k has numerator w_k * (den*q)^(N-k) * N!/k!.
 
         >>> print(Fps([1, -4], order=3).pow(Fraction(-1, 2)))   # central binomials
         1 + 2*t + 6*t^2 + 20*t^3 ; order=3
         """
-        if self._coeffs[0] != 1:
+        nums, den, order = self._nums, self._den, self.order
+        if nums[0] != den:
             raise DomainError("fractional power needs constant term 1")
-        exponent = _exact(exponent)
-        p, q = exponent.numerator, exponent.denominator
-        nums, den = _common_denominator(self._coeffs)
+        p, q = _ratio(exponent)
         step = den * q
-        weights = [nums[j] * step ** (j - 1) for j in range(1, len(nums))]
+        weights = [nums[j] * step ** (j - 1) for j in range(1, order + 1)]
         linear = [(p + q) * j * wj for j, wj in enumerate(weights, start=1)]
         constant = [q * wj for wj in weights]
         # history[i] = w_i * (k-1)!/i! for i < k, at the start of step k
         history = [1]
-        out, scale = [_ONE], 1
-        for k in range(1, self.order + 1):
+        w = [1]
+        for k in range(1, order + 1):
             past = history[::-1]
             wk = sum(map(operator.mul, linear, past)) - k * sum(map(operator.mul, constant, past))
-            scale *= step * k
-            out.append(Fraction(wk, scale))
+            w.append(wk)
             history = [k * hi for hi in history]
             history.append(wk)
-        return Fps(out)
-
-
-def _compose_coeffs(outer: Sequence[Fraction], g: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Horner composition of coefficient lists; g[0] is assumed zero.
-
-    Outer coefficients beyond ``order`` cannot reach down to it because g
-    starts at t^1, so they are skipped.  Horner runs on integer numerators:
-    after the step for k, acc / (den * gden^(top-k)) = sum_(i>=k) outer_i g^(i-k).
-    """
-    top = min(len(outer) - 1, order)
-    nums, den = _common_denominator(outer[: top + 1])
-    gnums, gden = _common_denominator(g[: order + 1])
-    acc = [nums[top]] + [0] * order
-    scale = 1
-    for k in range(top - 1, -1, -1):
-        acc = _mul_ints(gnums, acc, order)
-        scale *= gden
-        acc[0] += nums[k] * scale
-    den *= scale
-    return [Fraction(c, den) for c in acc]
+        scale = 1
+        for k in range(order, 0, -1):
+            w[k] *= scale
+            scale *= step * k
+        w[0] *= scale
+        return _fps(w, scale)
 
 
 def reverse_coefficient_lagrange(f: Fps, n: int, k: int = 1) -> Fraction:

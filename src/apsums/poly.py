@@ -6,35 +6,70 @@ trimmed canonical form, and evaluation is exact.  Row polynomials of the
 number triangles, the Bernoulli polynomials and the factorial-basis
 polynomials all live here.
 
-Coefficients are ``Fraction``; the constructor accepts only ``int`` (not
-``bool``) and ``Fraction``.  The product is the Cauchy product in ``exact``
-that ``Fps`` shares: both factors go to integer numerators over one common
-denominator, sum in ``int`` and divide once per output coefficient.
+A polynomial is stored as one canonical pair ``(nums, den)`` of integer
+numerators over one denominator, as ``Fps`` is: coefficient k is
+nums[k] / den, with den >= 1, gcd(den, *nums) = 1 and no trailing zero
+numerator (the zero polynomial is ``((), 1)``).  Equal polynomials hold
+equal pairs.  Sum, product (the integer Cauchy product in ``exact`` that
+``Fps`` shares), scaling, derivative, shift and evaluation work on the
+pairs in ``int`` and reduce once.  The constructor accepts only ``int``
+(not ``bool``) and ``Fraction``; ``coefficients`` and ``[k]`` return
+``Fraction``, built on demand unless the constructor was given them.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression, _common_denominator, _exact, _mul_coeffs, _terms
+from .exact import Progression, _common_denominator, _exact_list, _mul_ints, _ratio, _reduced, _terms
 
 __all__ = ["Polynomial", "fallfac_poly", "risefac_poly"]
 
 _ZERO = Fraction(0)
 
 
+def _poly(nums: list[int], den: int) -> Polynomial:
+    """The polynomial with coefficients nums[k] / den, trimmed and in canonical form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    poly = object.__new__(Polynomial)
+    poly._nums, poly._den = _reduced(nums, den)
+    poly._fracs = None
+    return poly
+
+
 class Polynomial:
     """Coefficient vector indexed by exponent, trailing zeros trimmed."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_fracs")
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
+        coeffs, all_fractions = _exact_list(coefficients)
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        if all_fractions:
+            # the pair waits for its first use (see __getattr__), so a
+            # polynomial that is only printed never computes it
+            self._fracs = tuple(coeffs)
+        else:
+            self._set_pair(coeffs)
+            self._fracs = None
+
+    def _set_pair(self, coeffs: list[Fraction | int] | tuple[Fraction, ...]) -> None:
+        # reduced inputs over their least common denominator are already canonical
+        nums, self._den = _common_denominator(coeffs)
+        self._nums = tuple(nums)
+
+    def __getattr__(self, name: str) -> object:
+        """The pair of a polynomial built from ``Fraction`` coefficients, on
+        first use; reached only while its slots are unset."""
+        if name != "_nums" and name != "_den":
+            raise AttributeError(name)
+        self._set_pair(self._fracs)
+        return getattr(self, name)
 
     @classmethod
     def constant(cls, value: Fraction | int) -> Polynomial:
@@ -52,64 +87,79 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        if self._fracs is None:
+            den = self._den
+            self._fracs = tuple([Fraction(c, den) for c in self._nums])
+        return self._fracs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0:
             raise DomainError("exponent must be non-negative")
-        return self._coeffs[k] if k < len(self._coeffs) else _ZERO
+        if k >= len(self._nums):
+            return _ZERO
+        return Fraction(self._nums[k], self._den) if self._fracs is None else self._fracs[k]
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        return _terms(self._coeffs, "x") if self._coeffs else "0"
+        coeffs = self.coefficients
+        return _terms(coeffs, "x") if coeffs else "0"
+
+    def _plus(self, other: Polynomial | Fraction | int, sign: int) -> Polynomial:
+        """self + sign * other, over the lcm of the two denominators."""
+        if isinstance(other, Polynomial):
+            b, db = other._nums, other._den
+        else:
+            p, db = _ratio(other)
+            b = (p,)
+        a, da = self._nums, self._den
+        den = math.lcm(da, db)
+        scale, other_scale = den // da, sign * (den // db)
+        out = [c * scale for c in a]
+        out.extend([0] * (len(b) - len(a)))
+        for k, c in enumerate(b):
+            out[k] += c * other_scale
+        return _poly(out, den)
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
+        return _poly([-c for c in self._nums], self._den)
 
     def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = _exact(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Fraction | int) -> Polynomial:
         return -self + other
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if not isinstance(other, Polynomial):
-            other = _exact(other)
-            return Polynomial([c * other for c in self._coeffs])
-        return Polynomial(_mul_coeffs(self._coeffs, other._coeffs, self.degree + other.degree))
+            p, q = _ratio(other)
+            return _poly([c * p for c in self._nums], self._den * q)
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return Polynomial()
+        return _poly(_mul_ints(a, b, len(a) + len(b) - 2), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -126,30 +176,39 @@ class Polynomial:
         return out
 
     def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation, on integers: with x = p/q and the
-        coefficients as nums[k]/den, the value is sum nums[k] p^k q^(deg-k)
-        over den q^deg."""
-        x = _exact(x)
-        if not self._coeffs:
+        """Exact Horner evaluation, on integers: with x = p/q the value is
+        sum nums[k] p^k q^(deg-k) over den q^deg."""
+        p, q = _ratio(x)
+        if not self._nums:
             return _ZERO
-        nums, den = _common_denominator(self._coeffs)
-        p, q = x.numerator, x.denominator
         acc, q_power = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self._nums):
             acc = acc * p + c * q_power
             q_power *= q
-        return Fraction(acc, den * q_power // q)
+        return Fraction(acc, self._den * q_power // q)
 
     def derivative(self) -> Polynomial:
-        return Polynomial([k * self._coeffs[k] for k in range(1, len(self._coeffs))])
+        nums = self._nums
+        return _poly([k * nums[k] for k in range(1, len(nums))], self._den)
 
     def shifted(self, c: Fraction | int) -> Polynomial:
-        """The polynomial p(x + c)."""
-        shift = Polynomial([_exact(c), 1])
-        acc = Polynomial()
-        for coeff in reversed(self._coeffs):
-            acc = acc * shift + coeff
-        return acc
+        """The polynomial p(x + c).
+
+        With c = p/q, Horner on the numerators builds
+        acc = sum_k nums[k] (p + q x)^k q^(deg-k), and p(x + c) = acc / (den q^deg).
+        """
+        p, q = _ratio(c)
+        nums = self._nums
+        if not nums:
+            return self
+        acc = [nums[-1]]
+        q_power = 1
+        for coeff in reversed(nums[:-1]):
+            q_power *= q
+            # acc * (p + q x), then the next coefficient
+            acc = [p * lo + q * hi for lo, hi in zip([*acc, 0], [0, *acc])]
+            acc[0] += coeff * q_power
+        return _poly(acc, self._den * q_power)
 
 
 def fallfac_poly(prog: Progression, m: int) -> Polynomial:

@@ -11,9 +11,10 @@ and the triangle of a product is the matrix product of the triangles.
 
 :class:`Triangle` is the materialized N x N array.  It holds entries and
 nothing else, so triangles built along different routes compare equal
-exactly when their entries do.  The triangle product, the triangle
-inverse and the pair materialization bring their operands to integer
-numerators over one common denominator, sum in ``int`` and divide once per
+exactly when their entries do.  The triangle product and the triangle
+inverse bring their operands to integer numerators over one common
+denominator, and the pair materialization reads the numerator pairs that
+its two series already store; all three sum in ``int`` and divide once per
 entry.
 """
 
@@ -192,9 +193,9 @@ class ShefferPair(_FrozenRecord):
     __slots__ = ("g", "f")
 
     def __init__(self, g: Fps, f: Fps) -> None:
-        if g[0] == 0:
+        if g._nums[0] == 0:
             raise DomainError("g must have a nonzero constant term")
-        if f.order < 1 or f[0] != 0 or f[1] == 0:
+        if f.order < 1 or f._nums[0] != 0 or f._nums[1] == 0:
             raise DomainError("f must have a simple zero at the origin")
         self._set(g, f)
 
@@ -210,8 +211,8 @@ class ShefferPair(_FrozenRecord):
             raise DomainError(
                 f"series order {self.order} too small for a size-{size} triangle"
             )
-        column, den = _common_denominator(self.g.coefficients[: size + 1])
-        f, f_den = _common_denominator(self.f.coefficients[: size + 1])
+        column, den = self.g._nums[: size + 1], self.g._den
+        f, f_den = self.f._nums, self.f._den
         rows = [[_ZERO] * (n + 1) for n in range(size + 1)]
         for m in range(size + 1):
             if m > 0:
@@ -246,7 +247,7 @@ class ShefferPair(_FrozenRecord):
             raise DomainError(
                 f"series order {self.order} too small for a/z sequences at order {order}"
             )
-        if self.g[0] != 1:
+        if self.g._nums[0] != self.g._den:
             raise DomainError("a/z sequences need g(0) = 1")
         finv = self.f.truncated(order + 1).reverse()
         a_seq = finv.shifted_down(1).reciprocal()

@@ -250,6 +250,7 @@ coefficient = stn.one_of(
     stn.fractions(min_value=-9, max_value=9, max_denominator=12),
     stn.builds(F, stn.integers(-(10**30), 10**30), stn.sampled_from(LARGE_PRIMES)),
 )
+scalar = stn.one_of(coefficient, stn.integers(-(10**20), 10**20))
 # runs of zeros between single coefficients
 chunk = stn.one_of(coefficient.map(lambda c: [c]), stn.integers(1, 5).map(lambda n: [F(0)] * n))
 
@@ -280,6 +281,17 @@ def schoolbook_power_sum(outer, inner, order, weight):
         out = [o + weight(k) * outer[k] * p for o, p in zip(out, power)]
         power = schoolbook_mul(power, inner, order)
     return out
+
+
+def schoolbook_reverse(f):
+    """g with f(g) = t, one coefficient at a time: once g_n is set to 0,
+    [t^n] f(g) holds every term but f_1 g_n; f[0] must be 0 and f[1] nonzero."""
+    order = len(f) - 1
+    g = [F(0)] * (order + 1)
+    g[1] = 1 / f[1]
+    for n in range(2, order + 1):
+        g[n] = -schoolbook_power_sum(f, g, order, lambda k: 1)[n] / f[1]
+    return g
 
 
 def exact_fractions(f):
@@ -335,6 +347,119 @@ class TestIntegerKernelsAgainstSchoolbook:
         result = Fps(inner).exp()
         assert result.coefficients == tuple(expected)
         assert exact_fractions(result)
+
+    @given(coefficient_lists(12), coefficient_lists(12))
+    def test_sum_and_difference(self, a, b):
+        total, difference = Fps(a) + Fps(b), Fps(a) - Fps(b)
+        assert total.coefficients == tuple(x + y for x, y in zip(a, b))
+        assert difference.coefficients == tuple(x - y for x, y in zip(a, b))
+        assert (-Fps(a)).coefficients == tuple(-x for x in a)
+        assert exact_fractions(total) and exact_fractions(difference)
+
+    @given(coefficient_lists(12), scalar)
+    def test_scalar_operations(self, a, c):
+        f = Fps(a)
+        assert (f + c).coefficients == (a[0] + c, *a[1:])
+        assert (c - f).coefficients == (c - a[0], *(-x for x in a[1:]))
+        assert f.scale(c).coefficients == tuple(x * c for x in a)
+        assert (c * f).coefficients == tuple(x * c for x in a)
+        if c:
+            assert (f / c).coefficients == tuple(x / c for x in a)
+        assert exact_fractions(f + c) and exact_fractions(f.scale(c))
+
+    @given(coefficient_lists(12), stn.integers(0, 14))
+    def test_shifts(self, a, k):
+        up = Fps(a).shifted_up(k)
+        assert up.coefficients == tuple(([F(0)] * k + a)[: len(a)])
+        down = Fps([F(0)] * k + a).shifted_down(k)
+        assert down.coefficients == tuple(a)
+        assert exact_fractions(up) and exact_fractions(down)
+
+    @given(coefficient_lists(12), stn.integers(0, 11))
+    def test_truncated(self, a, k):
+        k = min(k, len(a) - 1)
+        assert Fps(a).truncated(k).coefficients == tuple(a[: k + 1])
+        assert exact_fractions(Fps(a).truncated(k))
+
+    @given(coefficient, coefficient_lists(11))
+    def test_derivative(self, c0, rest):
+        a = [c0] + rest
+        derivative = Fps(a).derivative()
+        assert derivative.coefficients == tuple(k * a[k] for k in range(1, len(a)))
+        assert exact_fractions(derivative)
+
+    @given(coefficient_lists(12))
+    def test_integral(self, a):
+        integral = Fps(a).integral()
+        assert integral.coefficients == (F(0), *(c / (k + 1) for k, c in enumerate(a)))
+        assert exact_fractions(integral)
+
+    @given(coefficient_lists(12))
+    def test_factorial_transforms(self, a):
+        egf, ogf = Fps(a).ogf_to_egf(), Fps(a).egf_to_ogf()
+        assert egf.coefficients == tuple(c / math.factorial(n) for n, c in enumerate(a))
+        assert ogf.coefficients == tuple(c * math.factorial(n) for n, c in enumerate(a))
+        assert exact_fractions(egf) and exact_fractions(ogf)
+
+    @given(scalar, stn.integers(0, 12))
+    def test_exp_of_and_geometric(self, rate, order):
+        powers = [F(rate) ** n for n in range(order + 1)]
+        assert Fps.geometric(rate, order).coefficients == tuple(powers)
+        assert Fps.exp_of(rate, order).coefficients == tuple(c / math.factorial(n) for n, c in enumerate(powers))
+
+    @given(coefficient.filter(bool), coefficient_lists(7))
+    @example(F(1), [F(1)])
+    @example(F(-2, 3), [F(0), F(0), F(5, 2**61 - 1)])
+    def test_reverse(self, c1, rest):
+        f = [F(0), c1] + rest
+        inverse = Fps(f).reverse()
+        assert inverse.coefficients == tuple(schoolbook_reverse(f))
+        assert exact_fractions(inverse)
+
+
+class TestCanonicalForm:
+    """Equal values built along different routes hold one pair: equal and equally hashed."""
+
+    @staticmethod
+    def same(f, g):
+        return f == g and hash(f) == hash(g)
+
+    def test_int_and_fraction_input(self):
+        assert self.same(Fps([1, 2], order=3), Fps([F(1), F(2), F(0)], order=3))
+        assert self.same(Fps([F(4, 2), -3]), Fps([2, F(-6, 2)]))
+        assert self.same(Fps.zero(2), Fps([F(0), 0, F(0, 5)]))
+
+    def test_constructor_and_kernels(self):
+        assert self.same(Fps([1, 1], order=2) * Fps([1, -1], order=2), Fps([1, 0, -1]))
+        assert self.same(Fps([2, 4], order=3).scale(F(1, 2)), Fps([1, 2], order=3))
+        assert self.same(Fps([F(1, 3), F(2, 3)]) * 3, Fps([1, 2]))
+        assert self.same(Fps([F(1, 2), F(1, 2)]) + Fps([F(1, 2), F(-1, 2)]), Fps([1, 0]))
+        assert self.same(Fps([0, 2], order=3).shifted_down(1), Fps([2, 0, 0]))
+
+    @given(coefficient_lists(9), coefficient.filter(bool))
+    def test_round_trips(self, a, c):
+        f = Fps(a)
+        assert self.same(f.scale(c).scale(1 / c), f)
+        assert self.same((f + c) - c, f)
+        assert self.same(f.ogf_to_egf().egf_to_ogf(), f)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Fps([1, 2, 3]), lambda: Fps([1, 2]) * Fps([3, 4]), lambda: Fps([0, 2]).reverse(),
+        lambda: Fps([1, F(1, 2)]).pow(3), lambda: Fps([F(1, 3), F(-5, 6)]) / 4,
+    ])
+    def test_public_values_are_fractions(self, build):
+        # [k] and coefficient_times_factorial are read before coefficients caches the tuple
+        f = build()
+        values = [f[k] for k in range(f.order + 1)]
+        scaled = [f.coefficient_times_factorial(k) for k in range(f.order + 1)]
+        assert all(type(c) is Fraction for c in [*values, *scaled, *f.coefficients])
+        assert values == list(f.coefficients)
+        assert scaled == [math.factorial(k) * c for k, c in enumerate(f.coefficients)]
+
+    def test_fraction_input_is_kept(self):
+        coeffs = [F(1, 3), F(0), F(-7, 2)]
+        f = Fps(coeffs)
+        assert all(kept is given for kept, given in zip(f.coefficients, coeffs))
 
 
 class TestExactScalarsOnly:
