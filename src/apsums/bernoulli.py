@@ -11,8 +11,9 @@ and generalized Faulhaber formulas in ``powersum``) add in ``int`` and
 reduce each output value to a ``Fraction`` exactly once.
 The defining recursion survives only as the verifier's independent
 cross-check.  The two-parameter numbers B(d,a;n) arise from an
-alternating factorial-weighted sum over the S2[d,a] row, or equivalently
-from the binomial a/d expansion of the ordinary numbers.  The
+alternating factorial-weighted sum over the S2[d,a] row (``b_gen``, which
+also sums in ``int``, over lcm(1..n+1), and divides once), or
+equivalently from the binomial a/d expansion of the ordinary numbers.  The
 one-parameter family B(d;n) = d^n B(n), whose polynomials drive the
 generalized Faulhaber formula, is the a-independent contraction of the
 two-parameter one; at d = 1 its polynomials ``b_d_poly(1, n)`` are the
@@ -99,15 +100,17 @@ def _appell(numbers: list[Fraction], n: int) -> Polynomial:
 
 
 def b_gen(prog: Progression, n: int) -> Fraction:
-    """Two-parameter number B(d,a;n) = sum_m (-1)^m S2(d,a;n,m) m!/(m+1)."""
+    """Two-parameter number B(d,a;n) = sum_m (-1)^m S2(d,a;n,m) m!/(m+1),
+    summed in int over L = lcm(1..n+1) and divided once by L."""
     if n < 0:
         raise DomainError("index must be non-negative")
-    s2 = s2_triangle(prog, n)
-    acc = Fraction(0)
-    for m in range(n + 1):
-        sign = -1 if m % 2 else 1
-        acc += sign * s2.entry(n, m) * Fraction(math.factorial(m), m + 1)
-    return acc
+    row = s2_triangle(prog, n).row(n)
+    den = math.lcm(*range(1, n + 2))
+    acc = 0
+    for m, value in enumerate(row):
+        term = value * math.factorial(m) * (den // (m + 1))
+        acc += -term if m % 2 else term
+    return Fraction(acc, den)
 
 
 def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:

@@ -14,7 +14,11 @@ S1(n,m) = (-1)^(n-m) S1phat(n,m)/d^n.  Every triangle is built from an
 integer recurrence on plain int (S1 and S1p divide the S1phat rows by
 d^n, so they hold Fraction).  The closed forms (alternating sums, basis
 changes, the two Schloemilch triple sums, symmetric functions) and the
-Sheffer pairs are kept as independent cross-check routes.
+Sheffer pairs are kept as independent cross-check routes.  The basis
+changes and the triple sums are triangle builders ``..._triangle(prog,
+size)`` that build their input triangle, powers and inner sums once per
+(prog, size); the per-entry function of the same name without the suffix
+reads entry (n, m) off the builder's rows 0..n.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression, binomial_general, integer_power, risefac
+from .exact import Progression, binomial_general
 from .fps import Fps
 from .sheffer import ShefferPair, Triangle
 from .symfunc import Alphabet, elementary_sigma
@@ -34,15 +38,15 @@ __all__ = [
     "s2hat_triangle",
     "s2fac_triangle",
     "s2_explicit",
-    "s2_from_ordinary",
-    "s2_ordinary_from_general",
+    "s2_from_ordinary_triangle",
+    "s2_ordinary_from_general_triangle",
     "s1_triangle",
     "s1p_triangle",
     "s1phat_triangle",
     "s1phat_from_sigma",
-    "s1phat_from_ordinary",
-    "s1phat_schlomilch",
-    "s1phat_schlomilch_v2",
+    "s1phat_from_ordinary_triangle",
+    "s1phat_schlomilch_triangle",
+    "s1phat_schlomilch_v2_triangle",
     "s2_pair",
     "s2hat_pair",
     "s1_pair",
@@ -112,31 +116,53 @@ def s2_explicit(prog: Progression, n: int, m: int) -> Fraction:
     return Fraction(acc, math.factorial(m))
 
 
-def s2_from_ordinary(prog: Progression, n: int, m: int) -> Fraction:
-    """S2[d,a] from the ordinary Stirling2 via the binomial a/d expansion."""
+def s2_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
+    """S2[d,a] rows 0..size from the ordinary Stirling2 via the binomial a/d
+    expansion, over one ordinary triangle, in int:
+
+    S2(d,a;n,m) = sum_{k=m}^{n} C(n,k) a^(n-k) d^k S2(k,m).
+    """
+    ordinary = s2_triangle(Progression(1, 0), size)
+    a_powers = [prog.a**i for i in range(size + 1)]  # 0 ** 0 == 1
+    d_powers = [prog.d**i for i in range(size + 1)]
+    return Triangle(
+        [sum(math.comb(n, k) * a_powers[n - k] * d_powers[k] * ordinary.entry(k, m) for k in range(m, n + 1))
+         for m in range(n + 1)]
+        for n in range(size + 1)
+    )
+
+
+def s2_from_ordinary(prog: Progression, n: int, m: int) -> int:
+    """Entry (n, m) of :func:`s2_from_ordinary_triangle`."""
     _require_in_triangle(n, m)
-    ordinary = s2_triangle(Progression(1, 0), n)
-    acc = 0
-    for k in range(m, n + 1):
-        acc += math.comb(n, k) * prog.a ** (n - k) * prog.d**k * ordinary.entry(k, m)
-    return Fraction(acc)
+    return s2_from_ordinary_triangle(prog, n).entry(n, m)
+
+
+def s2_ordinary_from_general_triangle(prog: Progression, size: int) -> Triangle:
+    """Recover the ordinary S2 rows 0..size from the [d,a] family; needs a >= 1.
+
+    Inversion of the binomial expansion,
+    S2(n,m) = (-a/d)^n sum_k (-1)^k C(n,k) a^(-k) S2(d,a;k,m),
+    with a^n carried inside: the sum of (-1)^k C(n,k) a^(n-k) S2(d,a;k,m)
+    is taken in int over one [d,a] triangle and divided once by (-d)^n.
+    """
+    if prog.a == 0:
+        raise DomainError("inversion is degenerate at a = 0")
+    general = s2_triangle(prog, size)
+    a_powers = [prog.a**i for i in range(size + 1)]
+    rows = []
+    for n in range(size + 1):
+        signed = [(-1 if k % 2 else 1) * math.comb(n, k) * a_powers[n - k] for k in range(n + 1)]
+        den = (-prog.d) ** n
+        rows.append([Fraction(sum(signed[k] * general.entry(k, m) for k in range(m, n + 1)), den)
+                     for m in range(n + 1)])
+    return Triangle(rows)
 
 
 def s2_ordinary_from_general(prog: Progression, n: int, m: int) -> Fraction:
-    """Recover ordinary S2(n,m) from the [d,a] family; needs a >= 1.
-
-    Inversion of the binomial expansion:
-    S2(n,m) = (-a/d)^n sum_k (-1)^k C(n,k) a^(-k) S2(d,a;k,m).
-    """
+    """Entry (n, m) of :func:`s2_ordinary_from_general_triangle`."""
     _require_in_triangle(n, m)
-    if prog.a == 0:
-        raise DomainError("inversion is degenerate at a = 0")
-    general = s2_triangle(prog, n)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        acc += sign * math.comb(n, k) * Fraction(1, prog.a**k) * general.entry(k, m)
-    return integer_power(Fraction(-prog.a, prog.d), n) * acc
+    return s2_ordinary_from_general_triangle(prog, n).entry(n, m)
 
 
 # -- first kind ----------------------------------------------------------------
@@ -173,91 +199,130 @@ def s1phat_from_sigma(prog: Progression, n: int, m: int) -> Fraction:
     return Fraction(elementary_sigma(Alphabet(prog, n), n - m))
 
 
-def s1phat_from_ordinary(prog: Progression, n: int, m: int) -> Fraction:
-    """S1phat from ordinary unsigned Stirling1, sorted in powers of a:
+def s1phat_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
+    """S1phat rows 0..size from ordinary unsigned Stirling1, sorted in powers
+    of a, over one ordinary triangle, in int:
 
-    sum_{j=m}^{n} C(j,m) S1p(n,j) a^(j-m) d^(n-j).
+    S1phat(n,m) = sum_{j=m}^{n} C(j,m) S1p(n,j) a^(j-m) d^(n-j).
     """
+    ordinary = s1phat_triangle(Progression(1, 0), size)
+    a_powers = [prog.a**i for i in range(size + 1)]  # 0 ** 0 == 1
+    d_powers = [prog.d**i for i in range(size + 1)]
+    return Triangle(
+        [sum(math.comb(j, m) * ordinary.entry(n, j) * a_powers[j - m] * d_powers[n - j] for j in range(m, n + 1))
+         for m in range(n + 1)]
+        for n in range(size + 1)
+    )
+
+
+def s1phat_from_ordinary(prog: Progression, n: int, m: int) -> int:
+    """Entry (n, m) of :func:`s1phat_from_ordinary_triangle`."""
     _require_in_triangle(n, m)
-    ordinary = s1phat_triangle(Progression(1, 0), n)
-    acc = 0
-    for j in range(m, n + 1):
-        acc += math.comb(j, m) * ordinary.entry(n, j) * prog.a ** (j - m) * prog.d ** (n - j)
-    return Fraction(acc)  # 0 ** 0 == 1
+    return s1phat_from_ordinary_triangle(prog, n).entry(n, m)
 
 
-def s1phat_schlomilch(prog: Progression, n: int, m: int) -> Fraction:
-    """Generalized Schloemilch formula: triple sum over S2hat values.
+def s1phat_schlomilch_triangle(prog: Progression, size: int) -> Triangle:
+    """S1phat rows 0..size by the generalized Schloemilch formula, a triple
+    sum over S2hat values:
 
-    The powers of a are combined into a^(n-m+k-l), whose exponent is never
-    negative; with 0^0 = 1 the a = 0 case collapses as required and no
-    separate branch is needed.  Covers n >= 1 as printed; (0,0) is direct.
-    At (d, a) = (1, 0) only l = n-m+k survives, which the l-range reaches
-    only at j = m: the classical double-binomial sum
+    S1phat(n,m) = sum_{j=m}^{n} C(j,m) sum_{k=0}^{n-j} C(n+k-1,j-1) C(2n-j,n-j-k)
+                  sum_{l=k}^{n-j+k} (-1)^l C(n-j+k,l) a^(n-m+k-l) S2hat(l,k).
+
+    The powers of a split as a^(j-m) a^(q-l) with q = n-j+k; both
+    exponents are never negative, and with 0^0 = 1 the a = 0 case
+    collapses as required, with no separate branch.  So the inner l-sum
+    I(q,k) = sum_l (-1)^l C(q,l) a^(q-l) S2hat(l,k) is staged once per
+    (q, k) over one S2hat triangle of rows 0..2*size (the l-sum reaches
+    index 2(n-m)), and every term is an integer.  S2hat(l,k) vanishes for
+    l < k.  Covers n >= 1 as printed; row 0 is direct.  At (d, a) = (1, 0)
+    only l = q survives, which the l-range reaches only at j = m: the
+    classical double-binomial sum
     sum_k (-1)^(n-m+k) C(n+k-1,m-1) C(2n-m,n-m-k) S2(n-m+k,k).
     """
-    _require_in_triangle(n, m)
-    if n == 0:
-        return Fraction(1)
-    s2h = s2hat_triangle(prog, max(n, 2 * (n - m)))  # the l-sum reaches index 2(n-m)
-    acc = 0  # every term is an integer
-    for j in range(m, n + 1):
-        cjm = math.comb(j, m)
-        for k in range(n - j + 1):
-            outer = (
-                cjm
-                * binomial_general(n + k - 1, j - 1)
-                * binomial_general(2 * n - j, n - j - k)
-            )
-            if outer == 0:
-                continue
-            inner = 0
-            for l in range(k, n - j + k + 1):  # S2hat(l, k) vanishes for l < k
-                sign = -1 if l % 2 else 1
-                inner += (
-                    sign
-                    * math.comb(n - j + k, l)
-                    * prog.a ** (n - m + k - l)
-                    * s2h.entry(l, k)
-                )
-            acc += outer * inner
-    return Fraction(acc)
-
-
-def s1phat_schlomilch_v2(prog: Progression, n: int, m: int) -> Fraction:
-    """The second Schloemilch-style derivation: reordered triple sum with
-    rising-factorial prefactors.  Column 0 is the rising factorial itself.
-    """
-    _require_in_triangle(n, m)
-    if m == 0:
-        return risefac(prog, 0, n)
+    if size < 0:
+        raise DomainError("size must be non-negative")
     a = prog.a
-    s2h = s2hat_triangle(prog, 2 * (n - m))  # inner entries reach index 2(n-m)
-    total = Fraction(0)
-    for r in range(n - m + 1):
-        r_sign = -1 if r % 2 else 1
-        r_factor = Fraction(r_sign, math.factorial(r))
-        k_sum = Fraction(0)
-        for k in range(r, n - m + 1):
-            p_sum = Fraction(0)
-            for p in range(k + 1):
-                sign = -1 if p % 2 else 1
-                p_sum += (
-                    sign
-                    * Fraction(math.comb(k, p), math.comb(p + r, r))
-                    * integer_power(a, k - p)
-                    * s2h.entry(p + r, r)
-                )
-            k_sum += (
-                risefac(prog, 0, n - k - m)
-                * math.comb(2 * k + m, k + m)
-                * Fraction(1, k + m + r)
-                * Fraction(1, math.factorial(n - m - k))
-                * Fraction(1, math.factorial(k - r))
-                * p_sum
-            )
-        total += r_factor * k_sum
-    return Fraction(math.factorial(n), math.factorial(m - 1)) * total
+    s2h = s2hat_triangle(prog, 2 * size)
+    a_powers = [a**i for i in range(2 * size + 1)]  # 0 ** 0 == 1
+    inner = [
+        [sum((-1 if l % 2 else 1) * math.comb(q, l) * a_powers[q - l] * s2h.entry(l, k) for l in range(k, q + 1))
+         for k in range(q + 1)]
+        for q in range(2 * size + 1)
+    ]
+    rows = [[1]]
+    for n in range(1, size + 1):
+        row = []
+        for m in range(n + 1):
+            acc = 0
+            for j in range(m, n + 1):
+                cjm = math.comb(j, m) * a_powers[j - m]
+                for k in range(n - j + 1):
+                    outer = binomial_general(n + k - 1, j - 1) * binomial_general(2 * n - j, n - j - k)
+                    if outer:
+                        acc += cjm * outer * inner[n - j + k][k]
+            row.append(acc)
+        rows.append(row)
+    return Triangle(rows)
+
+
+def s1phat_schlomilch(prog: Progression, n: int, m: int) -> int:
+    """Entry (n, m) of :func:`s1phat_schlomilch_triangle`."""
+    _require_in_triangle(n, m)
+    return s1phat_schlomilch_triangle(prog, n).entry(n, m)
+
+
+def s1phat_schlomilch_v2_triangle(prog: Progression, size: int) -> Triangle:
+    """S1phat rows 0..size by the second Schloemilch-style derivation, a
+    reordered triple sum with rising-factorial prefactors; column 0 is the
+    rising factorial R(n) = prod_{i<n} (a + d*i) itself.  For m >= 1,
+
+    S1phat(n,m) = n!/(m-1)! sum_{r=0}^{n-m} (-1)^r/r! sum_{k=r}^{n-m}
+                  R(n-m-k) C(2k+m,k+m) / ((k+m+r) (n-m-k)! (k-r)!) P(k,r),
+    P(k,r) = sum_{p=0}^{k} (-1)^p C(k,p)/C(p+r,r) a^(k-p) S2hat(p+r,r).
+
+    P(k,r) depends on (prog, k, r) alone: it is staged once for every
+    k <= size, over one S2hat triangle of rows 0..2*size, as an integer
+    numerator over the common denominator M = lcm_{p,r<=size} C(p+r,r).
+    With 1/(r! (k-r)!) = C(k,r)/k!, 1/(k! (n-m-k)!) = C(n-m,k)/(n-m)! and
+    n!/((m-1)! (n-m)!) = m C(n,m), each entry is the int sum of
+    (-1)^r R(n-m-k) C(2k+m,k+m) C(k,r) C(n-m,k) P_num(k,r) L/(k+m+r),
+    over L = lcm(m..2n-m), times m C(n,m), divided once by M L.
+    """
+    if size < 0:
+        raise DomainError("size must be non-negative")
+    a = prog.a
+    s2h = s2hat_triangle(prog, 2 * size)
+    rising = [1]
+    for i in range(size):
+        rising.append(rising[-1] * prog.term(i))
+    den = math.lcm(*(math.comb(p + r, r) for r in range(size + 1) for p in range(size + 1)))
+    p_sum = [
+        [sum((-1 if p % 2 else 1) * math.comb(k, p) * (den // math.comb(p + r, r)) * a ** (k - p) * s2h.entry(p + r, r)
+             for p in range(k + 1))
+         for r in range(k + 1)]
+        for k in range(size + 1)
+    ]
+    rows = []
+    for n in range(size + 1):
+        row = [rising[n]]
+        for m in range(1, n + 1):
+            span = n - m
+            lcm = math.lcm(*range(m, 2 * n - m + 1))
+            acc = 0
+            for r in range(span + 1):
+                for k in range(r, span + 1):
+                    term = (rising[span - k] * math.comb(2 * k + m, k + m) * math.comb(k, r)
+                            * math.comb(span, k) * p_sum[k][r] * (lcm // (k + m + r)))
+                    acc += -term if r % 2 else term
+            row.append(Fraction(m * math.comb(n, m) * acc, den * lcm))
+        rows.append(row)
+    return Triangle(rows)
+
+
+def s1phat_schlomilch_v2(prog: Progression, n: int, m: int) -> Fraction | int:
+    """Entry (n, m) of :func:`s1phat_schlomilch_v2_triangle`."""
+    _require_in_triangle(n, m)
+    return s1phat_schlomilch_v2_triangle(prog, n).entry(n, m)
 
 
 # -- Sheffer pairs for the families ---------------------------------------------

@@ -21,10 +21,14 @@ inputs calls that law's function.
 
 An entry that compares two triangles entry by entry is a row of ``_ROUTES``
 registered by ``_Suite.compare``: its grid, its builder and its named
-routes, with the table's one mismatch text.  The entry builds its row each
-time its check runs, so a patched module attribute reaches it.  The
-route-mutation test in ``tests/test_cli.py`` breaks every route of every
-row in turn.
+routes, with the table's one mismatch text.  Every route is a triangle
+builder ``(prog, size)`` that stages what depends on (prog, size) once;
+``_entries`` turns a per-entry closed form ``(prog, n, m)`` into a builder
+and remains only for the routes that have no staged form (``s2_explicit``,
+``s1phat_from_sigma``, ``reu_explicit`` and the two ``complete_h`` routes).
+The entry builds its row each time its check runs, so a patched module
+attribute reaches it.  The route-mutation test in ``tests/test_cli.py``
+breaks every route of every row in turn.
 
 ``Identity.run`` alone decides an entry's verdict, the ``status`` of its
 ``CheckResult``; callers print and count it.
@@ -44,7 +48,7 @@ from . import lah as lahmod
 from . import powersum as ps
 from . import stirling as st
 from .errors import DomainError
-from .exact import Progression, _FrozenRecord, fallfac, integer_power, risefac
+from .exact import Progression, _common_denominator, _FrozenRecord, fallfac, integer_power, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
 from .sheffer import ShefferPair, Triangle, identity_triangle
@@ -205,7 +209,7 @@ def _series_diff(lhs: Fps, rhs: Fps) -> str:
 
 
 def _entries(route: Callable[[Progression, int, int], Fraction | int]) -> _Builder:
-    """A per-entry route ``(prog, n, m)`` as a triangle builder."""
+    """A per-entry route ``(prog, n, m)`` with no staged form as a triangle builder."""
     return lambda prog, size: Triangle([route(prog, n, m) for m in range(n + 1)] for n in range(size + 1))
 
 
@@ -371,7 +375,7 @@ def _factorial_transform(order, rng):
 
 _S2.compare("four routes agree (recurrence, alternating sum, via ordinary, Sheffer)", lambda: (
     _progressions(4), st.s2_triangle, {"alternating-sum": _entries(st.s2_explicit),
-    "via-ordinary": _entries(st.s2_from_ordinary), "sheffer": _pair_triangle(st.s2_pair)}))
+    "via-ordinary": st.s2_from_ordinary_triangle, "sheffer": _pair_triangle(st.s2_pair)}))
 
 
 def _s2_column_ogf_violation(prog: Progression, s2: Triangle, m: int) -> str | None:
@@ -507,7 +511,7 @@ def _ordinary_s2_triangle(prog: Progression, size: int) -> Triangle:
 
 _S2.compare("ordinary values recovered from any [d,a] family (a >= 1)", lambda: (
     [prog for prog in _progressions(4) if prog.a], _ordinary_s2_triangle,
-    {"from-general": _entries(st.s2_ordinary_from_general)}))
+    {"from-general": st.s2_ordinary_from_general_triangle}))
 
 
 # -- first-kind Stirling ----------------------------------------------------------
@@ -515,8 +519,8 @@ _S2.compare("ordinary values recovered from any [d,a] family (a >= 1)", lambda: 
 
 _S1.compare("five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)", lambda: (
     _progressions(3), st.s1phat_triangle, {"sigma": _entries(st.s1phat_from_sigma),
-    "via-ordinary": _entries(st.s1phat_from_ordinary), "triple-sum": _entries(st.s1phat_schlomilch),
-    "triple-sum-reordered": _entries(st.s1phat_schlomilch_v2)}))
+    "via-ordinary": st.s1phat_from_ordinary_triangle, "triple-sum": st.s1phat_schlomilch_triangle,
+    "triple-sum-reordered": st.s1phat_schlomilch_v2_triangle}))
 
 
 def _s1_group_inverse(inv_size: int) -> str | None:
@@ -634,9 +638,9 @@ def _pair_algebra(size, rng):
 
 _EULERIAN.compare("four routes agree (recurrence, explicit, from S2fac, from ordinary)", lambda: (
     _progressions(3), eul.reu_triangle, {"explicit": _entries(eul.reu_explicit),
-    "from-s2fac": _entries(eul.reu_from_s2fac), "from-ordinary": _entries(eul.reu_from_ordinary)}))
+    "from-s2fac": eul.reu_from_s2fac_triangle, "from-ordinary": eul.reu_from_ordinary_triangle}))
 _EULERIAN.compare("inverse relation recovers S2(n,m) m! from the Eulerian row", lambda: (
-    _progressions(3), st.s2fac_triangle, {"from-reu": _entries(eul.s2fac_from_reu)}))
+    _progressions(3), st.s2fac_triangle, {"from-reu": eul.s2fac_from_reu_triangle}))
 
 
 def _reorder_roundtrip_violation(vec: list[Fraction | int]) -> str | None:
@@ -802,28 +806,39 @@ _BERNOULLI.compare("polynomial routes (convolve numbers vs shifted powers) agree
     cap=10)
 
 
-def _b_gen_poly_egf_violation(prog: Progression, x: Fraction, order: int) -> str | None:
-    values = [bern.b_gen_poly(prog, n).evaluate(x) for n in range(order + 1)]
-    if diff := _egf_diff(values, bern.b_gen_egf(prog, order) * Fps.exp_of(x, order)):
-        return f"{prog} x={x}: bivariate polynomial e.g.f. mismatch; {diff}"
+def _b_gen_poly_egf_violation(prog: Progression, xs: Iterable[Fraction], order: int) -> str | None:
+    """The first x of ``xs`` where the rows B(d,a;0..order,x) miss the e.g.f.
+    d t e^(at) e^(xt) / (e^(dt) - 1).  The rows and the e.g.f. of the
+    numbers are built once; ``xs`` is consumed lazily, up to that x."""
+    polys = [bern.b_gen_poly(prog, n) for n in range(order + 1)]
+    closed = bern.b_gen_egf(prog, order)
+    for x in xs:
+        if diff := _egf_diff([p.evaluate(x) for p in polys], closed * Fps.exp_of(x, order)):
+            return f"{prog} x={x}: bivariate polynomial e.g.f. mismatch; {diff}"
 
 
 @_BERNOULLI.identity("polynomial system e.g.f. equals the Appell product with e^(xt)", cap=10)
 def _b_gen_poly_egf(order, rng):
     return _first(
-        _b_gen_poly_egf_violation(prog, _random_rational(rng), order) for prog in _progressions(2) for _ in range(5)
+        _b_gen_poly_egf_violation(prog, (_random_rational(rng) for _ in range(5)), order)
+        for prog in _progressions(2)
     )
 
 
-def _b_d_poly_egf_violation(d: int, x: Fraction, order: int) -> str | None:
-    values = [bern.b_d_poly(d, n).evaluate(x) for n in range(order + 1)]
-    if diff := _egf_diff(values, bern.b_gen_egf(Progression(d, 0), order) * Fps.exp_of(x, order)):
-        return f"d={d} x={x}: one-parameter bivariate e.g.f. mismatch; {diff}"
+def _b_d_poly_egf_violation(d: int, xs: Iterable[Fraction], order: int) -> str | None:
+    """As :func:`_b_gen_poly_egf_violation`, for the rows B(d;0..order,x)."""
+    polys = [bern.b_d_poly(d, n) for n in range(order + 1)]
+    closed = bern.b_gen_egf(Progression(d, 0), order)
+    for x in xs:
+        if diff := _egf_diff([p.evaluate(x) for p in polys], closed * Fps.exp_of(x, order)):
+            return f"d={d} x={x}: one-parameter bivariate e.g.f. mismatch; {diff}"
 
 
 @_BERNOULLI.identity("one-parameter polynomial e.g.f. equals d t e^(xt) / (e^(dt) - 1)", cap=10)
 def _b_d_poly_egf(order, rng):
-    return _first(_b_d_poly_egf_violation(d, _random_rational(rng), order) for d in range(1, 5) for _ in range(5))
+    return _first(
+        _b_d_poly_egf_violation(d, (_random_rational(rng) for _ in range(5)), order) for d in range(1, 5)
+    )
 
 
 @_BERNOULLI.identity("the (-a)-convolution contracts to the a-independent numbers")
@@ -831,21 +846,23 @@ def _b_gen_contraction(n_cap, rng):
     for d in range(1, 5):
         expected = bern.b_d_numbers(d, n_cap)
         for a in range(0, 5):
-            values = bern.b_gen_numbers(Progression(d, a), n_cap)
+            nums, den = _common_denominator(bern.b_gen_numbers(Progression(d, a), n_cap))
+            powers = [(-a) ** m for m in range(n_cap + 1)]  # 0 ** 0 == 1
             for n in range(n_cap + 1):
-                acc = Fraction(0)
-                for m in range(n + 1):
-                    acc += math.comb(n, m) * values[n - m] * integer_power(Fraction(-a), m)
-                if acc != expected[n]:
+                acc = sum(math.comb(n, m) * nums[n - m] * powers[m] for m in range(n + 1))
+                if Fraction(acc, den) != expected[n]:
                     return f"d={d} a={a} n={n}: contraction does not drop a"
 
 
 @_BERNOULLI.identity("one-parameter polynomials satisfy P' = n P(n-1)")
 def _b_d_appell(n_cap, rng):
     for d in range(1, 5):
+        lower = bern.b_d_poly(d, 0)
         for n in range(1, n_cap + 1):
-            if bern.b_d_poly(d, n).derivative() != n * bern.b_d_poly(d, n - 1):
+            poly = bern.b_d_poly(d, n)
+            if poly.derivative() != n * lower:
                 return f"d={d} n={n}: Appell derivative property fails"
+            lower = poly
 
 
 def _b_gen_parity_violation(d: int, a: int, n_cap: int) -> str | None:
@@ -904,13 +921,14 @@ def _single_powers(size_n, rng):
 @_FAULHABER.identity("binomial splitting over the ordinary power sums")
 def _binomial_splitting(size, rng):
     base = Progression(1, 0)
+    # the ordinary sums do not depend on prog; each is an integer
+    ordinary = [[ps.ps_direct(base, k, m).numerator for m in range(9)] for k in range(size + 1)]
     for prog in _progressions(4):
         for n in range(size + 1):
             for m in range(0, 9):
                 acc = 0
                 for k in range(n + 1):
-                    ordinary = ps.ps_direct(base, k, m).numerator  # an integer sum
-                    acc += math.comb(n, k) * prog.a ** (n - k) * prog.d**k * ordinary
+                    acc += math.comb(n, k) * prog.a ** (n - k) * prog.d**k * ordinary[k][m]
                 if acc != ps.ps_direct(prog, n, m):
                     return f"{prog} n={n} m={m}: binomial splitting fails"
 

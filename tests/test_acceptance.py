@@ -132,9 +132,9 @@ def test_criterion_05_generating_function_suite():
         # Bernoulli e.g.f.s: numbers, bivariate two-parameter, bivariate one-parameter
         numbers = [bern.b_gen(prog, n) for n in range(order + 1)]
         assert egf_of(numbers, order) == bern.b_gen_egf(prog, order)
-        for x in sample_points():
-            assert _b_gen_poly_egf_violation(prog, x, order) is None
-            assert _b_d_poly_egf_violation(d, x, order) is None
+        points = sample_points()
+        assert _b_gen_poly_egf_violation(prog, points, order) is None
+        assert _b_d_poly_egf_violation(d, points, order) is None
 
         # first-kind column e.g.f. and bivariate e.g.f.
         s1phat = st.s1phat_triangle(prog, order)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from apsums.cli import LIMITS
 from apsums.errors import DomainError
 from apsums.exact import Progression
 from apsums.poly import Polynomial
+from apsums.stirling import s2_triangle
 from apsums.verification import _b_d_poly_egf_violation, _b_gen_parity_violation, _b_gen_poly_egf_violation
 
 F = Fraction
@@ -84,6 +86,14 @@ class TestTwoParameterNumbers:
             for n in range(9):
                 assert b_gen_numbers(Progression(d, 0), n)[n] == F(d) ** n * numbers[n]
 
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(2, 1), Progression(7, 5),
+                                      Progression(2**64 - 1, 2**64 - 1)])
+    def test_int_sum_equals_the_fraction_sum(self, prog):
+        for n in range(31):
+            row = s2_triangle(prog, n).row(n)
+            want = sum((F((-1) ** m * c * math.factorial(m), m + 1) for m, c in enumerate(row)), F(0))
+            assert b_gen(prog, n) == want, n
+
     def test_routes_agree(self):
         for d in range(1, 5):
             for a in range(d + 1):
@@ -146,9 +156,9 @@ class TestGeneratingFunctions:
     @given(stn.fractions(min_value=-4, max_value=4, max_denominator=9))
     def test_bivariate_egf(self, x):
         for prog in (Progression(2, 1), Progression(3, 2)):
-            assert _b_gen_poly_egf_violation(prog, x, 10) is None
+            assert _b_gen_poly_egf_violation(prog, [x], 10) is None
 
     @given(stn.fractions(min_value=-4, max_value=4, max_denominator=9))
     def test_one_parameter_bivariate_egf(self, x):
         for d in (1, 2, 3, 4):
-            assert _b_d_poly_egf_violation(d, x, 10) is None
+            assert _b_d_poly_egf_violation(d, [x], 10) is None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
-from apsums import powersum
+from apsums import eulerian, lah, powersum, stirling
 from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
@@ -396,12 +396,10 @@ class TestVerifyCommand:
         assert err == ""
 
     def test_raising_route_is_a_failed_check(self, capsys, monkeypatch):
-        from apsums import stirling
-
-        def broken(prog, n, m):
+        def broken(prog, size):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(stirling, "s1phat_schlomilch_v2", broken)
+        monkeypatch.setattr(stirling, "s1phat_schlomilch_v2_triangle", broken)
         code, out, err = run_cli(capsys, "verify", "--suite", "s1", "--depth", "3", "--explain")
         assert code == 1
         assert [line for line in out.splitlines() if not line.startswith("ok")] == [
@@ -472,6 +470,49 @@ class TestVerifyCommand:
                 served.add(families[build.__name__])
         # s1p is s1 unsigned: test_integer_route_matches_sheffer_at_the_row_limit compares the two
         assert set(FAMILY_BUILDERS) - served == {"s1p"}
+
+    def test_every_public_triangle_function_is_reached(self):
+        """Each public function of ``stirling``, ``eulerian`` and ``lah`` is called
+        by a row of the route table, by a CLI family builder, or by the
+        non-table entry named for it below."""
+        named_by_entry = {stirling.s2hat_pair: "s1: pair algebra is a homomorphism onto triangle algebra"}
+
+        def called(run):
+            codes = set()
+
+            def hook(frame, event, arg):
+                if event == "call":
+                    codes.add(frame.f_code)
+
+            sys.setprofile(hook)
+            try:
+                run()
+            finally:
+                sys.setprofile(None)
+            return codes
+
+        def run_rows():
+            for row in _ROUTES.values():
+                grid, build, routes = row()
+                for route in (build, *routes.values()):
+                    route(grid[0], 3)
+
+        def run_cli_builders():
+            for build in FAMILY_BUILDERS.values():
+                build(Progression(2, 1), 3)
+
+        reached = called(run_rows) | called(run_cli_builders)
+        entries = {entry.label: entry for entry in IDENTITIES}
+        by_entry = {fn.__code__: called(lambda: entries[label].run(3)) for fn, label in named_by_entry.items()}
+        unreached = [
+            f"{module.__name__}.{name}"
+            for module in (stirling, eulerian, lah)
+            for name in module.__all__
+            if (code := getattr(module, name).__code__) not in reached | by_entry.get(code, set())
+        ]
+        assert unreached == []
+        # a function named here is reached by its entry alone
+        assert [fn.__name__ for fn in named_by_entry if fn.__code__ in reached] == []
 
 
 class TestExportBfile:

@@ -12,12 +12,16 @@ from apsums.eulerian import (
     reorder_b_to_a,
     reu_explicit,
     reu_from_ordinary,
+    reu_from_ordinary_triangle,
     reu_from_s2fac,
+    reu_from_s2fac_triangle,
     reu_triangle,
     s2fac_from_reu,
+    s2fac_from_reu_triangle,
 )
 from apsums.exact import Progression
-from apsums.verification import _reorder_roundtrip_violation, _reu_bivariate_egf_violation
+from apsums.stirling import s2fac_triangle
+from apsums.verification import _entries, _progressions, _reorder_roundtrip_violation, _reu_bivariate_egf_violation
 
 F = Fraction
 
@@ -139,3 +143,23 @@ class TestGeneratingIdentities:
 
     def test_leading_column_is_powers_of_a(self, identity):
         identity("eulerian: column zero carries the pure powers a^n")
+
+
+class TestStagedTriangleForms:
+    """Each staged triangle form builds rows 0..12 at once: every row equals
+    the per-entry route read off it and the family's own recurrence, on the
+    desk grid, at a served point with a > d and at the edge of the served
+    domain."""
+
+    @pytest.mark.parametrize("staged, per_entry, builder", [
+        pytest.param(*case, id=case[0].__name__) for case in [
+            (reu_from_s2fac_triangle, reu_from_s2fac, reu_triangle),
+            (s2fac_from_reu_triangle, s2fac_from_reu, s2fac_triangle),
+            (reu_from_ordinary_triangle, reu_from_ordinary, reu_triangle),
+        ]
+    ])
+    def test_matches_per_entry_route_and_builder(self, staged, per_entry, builder):
+        for prog in [*_progressions(3), Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)]:
+            tri = staged(prog, 12)
+            assert tri == _entries(per_entry)(prog, 12), prog
+            assert tri == builder(prog, 12), prog

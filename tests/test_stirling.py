@@ -14,19 +14,26 @@ from apsums.stirling import (
     s1hat_pair,
     s1p_triangle,
     s1phat_from_ordinary,
+    s1phat_from_ordinary_triangle,
     s1phat_from_sigma,
     s1phat_schlomilch,
+    s1phat_schlomilch_triangle,
     s1phat_schlomilch_v2,
+    s1phat_schlomilch_v2_triangle,
     s1phat_triangle,
     s2_explicit,
     s2_from_ordinary,
+    s2_from_ordinary_triangle,
     s2_ordinary_from_general,
+    s2_ordinary_from_general_triangle,
     s2_pair,
     s2_triangle,
     s2fac_triangle,
     s2hat_triangle,
 )
 from apsums.verification import (
+    _entries,
+    _ordinary_s2_triangle,
     _progressions,
     _s1_falling_egf_violation,
     _s1_forward_shift_violation,
@@ -98,6 +105,8 @@ class TestSecondKindTriangle:
     def test_recovery_rejects_zero_offset(self):
         with pytest.raises(DomainError):
             s2_ordinary_from_general(Progression(2, 0), 2, 1)
+        with pytest.raises(DomainError, match="degenerate at a = 0"):
+            s2_ordinary_from_general_triangle(Progression(2, 0), 0)
 
     def test_four_route_agreement(self, identity):
         # the Sheffer route materializes every column e.g.f. e^(at) (e^(dt)-1)^m / m!
@@ -262,6 +271,7 @@ class TestInversePairing:
         size = LIMITS["rows"]
         lam = LIMITS["parameter"]
         unit = s1phat_triangle(Progression(1, 1), size)
+        via_ordinary = s1phat_from_ordinary_triangle(Progression(1, 1), size)
         prog = Progression(lam, lam)
         s1phat = s1phat_triangle(prog, size)
         s1p = s1p_triangle(prog, size)
@@ -269,7 +279,7 @@ class TestInversePairing:
         for n in range(size + 1):
             for m in range(n + 1):
                 c = unit.entry(n, m)
-                assert c == s1phat_from_ordinary(Progression(1, 1), n, m), (n, m)
+                assert c == via_ordinary.entry(n, m), (n, m)
                 assert s1phat.entry(n, m) == lam ** (n - m) * c, (n, m)
                 assert s1p.entry(n, m) == F(c, lam**m), (n, m)
                 assert s1.entry(n, m) == (-1) ** (n - m) * F(c, lam**m), (n, m)
@@ -313,3 +323,28 @@ class TestRowPolynomialIdentities:
     def test_first_kind_bivariate_egf(self, d, a, x):
         prog = Progression(d, a)
         assert _s1_row_polynomial_egf_violation(prog, s1phat_triangle(prog, 10), x) is None
+
+
+# the desk grid, a served point with a > d, and the edge of the served domain
+STAGED_GRID = [*_progressions(3), Progression(7, 5), Progression(2**64 - 1, 2**64 - 1)]
+
+
+class TestStagedTriangleForms:
+    """Each staged triangle form builds rows 0..12 at once: every row equals
+    the per-entry route read off it and the family's own recurrence."""
+
+    @pytest.mark.parametrize("staged, per_entry, builder, grid", [
+        pytest.param(*case, id=case[0].__name__) for case in [
+            (s2_from_ordinary_triangle, s2_from_ordinary, s2_triangle, STAGED_GRID),
+            (s2_ordinary_from_general_triangle, s2_ordinary_from_general, _ordinary_s2_triangle,
+             [prog for prog in STAGED_GRID if prog.a]),
+            (s1phat_from_ordinary_triangle, s1phat_from_ordinary, s1phat_triangle, STAGED_GRID),
+            (s1phat_schlomilch_triangle, s1phat_schlomilch, s1phat_triangle, STAGED_GRID),
+            (s1phat_schlomilch_v2_triangle, s1phat_schlomilch_v2, s1phat_triangle, STAGED_GRID),
+        ]
+    ])
+    def test_matches_per_entry_route_and_builder(self, staged, per_entry, builder, grid):
+        for prog in grid:
+            tri = staged(prog, 12)
+            assert tri == _entries(per_entry)(prog, 12), prog
+            assert tri == builder(prog, 12), prog
