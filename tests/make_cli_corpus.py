@@ -18,10 +18,11 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-from apsums import cli
+from apsums import cli, powersum
 from apsums.verification import SUITE_NAMES
 
 CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
@@ -31,6 +32,8 @@ PROGRESSIONS = ((1, 0), (2, 1), (7, 5), (EDGE, EDGE))
 FORMATS = ("pretty", "csv", "json", "bfile")
 ROWS = (0, 1, 7, 64)
 DEPTHS = (1, 2, 3, 4, 8, 12)
+POWERS = ((0, 0), (1, 10), (60, 5000))  # (n, m) of the single-method power sums
+COLUMNS = "80"  # argparse wraps usage and help to the terminal width
 
 
 def commands() -> list[list[str]]:
@@ -48,6 +51,9 @@ def commands() -> list[list[str]]:
             grid.append([*bfile, "--count", "2000"])
             grid.append([*bfile, "--offset", "1990", "--count", "10", "--rational"])
         grid.append(["powersum", *da, "--n", "60", "--m", "5000", "--all-methods"])
+        for method in powersum.METHOD_NAMES:
+            for n, m in POWERS:
+                grid.append(["powersum", *da, "--n", str(n), "--m", str(m), "--method", method])
         for given in (da, da[:2]):  # with --a and without it (the B(d; n) numbers)
             grid.append(["bernoulli", *given, "--count", "61"])
             grid.append(["bernoulli", *given, "--poly", "60"])
@@ -59,18 +65,67 @@ def commands() -> list[list[str]]:
             grid.append(verify)
             if suite == "lah":
                 grid.append([*verify, "--include-printed-three-term"])
+    return grid + parse_level()
+
+
+def parse_level() -> list[list[str]]:
+    """Requests that argparse answers itself (help and usage errors), plus valid
+    requests whose spelling argparse must resolve: a "--" separator or an
+    abbreviated option."""
+    ok = ["--d", "2", "--a", "1", "--n", "2", "--m", "2"]  # a valid powersum request
+    tri = ["--family", "s2", "--d", "2", "--rows", "3"]
+    grid = [["-h"], ["--help"], []]
+    grid += [[command, "-h"] for command in sorted(cli._COMMANDS)]
+    grid += [
+        ["verify", "--depth", "1", "--help"],
+        ["frobnicate"],  # unknown command
+        ["power", *ok],  # abbreviated command
+        ["--d", "2", "powersum", *ok],  # an option before the command
+        ["powersum", *ok, "--bogus"],  # unrecognized option
+        ["powersum", *ok, "--bogus=1"],
+        ["powersum", *ok, "extra"],  # trailing positional
+        ["powersum", *ok, "extra", "--more", "-x"],
+        ["--", "powersum", *ok],  # "--" separators
+        ["powersum", "--", *ok],
+        ["powersum", *ok, "--"],
+        ["powersum", "--d", "2", "--a", "1", "--", "--n", "2", "--m", "2"],
+        ["powersum", *ok, "--all"],  # abbreviations
+        ["powersum", *ok, "--meth", "egf"],
+        ["powersum", *ok, "--method=ordinary"],
+        ["triangle", "--fam", "s2", "--d", "2", "--rows", "3"],
+        ["export-bfile", "--fam", "s2", "--d", "2", "--count", "5"],
+        ["triangle", *tri, "--r", "3"],  # ambiguous abbreviation: --rows or --rational
+        ["powersum", "--d", "2", "--a", "1", "--n", "2"],  # missing required option
+        ["triangle", "--d", "2", "--rows", "3"],
+        ["powersum", "--d", "two", "--a", "1", "--n", "2", "--m", "2"],  # bad int
+        ["verify", "--depth", "1.5"],
+        ["powersum", *ok, "--method", "fast"],  # bad choice
+        ["triangle", "--family", "s3", "--d", "2", "--rows", "3"],
+        ["verify", "--suite", "nope"],
+        ["powersum", *ok, "--method", "egf", "--all-methods"],  # mutually exclusive conflicts
+        ["bernoulli", "--d", "2", "--count", "3", "--poly", "2"],
+        ["export-bfile", "--family", "s2", "--sequence", "bernoulli-num", "--d", "2",
+         "--count", "3"],
+        ["powersum", *ok, "--d", "3"],  # a repeated option: the last one wins
+        ["powersum", "--d", "-2", "--a", "1", "--n", "2", "--m", "2"],  # a negative value
+    ]
     return grid
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one command, run in process."""
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdout, sys.stderr
+    saved = sys.stdout, sys.stderr, os.environ.get("COLUMNS")
     sys.stdout, sys.stderr = out, err
+    os.environ["COLUMNS"] = COLUMNS
     try:
         code = cli.main(argv)
     finally:
-        sys.stdout, sys.stderr = saved
+        sys.stdout, sys.stderr = saved[:2]
+        if saved[2] is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved[2]
     return code, out.getvalue(), err.getvalue()
 
 
