@@ -39,9 +39,11 @@ __all__ = [
     "b_gen",
     "b_gen_numbers",
     "b_gen_poly",
+    "b_gen_poly_rows",
     "b_gen_poly_via_ordinary",
     "b_d_numbers",
     "b_d_poly",
+    "b_d_poly_rows",
     "b_gen_egf",
 ]
 
@@ -142,6 +144,15 @@ def b_gen_poly(prog: Progression, n: int) -> Polynomial:
     return _appell(b_gen_numbers(prog, n), n)
 
 
+def b_gen_poly_rows(prog: Progression, size: int) -> list[Polynomial]:
+    """[B(d,a;n,x) for n = 0..size], all over one list B(d,a;0..size);
+    row n equals ``b_gen_poly(prog, n)``."""
+    if size < 0:
+        raise DomainError("degree must be non-negative")
+    numbers = b_gen_numbers(prog, size)
+    return [_appell(numbers, n) for n in range(size + 1)]
+
+
 def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
     """Same polynomial assembled the other way:
 
@@ -181,6 +192,17 @@ def b_d_poly(d: int, n: int) -> Polynomial:
     if n < 0:
         raise DomainError("degree must be non-negative")
     return _appell(b_d_numbers(d, n), n)
+
+
+def b_d_poly_rows(d: int, size: int) -> list[Polynomial]:
+    """[B(d;n,x) for n = 0..size], all over one list B(d;0..size);
+    row n equals ``b_d_poly(d, n)``."""
+    if d < 1:
+        raise DomainError("d must be a positive integer")
+    if size < 0:
+        raise DomainError("degree must be non-negative")
+    numbers = b_d_numbers(d, size)
+    return [_appell(numbers, n) for n in range(size + 1)]
 
 
 def b_gen_egf(prog: Progression, order: int) -> Fps:

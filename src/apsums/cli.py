@@ -52,19 +52,26 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
 
 # Built by the first build_parser() call and shared by every later one in the
 # process; not at import, so importing cli without parsing costs nothing more.
-# Sharing is safe because parse_args keeps no state between calls.
+# Sharing is safe because parse_args keeps no state between calls.  The same
+# call fills _subparsers with the parser of each subcommand of _parser, which
+# main() hands a request to directly (see _parse_args).
 _parser: argparse.ArgumentParser | None = None
+_subparsers: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process and then reused."""
     global _parser
     if _parser is None:
-        _parser = _new_parser()
+        _parser = _new_parser(_subparsers)
     return _parser
 
 
-def _new_parser() -> argparse.ArgumentParser:
+def _new_parser(
+    subparsers: dict[str, argparse.ArgumentParser] | None = None,
+) -> argparse.ArgumentParser:
+    """A fresh root parser; ``subparsers``, when given, receives the parser of
+    each subcommand by name."""
     parser = argparse.ArgumentParser(
         prog="apsums",
         description=(
@@ -143,7 +150,28 @@ def _new_parser() -> argparse.ArgumentParser:
     )
     bf.add_argument("--offset", type=int, default=0, help="index of the first line")
     bf.add_argument("--rational", action="store_true", help="allow non-integer values")
+    if subparsers is not None:
+        subparsers.update(sub.choices)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass where it can be.
+
+    When argv[0] is exactly a subcommand name, the root pass would only hand
+    argv[1:] to that subcommand's parser and refuse what it leaves over, so
+    this does both itself, in the root parser's words; every other argv
+    (empty, help, an unknown or abbreviated command, "--") takes the root pass.
+    """
+    parser = build_parser()
+    sub = _subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -227,7 +255,7 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
     width = max(len(name) for name in ps.METHOD_NAMES)
     for name in ps.METHOD_NAMES:
         sys.stdout.write(f"{name:<{width}} {rational_str(values[name])}\n")
-    if len(set(values.values())) != 1:
+    if any(value != values["direct"] for value in values.values()):
         sys.stdout.write("DISAGREEMENT detected\n")
         return 1
     return 0
@@ -302,9 +330,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse uses exit code 2 on usage errors
         return int(exc.code or 0)
     try:
@@ -317,7 +344,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         # stdout was closed early; point fd 1 at devnull so the exit flush
         # of what is still buffered cannot raise a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 2
 
 

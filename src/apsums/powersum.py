@@ -67,7 +67,9 @@ def ps_direct(prog: Progression, n: int, m: int) -> Fraction:
     """
     if n < 0 or m < 0:
         raise DomainError("indices must be non-negative")
-    return Fraction(sum(prog.term(j) ** n for j in range(m + 1)))  # 0 ** 0 == 1
+    # the range yields the terms a + d*j for j = 0..m; pow(0, 0) == 1
+    terms = range(prog.a, prog.a + prog.d * m + 1, prog.d)
+    return Fraction(sum(map(pow, terms, repeat(n))))
 
 
 def _check(index: int) -> None:

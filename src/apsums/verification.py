@@ -810,7 +810,7 @@ def _b_gen_poly_egf_violation(prog: Progression, xs: Iterable[Fraction], order: 
     """The first x of ``xs`` where the rows B(d,a;0..order,x) miss the e.g.f.
     d t e^(at) e^(xt) / (e^(dt) - 1).  The rows and the e.g.f. of the
     numbers are built once; ``xs`` is consumed lazily, up to that x."""
-    polys = [bern.b_gen_poly(prog, n) for n in range(order + 1)]
+    polys = bern.b_gen_poly_rows(prog, order)
     closed = bern.b_gen_egf(prog, order)
     for x in xs:
         if diff := _egf_diff([p.evaluate(x) for p in polys], closed * Fps.exp_of(x, order)):
@@ -827,7 +827,7 @@ def _b_gen_poly_egf(order, rng):
 
 def _b_d_poly_egf_violation(d: int, xs: Iterable[Fraction], order: int) -> str | None:
     """As :func:`_b_gen_poly_egf_violation`, for the rows B(d;0..order,x)."""
-    polys = [bern.b_d_poly(d, n) for n in range(order + 1)]
+    polys = bern.b_d_poly_rows(d, order)
     closed = bern.b_gen_egf(Progression(d, 0), order)
     for x in xs:
         if diff := _egf_diff([p.evaluate(x) for p in polys], closed * Fps.exp_of(x, order)):
@@ -857,12 +857,10 @@ def _b_gen_contraction(n_cap, rng):
 @_BERNOULLI.identity("one-parameter polynomials satisfy P' = n P(n-1)")
 def _b_d_appell(n_cap, rng):
     for d in range(1, 5):
-        lower = bern.b_d_poly(d, 0)
+        rows = bern.b_d_poly_rows(d, n_cap)
         for n in range(1, n_cap + 1):
-            poly = bern.b_d_poly(d, n)
-            if poly.derivative() != n * lower:
+            if rows[n].derivative() != n * rows[n - 1]:
                 return f"d={d} n={n}: Appell derivative property fails"
-            lower = poly
 
 
 def _b_gen_parity_violation(d: int, a: int, n_cap: int) -> str | None:

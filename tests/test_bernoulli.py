@@ -8,8 +8,10 @@ from hypothesis import strategies as stn
 from apsums.bernoulli import (
     b_d_numbers,
     b_d_poly,
+    b_d_poly_rows,
     b_gen,
     b_gen_poly,
+    b_gen_poly_rows,
     b_gen_poly_via_ordinary,
     b_gen_numbers,
     bernoulli_numbers,
@@ -124,6 +126,38 @@ class TestTwoParameterPolynomials:
     def test_both_routes_agree_at_the_input_limit(self, prog):
         n = LIMITS["bernoulli"]
         assert b_gen_poly_via_ordinary(prog, n) == b_gen_poly(prog, n)
+
+
+class TestPolynomialRows:
+    """The rows over one number list equal the single-row builders."""
+
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(2, 1), Progression(7, 5),
+                                      Progression(2**64 - 1, 2**64 - 1)])
+    def test_two_parameter_rows(self, prog):
+        rows = b_gen_poly_rows(prog, 12)
+        assert len(rows) == 13
+        for n, row in enumerate(rows):
+            assert row == b_gen_poly(prog, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 2**64 - 1])
+    def test_one_parameter_rows(self, d):
+        rows = b_d_poly_rows(d, 12)
+        assert len(rows) == 13
+        for n, row in enumerate(rows):
+            assert row == b_d_poly(d, n)
+
+    def test_rows_at_the_input_limit(self):
+        n = LIMITS["bernoulli"]
+        assert b_gen_poly_rows(Progression(7, 5), n)[n] == b_gen_poly(Progression(7, 5), n)
+        assert b_d_poly_rows(3, n)[n] == b_d_poly(3, n)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            b_gen_poly_rows(Progression(2, 1), -1)
+        with pytest.raises(DomainError):
+            b_d_poly_rows(2, -1)
+        with pytest.raises(DomainError):
+            b_d_poly_rows(0, 3)
 
 
 class TestOneParameterFamily:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
-from apsums import eulerian, lah, powersum, stirling
+from apsums import cli, eulerian, lah, powersum, stirling
 from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
 from apsums.verification import IDENTITIES, SUITE_NAMES, _ROUTES
+from make_cli_corpus import parse_level
 
 
 def run_cli(capsys, *args):
@@ -708,6 +711,65 @@ class TestRandomArgv:
         assert code in (0, 1, 2)
 
 
+# Tokens that argparse resolves itself; _noisy_argv splices them into a request.
+_NOISE = ["--", "-h", "--help", "extra", "--bogus", "--bogus=1", "-x", "--all", "--fam", "--r",
+          "--method=egf", "--d=3", "powersum", "power", ""]
+
+
+@stn.composite
+def _noisy_argv(draw):
+    """An ``_argv`` request with a few tokens inserted, or its command dropped."""
+    argv = draw(_argv())
+    if draw(stn.booleans()):
+        argv = argv[1:]
+    for _ in range(draw(stn.integers(0, 3))):
+        argv.insert(draw(stn.integers(0, len(argv))), draw(stn.sampled_from(_NOISE)))
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main() parses a request in one argparse pass when argv[0] names a subcommand;
+    the outcome equals the root parser's own, namespace or exit code and bytes."""
+
+    @staticmethod
+    def assert_same_as_the_root_pass(argv):
+        one_pass = _parse_outcome(cli._parse_args, argv)
+        assert one_pass == _parse_outcome(cli._new_parser().parse_args, argv)
+
+    @given(_argv())
+    def test_random_request(self, argv):
+        self.assert_same_as_the_root_pass(argv)
+
+    @given(_noisy_argv())
+    def test_random_request_with_noise(self, argv):
+        self.assert_same_as_the_root_pass(argv)
+
+    @pytest.mark.parametrize("argv", parse_level(), ids=" ".join)
+    def test_parse_level_request(self, argv):
+        self.assert_same_as_the_root_pass(argv)
+
+    def test_every_subcommand_has_its_parser(self):
+        build_parser()
+        assert sorted(cli._subparsers) == sorted(cli._COMMANDS)
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["apsums", "powersum", "--d", "2", "--a", "1",
+                                          "--n", "2", "--m", "2"])
+        assert main() == 0
+        assert capsys.readouterr() == ("35\n", "")
+
+
 class TestConsoleEntry:
     def test_module_invocation_is_deterministic(self, src_dir):
         args = [sys.executable, "-m", "apsums", "triangle", "--family", "reu", "--d", "3",
@@ -730,8 +792,30 @@ class TestConsoleEntry:
         stderr = proc.stderr.read().decode()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
-        assert "Traceback" not in stderr
-        assert "Exception ignored" not in stderr
+        assert stderr == ""
+
+    def test_closed_stdout_leaks_no_descriptor(self, src_dir):
+        """Each closed-stdout request points fd 1 at devnull and closes the
+        devnull descriptor it opened for that."""
+        script = (
+            "import os, sys\n"
+            "import apsums.cli as cli\n"
+            "def closed(args):\n"
+            "    raise BrokenPipeError\n"
+            "cli._COMMANDS['powersum'] = closed\n"
+            "def lowest_free():\n"
+            "    fd = os.open(os.devnull, os.O_RDONLY)\n"
+            "    os.close(fd)\n"
+            "    return fd\n"
+            "before = lowest_free()\n"
+            "codes = [cli.main(['powersum', '--d', '1', '--a', '0', '--n', '1', '--m', '1'])"
+            " for _ in range(3)]\n"
+            "print(codes, lowest_free() == before, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src_dir)}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "[2, 2, 2] True\n")
 
 
 class TestLeanImport:

@@ -35,6 +35,22 @@ class TestDirect:
     def test_triangular_number(self):
         assert ps_direct(Progression(1, 0), 1, 3) == 6
 
+    @pytest.mark.parametrize("d, a, n, m", [
+        (1, 0, 0, 0),  # the single term 0^0 = 1
+        (3, 0, 0, 7),  # a = 0 at n = 0: the j = 0 term is 0^0 = 1
+        (1, 0, 5, 7),
+        (7, 5, 13, 40),
+        (2**64 - 1, 2**64 - 1, 60, 5000),  # the largest served query
+    ])
+    def test_equals_a_plain_loop(self, d, a, n, m):
+        expected = 0
+        for j in range(m + 1):
+            term = a + d * j
+            expected += 1 if n == 0 else term**n
+        value = ps_direct(Progression(d, a), n, m)
+        assert type(value) is Fraction
+        assert value == expected
+
 
 class TestOrdinaryFaulhaber:
     def test_matches_direct(self):
