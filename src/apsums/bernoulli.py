@@ -197,8 +197,6 @@ def b_d_poly(d: int, n: int) -> Polynomial:
 def b_d_poly_rows(d: int, size: int) -> list[Polynomial]:
     """[B(d;n,x) for n = 0..size], all over one list B(d;0..size);
     row n equals ``b_d_poly(d, n)``."""
-    if d < 1:
-        raise DomainError("d must be a positive integer")
     if size < 0:
         raise DomainError("degree must be non-negative")
     numbers = b_d_numbers(d, size)

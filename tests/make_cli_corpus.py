@@ -20,7 +20,9 @@ import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 from apsums import cli, powersum
 from apsums.verification import SUITE_NAMES
@@ -115,17 +117,8 @@ def parse_level() -> list[list[str]]:
 def run(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one command, run in process."""
     out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdout, sys.stderr, os.environ.get("COLUMNS")
-    sys.stdout, sys.stderr = out, err
-    os.environ["COLUMNS"] = COLUMNS
-    try:
+    with redirect_stdout(out), redirect_stderr(err), patch.dict(os.environ, COLUMNS=COLUMNS):
         code = cli.main(argv)
-    finally:
-        sys.stdout, sys.stderr = saved[:2]
-        if saved[2] is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved[2]
     return code, out.getvalue(), err.getvalue()
 
 
