@@ -36,6 +36,7 @@ ROWS = (0, 1, 7, 64)
 DEPTHS = (1, 2, 3, 4, 8, 12)
 POWERS = ((0, 0), (1, 10), (60, 5000))  # (n, m) of the single-method power sums
 COLUMNS = "80"  # argparse wraps usage and help to the terminal width
+FIRST_KIND = ("s1", "s1p", "s1phat")  # row-scaled families: b-file windows decide --rational
 
 
 def commands() -> list[list[str]]:
@@ -52,6 +53,10 @@ def commands() -> list[list[str]]:
             bfile = ["export-bfile", "--family", family, *da]
             grid.append([*bfile, "--count", "2000"])
             grid.append([*bfile, "--offset", "1990", "--count", "10", "--rational"])
+            if family in FIRST_KIND:
+                grid.append([*bfile, "--count", "2000", "--rational"])
+                grid.append([*bfile, "--count", "1"])  # row 0 alone: an integer window
+                grid.append([*bfile, "--offset", "1", "--count", "2"])  # row 1: fractional for d > 1
         grid.append(["powersum", *da, "--n", "60", "--m", "5000", "--all-methods"])
         for method in powersum.METHOD_NAMES:
             for n, m in POWERS:
