@@ -1,7 +1,7 @@
 """The CLI output corpus: a fixed grid of commands and the digests of what each prints.
 
     PYTHONPATH=src python3 tests/make_cli_corpus.py                # rewrite data/cli_corpus.json
-    PYTHONPATH=src python3 tests/make_cli_corpus.py --show 'ARGV'  # print one command's output
+    PYTHONPATH=src python3 tests/make_cli_corpus.py --show='ARGV'  # print one command's output
 
 Each command runs in process through ``apsums.cli.main``.  The corpus maps the
 command line (its arguments joined by single spaces) to its exit code and the
@@ -136,10 +136,23 @@ def record(code: int, out: str, err: str) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--show", metavar="ARGV", help="print one command's exit code and output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def show_hint(line: str) -> str:
+    """The shell command that prints the output of the corpus command ``line``.
+
+    The value is attached with ``=``: as a separate word, a command that
+    starts with ``-`` (``-h``, ``--help``) would be read as an option.
+    """
+    return f"python3 tests/make_cli_corpus.py --show='{line}'"
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.show is not None:
         code, out, err = run(args.show.split())
         sys.stdout.write(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")

@@ -5,10 +5,11 @@ The corpus pins bytes; it does not replace the independent-route checks.  See
 """
 
 import json
+import shlex
 
 import pytest
 
-from make_cli_corpus import CORPUS, commands, record, run
+from make_cli_corpus import CORPUS, build_parser, commands, record, run, show_hint
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,18 @@ def test_every_command_prints_its_recorded_bytes(recorded):
                 f"first command whose output changed: {line}\n"
                 f"recorded: {recorded[line]}\n"
                 f"now:      {got}\n"
-                f"recorded output: `python3 tests/make_cli_corpus.py --show '{line}'` at the "
+                f"recorded output: `{show_hint(line)}` at the "
                 f"commit that last wrote {CORPUS.name}\n"
                 f"now, exit {code}\n--- stdout\n{out}--- stderr\n{err}",
                 pytrace=False,
             )
+
+
+def test_every_show_hint_parses_back_to_its_command():
+    """The hint printed for a changed command shows that command, also for
+    ``-h``, ``--help`` and the empty argv."""
+    parser = build_parser()
+    for cmd in commands():
+        words = shlex.split(show_hint(" ".join(cmd)))
+        assert words[:2] == ["python3", "tests/make_cli_corpus.py"]
+        assert parser.parse_args(words[2:]).show.split() == cmd
