@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import bernoulli as bern
 from . import eulerian as eul
@@ -190,14 +191,17 @@ def _check_parameters(args: argparse.Namespace) -> None:
             _check_range(flag, value, low, LIMITS["parameter"])
 
 
-def _bfile_lines(values: Sequence[Fraction | int], start: int, rational: bool) -> str:
-    """OEIS b-file lines ``i value`` for ``values``, indexed from ``start``.
+def _bfile_lines(texts: Iterable[str], start: int, rational: bool) -> str:
+    """OEIS b-file lines ``i value`` for the canonical value ``texts``, indexed
+    from ``start``.
 
-    A non-integer value is refused unless ``rational`` is set.
+    A non-integer value is refused unless ``rational`` is set: its text
+    ``p/q`` is the only place a ``/`` can appear in the lines.
     """
-    if not rational and any(v.denominator != 1 for v in values):
+    lines = "".join(f"{i} {text}\n" for i, text in enumerate(texts, start))
+    if not rational and "/" in lines:
         raise DomainError("non-integer entries; pass --rational to export them")
-    return "".join(f"{i} {rational_str(v)}\n" for i, v in enumerate(values, start=start))
+    return lines
 
 
 def _bernoulli_values(args: argparse.Namespace, count: int) -> list[Fraction]:
@@ -223,11 +227,11 @@ def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
             "family": args.family,
             "d": args.d,
             "a": args.a,
-            "rows": [[rational_str(c) for c in row] for row in tri.rows],
+            "rows": list(tri.row_texts()),
         }
         return json.dumps(payload) + "\n"
     if args.format == "bfile":
-        return _bfile_lines([c for row in tri.rows for c in row], 0, args.rational)
+        return _bfile_lines(chain.from_iterable(tri.row_texts()), 0, args.rational)
     raise DomainError(f"unknown format {args.format!r}")
 
 
@@ -296,18 +300,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if counts["FAIL"] else 0
 
 
-def _bfile_sequence(args: argparse.Namespace) -> list[Fraction | int]:
-    """At least the first offset + count values; a triangle family is read row by row."""
+def _bfile_window(args: argparse.Namespace) -> Iterable[str]:
+    """The texts of the values offset..offset+count-1; a triangle family is read
+    row by row."""
     needed = args.offset + args.count
     if args.sequence is not None:
         part = "numerator" if args.sequence == "bernoulli-num" else "denominator"
-        return [Fraction(getattr(v, part)) for v in _bernoulli_values(args, needed)]
+        return [str(getattr(v, part)) for v in _bernoulli_values(args, needed)[args.offset :]]
     prog = Progression(args.d, args.a if args.a is not None else 0)
     size = 0
     while (size + 1) * (size + 2) // 2 < needed:
         size += 1
     tri = FAMILY_BUILDERS[args.family](prog, size)
-    return [c for row in tri.rows for c in row]
+    return islice(chain.from_iterable(tri.row_texts()), args.offset, needed)
 
 
 def _cmd_export_bfile(args: argparse.Namespace) -> int:
@@ -315,8 +320,7 @@ def _cmd_export_bfile(args: argparse.Namespace) -> int:
     lines = LIMITS["bfile"] if args.sequence is None else LIMITS["bernoulli"] + 1
     _check_range("--offset", args.offset, 0, lines)
     _check_range("--count", args.count, 0, lines - args.offset)
-    window = _bfile_sequence(args)[args.offset : args.offset + args.count]
-    sys.stdout.write(_bfile_lines(window, args.offset, args.rational))
+    sys.stdout.write(_bfile_lines(_bfile_window(args), args.offset, args.rational))
     return 0
 
 

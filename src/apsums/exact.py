@@ -5,13 +5,16 @@ integer triangle families (s2, s2hat, s2fac, s1phat, reu, lah, lahinv)
 come from integer recurrences and hold plain ``int``.  ``Fps`` and
 ``Polynomial`` hold one canonical pair ``(nums, den)`` of integer
 numerators over one denominator, reduced by :func:`_reduced` with one
-multi-argument gcd, and hand out ``Fraction`` coefficients on demand.
+multi-argument gcd, and hand out ``Fraction`` coefficients on demand;
+``Triangle`` stores integer numerator rows over one denominator per row
+in the same canonical form.
 Every other value is a :class:`fractions.Fraction`, which keeps the
 canonical reduced form gcd(num, den) = 1 with den >= 1 that bit-exact
 comparison relies on, as the pairs do.  An ``int`` equals the ``Fraction``
 of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
-exporter uses it verbatim.  An ``int`` or a ``Fraction`` already prints
+exporter prints that text (a ``Triangle`` reads it off its pair, one gcd
+per fractional entry).  An ``int`` or a ``Fraction`` already prints
 that text through its own ``str`` (a ``Fraction`` is reduced with a
 positive denominator whenever it is built), so only other inputs pass
 through a new ``Fraction`` on the way.

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import Progression
 from .fps import Fps
-from .sheffer import ShefferPair, Triangle
+from .sheffer import ShefferPair, Triangle, _triangle
 from .stirling import _recurrence_triangle
 
 __all__ = [
@@ -100,14 +100,14 @@ def _four_term(d: int, a: int, size: int) -> Triangle:
     - d(n-1)(2a + d(n-2)) T(n-2,m) from T(0,0) = 1, on int."""
     if size < 0:
         raise DomainError("size must be non-negative")
-    rows = [[1]]
+    rows = [(1,)]
     for n in range(1, size + 1):
         prev = [0, *rows[n - 1], 0]
         prev2 = [*rows[n - 2], 0, 0] if n >= 2 else [0, 0]
         grow = 2 * (a + d * (n - 1))
         back = d * (n - 1) * (2 * a + d * (n - 2))
-        rows.append([prev[m] + grow * prev[m + 1] - back * prev2[m] for m in range(n + 1)])
-    return Triangle(rows)
+        rows.append(tuple([prev[m] + grow * prev[m + 1] - back * prev2[m] for m in range(n + 1)]))
+    return _triangle(tuple(rows), None)
 
 
 def lah_four_term(prog: Progression, size: int) -> Triangle:

@@ -11,22 +11,25 @@ and the triangle of a product is the matrix product of the triangles.
 
 :class:`Triangle` is the materialized N x N array.  It holds entries and
 nothing else, so triangles built along different routes compare equal
-exactly when their entries do.  The triangle product and the triangle
-inverse bring their operands to integer numerators over one common
-denominator, and the pair materialization reads the numerator pairs that
-its two series already store; all three sum in ``int`` and divide once per
-entry.
+exactly when their entries do.  It stores them as one canonical pair of
+integer numerator rows and one denominator per row (none for an integer
+triangle).  The sign flips read and build pairs; the triangle product,
+the triangle inverse and the pair materialization, which reads the
+numerator pairs that its two series already store, sum in ``int`` and
+reduce once per row.  The text forms are read off the pairs, one gcd per
+fractional entry.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError
-from .exact import _FrozenRecord, _common_denominator, _mul_ints, rational_str
+from .exact import _EXACT_TYPES, _FrozenRecord, _mul_ints, _ratio, _reduced
 from .fps import Fps
 from .poly import Polynomial
 
@@ -34,64 +37,108 @@ __all__ = ["ShefferPair", "Triangle", "identity_triangle"]
 
 _ZERO = Fraction(0)
 
+# Rows of integer numerators; with a tuple of row denominators (or None for
+# an integer triangle) they make the pair that a Triangle stores.
+_Rows = tuple[tuple[int, ...], ...]
+
 
 class Triangle:
     """Finite lower-triangular array of exact rationals, rows 0..N.
 
-    Entries are stored as given: the integer families built from integer
-    recurrences hold ``int``, everything else holds ``Fraction``, and no
-    entry is ever a float.  ``int`` and ``Fraction`` compare, hash and
-    print alike, so triangles from different routes compare bit-exactly.
-    A triangle carries no family name or progression: the caller that
-    built it already knows both.
+    A triangle stores one canonical pair ``(nums, dens)``: ``nums`` is a
+    tuple of integer rows, and ``dens`` is ``None`` exactly when every entry
+    is an ``int``; otherwise it holds one denominator per row, den >= 1 with
+    gcd(den, *row) = 1, and entry (n, m) is nums[n][m] / dens[n].  Equal
+    values therefore hold equal pairs (an integer row of ``None`` is the
+    row over 1), and ``==`` compares pairs.  An integer triangle hands out
+    its stored tuples of ``int``; a fractional one builds its entries as
+    ``Fraction`` once, on first read, and every entry is then a
+    ``Fraction``.  No entry is ever a float.  A triangle carries no family
+    name or progression: the caller that built it already knows both.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_nums", "_dens", "_fracs")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        converted = []
+        given = []
+        kinds: set[type] = set()
         for n, row in enumerate(rows):
             row = tuple(row)
             if len(row) != n + 1:
                 raise DomainError(f"row {n} must have {n + 1} entries, got {len(row)}")
-            converted.append(row)
-        if not converted:
+            given.append(row)
+            kinds.update(map(type, row))
+        if not given:
             raise DomainError("a triangle needs at least row 0")
-        self._rows = tuple(converted)
+        self._fracs = None
+        if kinds == {int}:
+            self._nums, self._dens = tuple(given), None
+            return
+        exact = kinds <= _EXACT_TYPES  # anything else goes through _ratio's checks
+        nums, dens = [], []
+        for row in given:
+            ratios = [c.as_integer_ratio() for c in row] if exact else [_ratio(c) for c in row]
+            # reduced entries over their least common denominator are already canonical
+            den = math.lcm(*[q for _, q in ratios])
+            nums.append(tuple([p * (den // q) for p, q in ratios] if den > 1 else [p for p, _ in ratios]))
+            dens.append(den)
+        self._nums, self._dens = tuple(nums), tuple(dens)
+        if kinds == {Fraction}:
+            self._fracs = tuple(given)
 
     @property
     def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
-        return self._rows
+        if self._dens is None:
+            return self._nums
+        if self._fracs is None:
+            self._fracs = tuple(
+                tuple([Fraction(p, den) for p in row]) for row, den in zip(self._nums, self._dens)
+            )
+        return self._fracs
 
     @property
     def size(self) -> int:
         """Largest row index N."""
-        return len(self._rows) - 1
+        return len(self._nums) - 1
 
     def entry(self, n: int, m: int) -> Fraction | int:
         """Entry (n, m); entries above the diagonal are zero."""
-        if n < 0 or m < 0 or n > self.size:
+        rows = self.rows
+        if n < 0 or m < 0 or n >= len(rows):
             raise DomainError(f"row {n}, column {m} outside triangle of size {self.size}")
         if m > n:
             return _ZERO
-        return self._rows[n][m]
+        return rows[n][m]
 
     def row(self, n: int) -> tuple[Fraction | int, ...]:
-        if n < 0 or n > self.size:
+        rows = self.rows
+        if n < 0 or n >= len(rows):
             raise DomainError(f"row {n} outside triangle of size {self.size}")
-        return self._rows[n]
+        return rows[n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangle):
             return NotImplemented
-        return self._rows == other._rows
+        if self._nums != other._nums:
+            return False
+        if self._dens is None or other._dens is None:
+            dens = self._dens or other._dens or ()
+            return all(den == 1 for den in dens)
+        return self._dens == other._dens
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Triangle(size={self.size})"
 
+    def row_texts(self) -> Iterator[list[str]]:
+        """Each row as the canonical text ``p/q`` (bare ``p`` when q = 1) of its
+        entries, the text ``exact.rational_str`` gives, read off the pair."""
+        if self._dens is None:
+            return map(_int_texts, self._nums)
+        return map(_ratio_texts, self._nums, self._dens)
+
     def text(self, sep: str = " ") -> str:
         """One row per line, canonical rationals, entries joined by ``sep``."""
-        return "\n".join(sep.join(rational_str(c) for c in row) for row in self._rows)
+        return "\n".join(map(sep.join, self.row_texts()))
 
     def row_polynomial(self, n: int) -> Polynomial:
         """sum_m entry(n, m) * x^m."""
@@ -99,22 +146,25 @@ class Triangle:
 
     def signed(self) -> Triangle:
         """Checkerboard signs: entry (n, m) times (-1)^(n-m)."""
-        return Triangle(
-            [
-                [c if (n - m) % 2 == 0 else -c for m, c in enumerate(row)]
-                for n, row in enumerate(self._rows)
-            ]
+        return _triangle(
+            tuple(
+                tuple([-c if (n - m) & 1 else c for m, c in enumerate(row)])
+                for n, row in enumerate(self._nums)
+            ),
+            self._dens,
         )
 
     def unsigned(self) -> Triangle:
-        return Triangle([[abs(c) for c in row] for row in self._rows])
+        return _triangle(tuple(tuple(map(abs, row)) for row in self._nums), self._dens)
 
     def multiply(self, other: Triangle) -> Triangle:
         """Exact triangular matrix product; sizes must match.
 
-        Each factor goes to integer numerators over one common denominator,
-        each entry sums in ``int`` and is divided once.  The product holds
-        ``int`` when both factors hold only ``int``, ``Fraction`` otherwise.
+        Row n of the product sums in ``int``: with the right factor's row
+        denominators e_k brought to E_n = lcm(e_0..e_n) by scaling the left
+        row's entries k by E_n/e_k, row n is the integer products over
+        d_n E_n, for the left row's denominator d_n, reduced once.  The
+        product holds ``int`` when both factors do, ``Fraction`` otherwise.
 
         >>> from apsums.exact import Progression
         >>> from apsums.stirling import s1_triangle, s2_triangle
@@ -125,66 +175,89 @@ class Triangle:
         """
         if self.size != other.size:
             raise DomainError(f"size mismatch: {self.size} vs {other.size}")
-        left, left_den = _flat_numerators(self._rows)
-        right, right_den = _flat_numerators(other._rows)
+        right = other._nums
         columns = [[row[m] for row in right[m:]] for m in range(self.size + 1)]
-        rows = [
-            [sum(map(operator.mul, row[m:], columns[m])) for m in range(n + 1)]
-            for n, row in enumerate(left)
-        ]
-        if left_den is None and right_den is None:
-            return Triangle(rows)
-        den = (left_den or 1) * (right_den or 1)
-        return Triangle([Fraction(c, den) for c in row] for row in rows)
+
+        def product(left: Iterable[Sequence[int]]) -> list[list[int]]:
+            return [[sum(map(operator.mul, row[m:], columns[m])) for m in range(n + 1)]
+                    for n, row in enumerate(left)]
+
+        if self._dens is None and other._dens is None:
+            return _triangle(tuple(map(tuple, product(self._nums))), None)
+        left_dens = self._dens or (1,) * len(right)
+        right_dens = other._dens or (1,) * len(right)
+        lcms = list(accumulate(right_dens, math.lcm))
+        scaled = [[c * (lcms[n] // e) for c, e in zip(row, right_dens)] for n, row in enumerate(self._nums)]
+        return _reduced_triangle(product(scaled), map(operator.mul, left_dens, lcms))
 
     def inverse(self) -> Triangle:
         """Inverse by forward substitution; needs a nonzero diagonal.
 
-        With the entries as numerators N over one denominator D, the inverse
-        is D N^-1.  Column m of N^-1 is carried in ``int`` as
-        Y_n = X_n * P_n, P_n = prod_{k=m..n} N_kk, which is an integer by
-        Cramer's rule: Y_m = 1 and Y_n = -sum_{k=m..n-1} N_nk Y_k P_(n-1)/P_k,
-        summed by Horner over the diagonal.  Each entry is one
-        ``Fraction(D Y_n, P_n)``.
+        With the entries as integer rows N over the row denominators
+        D = diag(d_n), the triangle is D^-1 N and its inverse is N^-1 D.
+        Column m of N^-1 is carried in ``int`` as Y_n = X_n * P(m..n),
+        P(m..n) = prod_{k=m..n} N_kk, which is an integer by Cramer's rule:
+        Y_m = 1 and Y_n = -sum_{k=m..n-1} N_nk Y_k P(m..n-1)/P(m..k), summed
+        by Horner over the diagonal.  Row n is then the integers
+        Y_n d_m P(0..m-1) over P(0..n), reduced once.
         """
-        for n in range(self.size + 1):
-            if self._rows[n][n] == 0:
+        nums, size = self._nums, self.size
+        for n in range(size + 1):
+            if nums[n][n] == 0:
                 raise DomainError(f"zero diagonal entry at row {n}")
-        nums, den = _flat_numerators(self._rows)
-        den = den or 1
+        dens = self._dens or (1,) * (size + 1)
         diag = [row[n] for n, row in enumerate(nums)]
-        inv: list[list[Fraction]] = [[_ZERO] * (n + 1) for n in range(self.size + 1)]
-        for m in range(self.size + 1):
+        prefix = [1]  # prefix[m] = P(0..m-1)
+        for c in diag:
+            prefix.append(prefix[-1] * c)
+        inv = [[0] * (n + 1) for n in range(size + 1)]
+        for m in range(size + 1):
             ys = [1]
-            scale = diag[m]
-            inv[m][m] = Fraction(den, scale)
-            for n in range(m + 1, self.size + 1):
+            lead = dens[m] * prefix[m]
+            inv[m][m] = lead
+            for n in range(m + 1, size + 1):
                 row = nums[n]
                 acc = 0
                 for k, y in enumerate(ys, m):
                     acc = acc * diag[k] + row[k] * y
                 ys.append(-acc)
-                scale *= diag[n]
-                inv[n][m] = Fraction(-acc * den, scale)
-        return Triangle(inv)
+                inv[n][m] = -acc * lead
+        return _reduced_triangle(inv, prefix[1:])
 
 
-def _flat_numerators(rows: tuple[tuple[Fraction | int, ...], ...]) -> tuple[list[list[int]], int | None]:
-    """Rows of integer numerators over one common denominator.
+def _triangle(nums: _Rows, dens: tuple[int, ...] | None) -> Triangle:
+    """The triangle of a pair the caller vouches is canonical: row n of
+    ``nums`` is a tuple of n + 1 ``int``, and ``dens`` is ``None`` or one
+    denominator per row with den >= 1 and gcd(den, *row) = 1."""
+    tri = object.__new__(Triangle)
+    tri._nums, tri._dens, tri._fracs = nums, dens, None
+    return tri
 
-    The denominator is ``None`` when every entry is an ``int``, so that a
-    product of two integer triangles stays in ``int``.
-    """
-    flat = [c for row in rows for c in row]
-    if all(type(c) is int for c in flat):
-        return [list(row) for row in rows], None
-    nums, den = _common_denominator(flat)
-    start = [n * (n + 1) // 2 for n in range(len(rows))]
-    return [nums[s : s + n + 1] for n, s in enumerate(start)], den
+
+def _reduced_triangle(rows: Iterable[Sequence[int]], dens: Iterable[int]) -> Triangle:
+    """The triangle of the values rows[n][m] / dens[n], each row brought to
+    canonical form with one gcd; a denominator may be negative but not zero."""
+    nums, reduced = zip(*map(_reduced, rows, dens))
+    return _triangle(nums, reduced)
+
+
+def _int_texts(row: Sequence[int]) -> list[str]:
+    return list(map(str, row))
+
+
+def _ratio_texts(row: Sequence[int], den: int) -> list[str]:
+    """The texts of row[m] / den, one gcd per entry."""
+    if den == 1:
+        return _int_texts(row)
+    return [
+        str(p // g) if g == den else f"{p // g}/{den // g}"
+        for p, g in zip(row, map(math.gcd, row, [den] * len(row)))
+    ]
 
 
 def identity_triangle(size: int) -> Triangle:
-    return Triangle([[1 if m == n else 0 for m in range(n + 1)] for n in range(size + 1)])
+    rows = tuple(tuple([1 if m == n else 0 for m in range(n + 1)]) for n in range(size + 1))
+    return _triangle(rows, None)
 
 
 class ShefferPair(_FrozenRecord):
@@ -211,17 +284,21 @@ class ShefferPair(_FrozenRecord):
             raise DomainError(
                 f"series order {self.order} too small for a size-{size} triangle"
             )
-        column, den = self.g._nums[: size + 1], self.g._den
-        f, f_den = self.f._nums, self.f._den
-        rows = [[_ZERO] * (n + 1) for n in range(size + 1)]
+        # column m is g * f^m over g_den * f_den^m; entry (n, m) is n!/m! times
+        # its t^n numerator, and over row n's denominator g_den * f_den^n it
+        # gains f_den^(n-m)
+        column, f, f_den = self.g._nums[: size + 1], self.f._nums, self.f._den
+        f_powers = [f_den**k for k in range(size + 1)]
+        rows = [[0] * (n + 1) for n in range(size + 1)]
         for m in range(size + 1):
             if m > 0:
-                # column m is g * f^m / m! with numerators over g_den * f_den^m * m!
                 column = _mul_ints(column, f, size)
-                den *= f_den * m
+            falling = 1
             for n in range(m, size + 1):
-                rows[n][m] = Fraction(column[n] * math.factorial(n), den)
-        return Triangle(rows)
+                if n > m:
+                    falling *= n
+                rows[n][m] = column[n] * falling * f_powers[n - m]
+        return _reduced_triangle(rows, [self.g._den * power for power in f_powers])
 
     def multiply(self, other: ShefferPair) -> ShefferPair:
         """Group product: (g1 * (g2 o f1), f2 o f1)."""

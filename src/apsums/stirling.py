@@ -11,14 +11,16 @@ column m by m!.  On the first-kind side, S1[d,a] is the group inverse of
 S2[d,a], and the non-negative integer triangle S1phat scales the unsigned
 rows by d^n, so S1p(n,m) = S1phat(n,m)/d^n and
 S1(n,m) = (-1)^(n-m) S1phat(n,m)/d^n.  Every triangle is built from an
-integer recurrence on plain int (S1 and S1p divide the S1phat rows by
-d^n, so they hold Fraction).  The closed forms (alternating sums, basis
-changes, the two Schloemilch triple sums, symmetric functions) and the
-Sheffer pairs are kept as independent cross-check routes.  The basis
-changes and the triple sums are triangle builders ``..._triangle(prog,
-size)`` that build their input triangle, powers and inner sums once per
-(prog, size); the per-entry function of the same name without the suffix
-reads entry (n, m) off the builder's rows 0..n.
+integer recurrence on plain int; S1p stores the S1phat rows as its
+numerators over the row denominators d^n and S1 flips their signs, so
+neither builds a Fraction, and their entries read as Fraction.  The
+closed forms (alternating sums, basis changes, the two Schloemilch triple
+sums, symmetric functions) and the Sheffer pairs are kept as independent
+cross-check routes.  The basis changes and the triple sums are triangle
+builders ``..._triangle(prog, size)`` that build their input triangle,
+powers and inner sums once per (prog, size); the per-entry function of
+the same name without the suffix reads entry (n, m) off the builder's rows
+0..n.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import Progression, binomial_general
 from .fps import Fps
-from .sheffer import ShefferPair, Triangle
+from .sheffer import ShefferPair, Triangle, _triangle
 from .symfunc import Alphabet, elementary_sigma
 
 __all__ = [
@@ -69,11 +71,11 @@ def _recurrence_triangle(
     from T(0,0) = 1, on int: integer coefficients keep every entry integral."""
     if size < 0:
         raise DomainError("size must be non-negative")
-    rows = [[1]]
+    rows = [(1,)]
     for n in range(1, size + 1):
         prev = [0, *rows[-1], 0]
-        rows.append([left(n, m) * prev[m] + right(n, m) * prev[m + 1] for m in range(n + 1)])
-    return Triangle(rows)
+        rows.append(tuple([left(n, m) * prev[m] + right(n, m) * prev[m + 1] for m in range(n + 1)]))
+    return _triangle(tuple(rows), None)
 
 
 # -- second kind ---------------------------------------------------------------
@@ -178,13 +180,10 @@ def s1phat_triangle(prog: Progression, size: int) -> Triangle:
 
 
 def s1p_triangle(prog: Progression, size: int) -> Triangle:
-    """Unsigned S1p(n,m) = S1phat(n,m) / d^n, as Fraction; fractional for d > 1."""
-    rows = s1phat_triangle(prog, size).rows
-    out, den = [], 1
-    for row in rows:
-        out.append([Fraction(c, den) for c in row])
-        den *= prog.d
-    return Triangle(out)
+    """Unsigned S1p(n,m) = S1phat(n,m) / d^n: the S1phat rows over the row
+    denominators d^n, already canonical since S1phat(n,n) = 1.  Its entries
+    read as Fraction (fractional for d > 1)."""
+    return _triangle(s1phat_triangle(prog, size).rows, tuple([prog.d**n for n in range(size + 1)]))
 
 
 def s1_triangle(prog: Progression, size: int) -> Triangle:

@@ -1,9 +1,13 @@
+import json
+import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as stn
 
+from apsums.cli import _triangle_lines
 from apsums.errors import DomainError
 from apsums.eulerian import reu_triangle
 from apsums.exact import Progression
@@ -206,6 +210,134 @@ class TestTriangleAlgebra:
     def test_text_form(self):
         tri = s2hat_triangle(Progression(2, 1), 2)
         assert tri.text() == "1\n1 1\n1 4 1"
+
+
+EDGE = 2**64 - 1
+# small values, zeros and values next to +-(2^64 - 1), as int or over small and edge denominators
+_INTS = stn.one_of(stn.integers(-3, 3), stn.integers(EDGE - 2, EDGE + 2), stn.integers(-EDGE - 2, -EDGE + 2))
+_FRACTIONS = stn.builds(Fraction, _INTS, stn.sampled_from([1, 2, 6, EDGE - 1, EDGE]))
+
+
+@stn.composite
+def _mixed_rows(draw, size=None):
+    """Rows 0..size as given to Triangle: all int, or each row all int, all
+    Fraction with denominator 1, or int and Fraction mixed."""
+    size = draw(stn.integers(0, 5)) if size is None else size
+    all_int = draw(stn.booleans())
+    rows = []
+    for n in range(size + 1):
+        kind = "int" if all_int else draw(stn.sampled_from(["int", "den-1", "mixed"]))
+        row = draw(stn.lists(_INTS if kind != "mixed" else stn.one_of(_INTS, _FRACTIONS),
+                             min_size=n + 1, max_size=n + 1))
+        rows.append([Fraction(c) for c in row] if kind == "den-1" else row)
+    return rows
+
+
+def _is_int_rows(rows):
+    return all(type(c) is int for row in rows for c in row)
+
+
+def _fraction_product(left, right):
+    return [
+        [sum((F(left[n][k]) * F(right[k][m]) for k in range(m, n + 1)), F(0)) for m in range(n + 1)]
+        for n in range(len(left))
+    ]
+
+
+class TestTrianglePairs:
+    """Triangles hold integer numerator rows over one denominator per row; every
+    read, comparison, sign flip, product and text agrees with plain Fraction lists."""
+
+    @given(_mixed_rows())
+    def test_rows_and_entries_keep_their_values(self, given_rows):
+        tri = Triangle(given_rows)
+        want_type = int if _is_int_rows(given_rows) else Fraction
+        assert [list(row) for row in tri.rows] == [[F(c) for c in row] for row in given_rows]
+        assert all(type(c) is want_type for row in tri.rows for c in row)
+        for n, row in enumerate(given_rows):
+            assert tri.row(n) == tri.rows[n]
+            for m, c in enumerate(row):
+                assert tri.entry(n, m) == c and type(tri.entry(n, m)) is want_type
+            assert tri.entry(n, n + 1) == 0
+        assert tri.rows is tri.rows  # built once
+
+    @given(_mixed_rows())
+    @example([[1], [F(1, 2), F(-1, 3)], [F(EDGE, 2), 0, F(4, EDGE - 1)]])
+    def test_equal_values_hold_equal_pairs(self, given_rows):
+        tri = Triangle(given_rows)
+        as_fractions = Triangle([[F(c) for c in row] for row in given_rows])
+        as_ints = [[int(c) if F(c).denominator == 1 else c for c in row] for row in given_rows]
+        assert tri == as_fractions and as_fractions == tri
+        assert tri == Triangle(as_ints) and Triangle(as_ints) == as_fractions
+        assert (tri._nums, tri._dens) == (Triangle(given_rows)._nums, Triangle(given_rows)._dens)
+        assert tri._nums == as_fractions._nums
+        if not _is_int_rows(given_rows):
+            assert tri._dens == as_fractions._dens
+        for n, (row, den) in enumerate(zip(as_fractions._nums, as_fractions._dens)):
+            assert den >= 1 and math.gcd(den, *row) == 1, n
+
+    @given(_mixed_rows(), stn.data())
+    def test_a_changed_entry_is_unequal(self, given_rows, data):
+        n = data.draw(stn.integers(0, len(given_rows) - 1))
+        m = data.draw(stn.integers(0, n))
+        for step in (1, F(1, 2)):
+            changed = [list(row) for row in given_rows]
+            changed[n][m] += step
+            assert Triangle(changed) != Triangle(given_rows)
+            assert Triangle(given_rows) != Triangle(changed)
+
+    def test_an_integer_triangle_equals_its_fractions_only_over_unit_rows(self):
+        ints = Triangle([[1], [2, 3]])
+        assert ints == Triangle([[F(1)], [F(2), F(3)]])
+        assert ints != Triangle([[1], [F(2, 5), F(3, 5)]])  # equal numerators, row 1 over 5
+        assert Triangle([[1], [F(2, 5), F(3, 5)]]) != ints
+
+    @given(_mixed_rows())
+    def test_signs_match_fraction_lists(self, given_rows):
+        tri = Triangle(given_rows)
+        want_type = int if _is_int_rows(given_rows) else Fraction
+        signed = [[F(c) * (-1) ** (n - m) for m, c in enumerate(row)] for n, row in enumerate(given_rows)]
+        unsigned = [[abs(F(c)) for c in row] for row in given_rows]
+        for got, want in ((tri.signed(), signed), (tri.unsigned(), unsigned)):
+            assert [list(row) for row in got.rows] == want
+            assert all(type(c) is want_type for row in got.rows for c in row)
+            assert got == Triangle(want)
+
+    @given(stn.integers(0, 4).flatmap(lambda size: stn.tuples(_mixed_rows(size), _mixed_rows(size))))
+    @example(([[F(1, 2)], [1, F(1, 2)]], [[2], [0, 2]]))  # each row of the product reduces to den 1
+    def test_multiply_matches_fraction_lists(self, operands):
+        left, right = operands
+        product = Triangle(left).multiply(Triangle(right))
+        want_type = int if _is_int_rows(left) and _is_int_rows(right) else Fraction
+        assert [list(row) for row in product.rows] == _fraction_product(left, right)
+        assert all(type(c) is want_type for row in product.rows for c in row)
+        assert product == Triangle(_fraction_product(left, right))
+
+    @given(_mixed_rows())
+    def test_inverse_matches_fraction_lists(self, given_rows):
+        rows = [[c if m < n or c != 0 else 1 for m, c in enumerate(row)] for n, row in enumerate(given_rows)]
+        inverse = Triangle(rows).inverse()
+        assert all(type(c) is Fraction for row in inverse.rows for c in row)
+        assert inverse.multiply(Triangle(rows)) == identity_triangle(len(rows) - 1)
+        assert Triangle(rows).multiply(inverse) == identity_triangle(len(rows) - 1)
+
+    @given(_mixed_rows(), stn.sampled_from([" ", ",", ""]))
+    @example([[1], [F(1, 2), F(-1, 3)], [F(EDGE, 2), 0, F(4, EDGE - 1)]], " ")  # rows over 6 and 2(2^64-2)
+    def test_text_json_and_bfile_print_each_entry_as_its_fraction(self, given_rows, sep):
+        tri = Triangle(given_rows)
+        texts = [[str(F(c)) for c in row] for row in given_rows]
+        assert tri.text(sep) == "\n".join(sep.join(row) for row in texts)
+        args = Namespace(family="s1", d=2, a=1, format="json", rational=False)
+        assert json.loads(_triangle_lines(tri, args))["rows"] == texts
+        flat = [text for row in texts for text in row]
+        args.format, args.rational = "bfile", True
+        assert _triangle_lines(tri, args) == "".join(f"{i} {text}\n" for i, text in enumerate(flat))
+        args.rational = False
+        if any("/" in text for text in flat):
+            with pytest.raises(DomainError, match="pass --rational"):
+                _triangle_lines(tri, args)
+        else:
+            assert _triangle_lines(tri, args) == "".join(f"{i} {text}\n" for i, text in enumerate(flat))
 
 
 class TestRowPolynomials:

@@ -264,6 +264,22 @@ class TestInversePairing:
         assert s1p_triangle(prog, size) == sheffer.signed()
         assert all(type(c) is Fraction for row in s1.rows for c in row)
 
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(3, 2), Progression(7, 5),
+                                      Progression(2**64 - 1, 2**64 - 1)], ids=str)
+    def test_first_kind_rows_are_the_scaled_integer_rows_at_the_row_limit(self, prog):
+        """S1p(n,m) = S1phat(n,m) / d^n and S1(n,m) = (-1)^(n-m) S1phat(n,m) / d^n
+        over every served row, each entry a Fraction, also at d = 1."""
+        size = LIMITS["rows"]
+        s1phat = s1phat_triangle(prog, size)
+        s1p = s1p_triangle(prog, size)
+        s1 = s1_triangle(prog, size)
+        for n in range(size + 1):
+            for m in range(n + 1):
+                want = F(s1phat.entry(n, m), prog.d**n)
+                assert s1p.entry(n, m) == want, (n, m)
+                assert s1.entry(n, m) == (-want if (n - m) % 2 else want), (n, m)
+        assert all(type(c) is Fraction for tri in (s1p, s1) for row in tri.rows for c in row)
+
     def test_families_at_the_input_limit_scale_the_unit_triangle(self):
         """At d = a = lam every first-kind coefficient is lam times its value at
         (1, 1), so S1phat(lam,lam;n,m) = lam^(n-m) S1phat(1,1;n,m) and
