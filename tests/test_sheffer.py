@@ -286,6 +286,11 @@ class TestTrianglePairs:
             assert Triangle(changed) != Triangle(given_rows)
             assert Triangle(given_rows) != Triangle(changed)
 
+    @pytest.mark.parametrize("entry", [1.5, True, "1"])
+    def test_only_int_and_fraction_entries_are_accepted(self, entry):
+        with pytest.raises(DomainError, match="exact scalar must be an int or a Fraction"):
+            Triangle([[1], [F(1, 2), entry]])
+
     def test_an_integer_triangle_equals_its_fractions_only_over_unit_rows(self):
         ints = Triangle([[1], [2, 3]])
         assert ints == Triangle([[F(1)], [F(2), F(3)]])
