@@ -55,9 +55,18 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
 # process; not at import, so importing cli without parsing costs nothing more.
 # Sharing is safe because parse_args keeps no state between calls.  The same
 # call fills _subparsers with the parser of each subcommand of _parser, which
-# main() hands a request to directly (see _parse_args).
+# main() hands a request to directly, and _tables with the fast path's table
+# derived from each of them (see _parse_args).
+#
+# A table holds each option string's (dest, const, type, choices, default,
+# required, group), where type None marks an option that takes no value and
+# stores const, and group indexes its mutually exclusive group; the default of
+# every dest; the number of required options; and whether each mutually
+# exclusive group is required.
+_Table = tuple[dict[str, tuple], dict[str, object], int, tuple[bool, ...]]
 _parser: argparse.ArgumentParser | None = None
 _subparsers: dict[str, argparse.ArgumentParser] = {}
+_tables: dict[str, _Table | None] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     global _parser
     if _parser is None:
         _parser = _new_parser(_subparsers)
+        _tables.update((name, _fast_table(sub)) for name, sub in _subparsers.items())
     return _parser
 
 
@@ -156,15 +166,101 @@ def _new_parser(
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass where it can be.
+def _fast_table(sub: argparse.ArgumentParser) -> _Table | None:
+    """The fast path's table of a subcommand's parser, derived from its actions;
+    None when an action is not a help, a store-const or a one-value store of an
+    int or of listed choices, so that every request to it takes argparse."""
+    groups = sub._mutually_exclusive_groups
+    group_of = {id(action): i for i, group in enumerate(groups) for action in group._group_actions}
+    options: dict[str, tuple] = {}
+    defaults: dict[str, object] = {}
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._StoreConstAction):
+            kind = None
+        elif type(action) is argparse._StoreAction and action.nargs is None and (
+            action.type is int or action.type is None and action.choices is not None
+        ):
+            kind = action.type or str
+        else:
+            return None
+        defaults[action.dest] = action.default
+        spec = (action.dest, action.const, kind, action.choices, action.default,
+                action.required, group_of.get(id(action)))
+        options.update(dict.fromkeys(action.option_strings, spec))
+    required = sum(action.required for action in sub._actions)
+    return options, defaults, required, tuple(group.required for group in groups)
 
-    When argv[0] is exactly a subcommand name, the root pass would only hand
-    argv[1:] to that subcommand's parser and refuse what it leaves over, so
-    this does both itself, in the root parser's words; every other argv
-    (empty, help, an unknown or abbreviated command, "--") takes the root pass.
+
+def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace of a well-formed request, built from the table of its
+    subcommand argv[0], or None when the table does not settle argv.
+
+    Well-formed: every later word is an exact option of the subcommand, given
+    once, and one that takes a value has the next word as its value, an int
+    spelled as an optional minus and ASCII digits or one of its choices;
+    every required option is present, and each mutually exclusive group has
+    at most one member given, exactly one when it is required.  Such an argv
+    leaves argparse nothing to resolve or refuse, so it would build this
+    same namespace.
+    """
+    table = _tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required, groups = table
+    values = dict(defaults)
+    given = set()
+    members = [0] * len(groups)
+    words = iter(argv[1:])
+    for word in words:
+        spec = options.get(word)
+        if spec is None or spec[0] in given:
+            return None
+        dest, value, kind, choices, default, is_required, group = spec
+        given.add(dest)
+        if kind is not None:
+            value = next(words, None)
+            if value is None:
+                return None
+            if kind is int:
+                # an optional minus and ASCII digits; every other spelling that
+                # int() takes ("+5", "5_000", " 5", non-ASCII digits) is left
+                # to argparse, as is one it refuses (more than 4,300 digits)
+                digits = value[1:] if value.startswith("-") else value
+                if not (digits.isascii() and digits.isdigit()):
+                    return None
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        required -= is_required
+        # argparse counts a member of a group only when its value is not the default
+        if group is not None and value is not default:
+            members[group] += 1
+    if required or any(n > 1 or (n == 0 and must) for n, must in zip(members, groups)):
+        return None
+    values["command"] = argv[0]
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without argparse where it can be.
+
+    A well-formed request gets its namespace from the fast path's table (see
+    _fast_args).  Any other argv whose argv[0] is exactly a subcommand name
+    takes one argparse pass: the root pass would only hand argv[1:] to that
+    subcommand's parser and refuse what it leaves over, so this does both
+    itself, in the root parser's words; every other argv (empty, help, an
+    unknown or abbreviated command, "--") takes the root pass.
     """
     parser = build_parser()
+    args = _fast_args(argv)
+    if args is not None:
+        return args
     sub = _subparsers.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)

@@ -51,7 +51,7 @@ from .errors import DomainError
 from .exact import Progression, _common_denominator, _FrozenRecord, fallfac, integer_power, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
-from .sheffer import ShefferPair, Triangle, identity_triangle
+from .sheffer import ShefferPair, Triangle, _triangle, identity_triangle
 from .symfunc import Alphabet, complete_h, cuboid_volume_oracle, elementary_sigma
 
 __all__ = [
@@ -224,8 +224,15 @@ def _poly_rows(poly: Callable[[Progression, int], Polynomial]) -> _Builder:
     is padded with zeros to n + 1 entries; a degree above n is no row."""
 
     def build(prog: Progression, size: int) -> Triangle:
-        polys = (poly(prog, n) for n in range(size + 1))
-        return Triangle((*p.coefficients, *[0] * (n - p.degree)) for n, p in enumerate(polys))
+        # a polynomial's pair is canonical, so each padded row is too
+        nums, dens = [], []
+        for n in range(size + 1):
+            p = poly(prog, n)
+            if len(p._nums) > n + 1:
+                raise DomainError(f"row {n} must have {n + 1} entries, got {len(p._nums)}")
+            nums.append((*p._nums, *[0] * (n + 1 - len(p._nums))))
+            dens.append(p._den)
+        return _triangle(tuple(nums), None if set(dens) == {1} else tuple(dens))
 
     build.__name__ = poly.__name__
     return build

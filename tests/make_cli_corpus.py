@@ -40,7 +40,14 @@ FIRST_KIND = ("s1", "s1p", "s1phat")  # row-scaled families: b-file windows deci
 
 
 def commands() -> list[list[str]]:
-    """The grid, in a fixed order."""
+    """The grid, in a fixed order: the requests the CLI serves, then the
+    parse-level ones."""
+    return grid() + parse_level()
+
+
+def grid() -> list[list[str]]:
+    """Well-formed requests over the progressions, families, formats, routes,
+    suites and depths, each written as a user types it."""
     grid = []
     for d, a in PROGRESSIONS:
         da = ["--d", str(d), "--a", str(a)]
@@ -72,13 +79,15 @@ def commands() -> list[list[str]]:
             grid.append(verify)
             if suite == "lah":
                 grid.append([*verify, "--include-printed-three-term"])
-    return grid + parse_level()
+    return grid
 
 
 def parse_level() -> list[list[str]]:
     """Requests that argparse answers itself (help and usage errors), plus valid
-    requests whose spelling argparse must resolve: a "--" separator or an
-    abbreviated option."""
+    requests whose spelling argparse must resolve: a "--" separator, an
+    abbreviated option, an "=" form, a repeat, or an int that is not an
+    optional minus and ASCII digits.  A value with a space is left out: the
+    corpus joins a command's words with spaces."""
     ok = ["--d", "2", "--a", "1", "--n", "2", "--m", "2"]  # a valid powersum request
     tri = ["--family", "s2", "--d", "2", "--rows", "3"]
     grid = [["-h"], ["--help"], []]
@@ -115,6 +124,17 @@ def parse_level() -> list[list[str]]:
          "--count", "3"],
         ["powersum", *ok, "--d", "3"],  # a repeated option: the last one wins
         ["powersum", "--d", "-2", "--a", "1", "--n", "2", "--m", "2"],  # a negative value
+        ["powersum", "--d", "2", "--a", "-0", "--n", "2", "--m", "2"],  # minus zero
+        ["powersum", "--d", "+2", "--a", "1", "--n", "2", "--m", "2"],  # other spellings of an int
+        ["powersum", "--d", "2", "--a", "1", "--n", "2", "--m", "2_0"],
+        ["powersum", "--d", "2", "--a", "1", "--n", "\u0662", "--m", "2"],  # ARABIC-INDIC DIGIT TWO
+        ["powersum", "--d", "1" + "0" * 4300, "--a", "1", "--n", "2", "--m", "2"],  # int() refuses
+        ["powersum", "--d", "-", "--a", "1", "--n", "2", "--m", "2"],
+        ["powersum", "--d=2", "--a", "1", "--n", "2", "--m", "2"],
+        ["powersum", *ok, "--all-methods", "--all-methods"],  # a repeated switch
+        ["triangle", *tri, "--format", "bfile", "--rational", "--rational"],
+        ["bernoulli", "--d", "2"],  # no member of a required exclusive group
+        ["export-bfile", "--d", "2", "--count", "3"],
     ]
     return grid
 

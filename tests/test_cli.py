@@ -16,7 +16,7 @@ from apsums.exact import Progression
 from apsums.sheffer import Triangle
 from apsums.stirling import s2_triangle
 from apsums.verification import IDENTITIES, SUITE_NAMES, _ROUTES
-from make_cli_corpus import parse_level
+from make_cli_corpus import grid, parse_level
 
 
 def run_cli(capsys, *args):
@@ -727,6 +727,74 @@ def _noisy_argv(draw):
     return argv
 
 
+# The required options, and the mutually exclusive groups as (required, members),
+# of each subcommand.
+_REQUIRED = {"triangle": ("--family", "--d", "--rows"), "powersum": ("--d", "--a", "--n", "--m"),
+             "bernoulli": ("--d",), "verify": (), "export-bfile": ("--d", "--count")}
+_GROUPS = {"powersum": ((False, ("--method", "--all-methods")),),
+           "bernoulli": ((True, ("--count", "--poly")),),
+           "export-bfile": ((True, ("--family", "--sequence")),)}
+
+
+@stn.composite
+def _fast_argv(draw):
+    """A well-formed request: every required option, at most one member of each
+    exclusive group (one of a required group) and any of the rest, in random
+    order, each value a separate word."""
+    command = draw(stn.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    flags = set(_REQUIRED[command])
+    for required, members in _GROUPS.get(command, ()):
+        flags.update(draw(stn.sampled_from([(m,) for m in members] + [()] * (not required))))
+    grouped = {m for _, members in _GROUPS.get(command, ()) for m in members}
+    flags.update(flag for flag in options if flag not in grouped and draw(stn.booleans()))
+    argv = [command]
+    for flag in draw(stn.permutations(sorted(flags))):
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(str(draw(options[flag])))
+    return argv
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Spellings of an int value that int() reads, or for 4,301 digits refuses, and
+# that the fast path leaves to argparse.
+_SPELLINGS = {
+    "plus": lambda value: "+" + value,
+    "underscore": lambda value: value + "_0",
+    "space": lambda value: " " + value,
+    "newline": lambda value: value + "\n",
+    "arabic-indic": lambda value: value.translate(_ARABIC_INDIC),
+    "4301 digits": lambda value: "1" + "0" * 4300,
+    "minus": lambda value: "-",
+}
+
+
+@stn.composite
+def _one_word_off(draw):
+    """A ``_fast_argv`` request with one option repeated, abbreviated or given
+    as --option=value, or one int value respelled as in _SPELLINGS; the kind
+    of change is drawn first, so that each is drawn often."""
+    argv = draw(_fast_argv().filter(lambda argv: len(argv) > 1))
+    options = _OPTIONS[argv[0]]
+    variants = {}
+    for i, word in enumerate(argv):
+        if word not in options:
+            continue
+        takes = argv[i + 1 : i + 2] if options[word] is not None else []
+        variants.setdefault("repeated", []).append([*argv, word, *takes])
+        for k in range(3, len(word)):
+            if word[:k] not in options:
+                variants.setdefault("abbreviated", []).append([*argv[:i], word[:k], *argv[i + 1 :]])
+        if takes:
+            variants.setdefault("=", []).append([*argv[:i], f"{word}={takes[0]}", *argv[i + 2 :]])
+        if takes and takes[0].lstrip("-").isdigit():
+            for kind, spell in _SPELLINGS.items():
+                variants.setdefault(kind, []).append([*argv[: i + 1], spell(takes[0]), *argv[i + 2 :]])
+    kind = draw(stn.sampled_from(sorted(variants)))
+    return draw(stn.sampled_from(variants[kind]))
+
+
 def _parse_outcome(parse, argv):
     """The namespace ``parse(argv)`` returns, or its exit code, with what it printed."""
     out, err = io.StringIO(), io.StringIO()
@@ -739,8 +807,9 @@ def _parse_outcome(parse, argv):
 
 
 class TestDispatch:
-    """main() parses a request in one argparse pass when argv[0] names a subcommand;
-    the outcome equals the root parser's own, namespace or exit code and bytes."""
+    """main() reads a well-formed request from the fast path's table, and parses
+    any other whose argv[0] names a subcommand in one argparse pass; the outcome
+    equals the root parser's own, namespace or exit code and bytes."""
 
     @staticmethod
     def assert_same_as_the_root_pass(argv):
@@ -758,6 +827,34 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", parse_level(), ids=" ".join)
     def test_parse_level_request(self, argv):
         self.assert_same_as_the_root_pass(argv)
+
+    @given(_fast_argv())
+    def test_well_formed_request_takes_the_fast_path(self, argv):
+        build_parser()
+        assert cli._fast_args(argv) is not None
+        self.assert_same_as_the_root_pass(argv)
+
+    @given(_one_word_off())
+    def test_request_one_word_off_takes_argparse(self, argv):
+        build_parser()
+        assert cli._fast_args(argv) is None
+        self.assert_same_as_the_root_pass(argv)
+
+    def test_parse_level_requests_but_negative_values_leave_the_fast_path(self):
+        build_parser()
+        served = [" ".join(argv) for argv in parse_level() if cli._fast_args(argv) is not None]
+        assert served == ["powersum --d -2 --a 1 --n 2 --m 2", "powersum --d 2 --a -0 --n 2 --m 2"]
+
+    def test_every_grid_request_takes_the_fast_path(self):
+        """The corpus grid, the requests the CLI serves, never reaches argparse."""
+        build_parser()
+        assert [cmd for cmd in grid() if cli._fast_args(cmd) is None] == []
+
+    def test_fast_table_has_every_option_but_help(self):
+        build_parser()
+        for name, sub in cli._subparsers.items():
+            options, _, _, _ = cli._tables[name]
+            assert sorted(options) == sorted(set(sub._option_string_actions) - {"-h", "--help"})
 
     def test_every_subcommand_has_its_parser(self):
         build_parser()
