@@ -8,8 +8,9 @@ Applied to the factorial-scaled Stirling row they produce the rEu[d,a]
 triangle, stored here in the row-reversed orientation in which all of
 its formulas are stated.  The conversion routes are triangle builders
 ``..._triangle(prog, size)`` that build their input triangle once per
-(prog, size); the per-entry function of the same name without the suffix
-reads entry (n, k) off the builder's rows 0..n.
+(prog, size).  Integer input stays integer: the reordering returns its
+sums as computed, ``int`` for ``int`` coefficients, and
+:func:`reu_explicit` gives one entry (n, k) as an ``int``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 
-def reorder_b_to_a(b: Sequence[Fraction | int], n: int) -> list[Fraction]:
+def reorder_b_to_a(b: Sequence[Fraction | int], n: int) -> list[Fraction | int]:
     """From stacked coefficients b_j to single-denominator coefficients a_i:
 
     a_i = sum_j (-1)^(i-j) C(n-j, i-j) b_j.
@@ -47,11 +48,11 @@ def reorder_b_to_a(b: Sequence[Fraction | int], n: int) -> list[Fraction]:
         for j in range(i + 1):
             sign = -1 if (i - j) % 2 else 1
             acc += sign * math.comb(n - j, i - j) * b[j]
-        out.append(Fraction(acc))
+        out.append(acc)
     return out
 
 
-def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction]:
+def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction | int]:
     """Exact inverse of :func:`reorder_b_to_a`:
 
     b_j = sum_i C(n-i, j-i) a_i.
@@ -63,18 +64,18 @@ def reorder_a_to_b(a: Sequence[Fraction | int], n: int) -> list[Fraction]:
         acc = 0
         for i in range(j + 1):
             acc += math.comb(n - i, j - i) * a[i]
-        out.append(Fraction(acc))
+        out.append(acc)
     return out
 
 
-def reu_explicit(prog: Progression, n: int, k: int) -> Fraction:
+def reu_explicit(prog: Progression, n: int, k: int) -> int:
     """rEu(d,a;n,k) = sum_j (-1)^(k-j) C(n+1, k-j) (a + d*j)^n."""
     _require_in_triangle(n, k)
     acc = 0
     for j in range(k + 1):
         sign = -1 if (k - j) % 2 else 1
         acc += sign * math.comb(n + 1, k - j) * prog.term(j) ** n
-    return Fraction(acc)
+    return acc
 
 
 def reu_triangle(prog: Progression, size: int) -> Triangle:
@@ -91,37 +92,23 @@ def reu_from_s2fac_triangle(prog: Progression, size: int) -> Triangle:
     reordered once through :func:`reorder_b_to_a`:
 
     rEu(n,k) = sum_j (-1)^(k-j) C(n-j, k-j) S2(n,j) j!.
+
+    The classical row S2fac(2, .) = [0, 1, 2] gives [0, 1, 1]:
+
+    >>> reu_from_s2fac_triangle(Progression(1, 0), 2).row(2)
+    (0, 1, 1)
     """
     return Triangle(reorder_b_to_a(row, n) for n, row in enumerate(s2fac_triangle(prog, size).rows))
-
-
-def reu_from_s2fac(prog: Progression, n: int, k: int) -> Fraction:
-    """Entry (n, k) of :func:`reu_from_s2fac_triangle`.
-
-    The classical row S2fac(2, .) = [0, 1, 2]:
-
-    >>> [int(reu_from_s2fac(Progression(1, 0), 2, k)) for k in range(3)]
-    [0, 1, 1]
-    """
-    _require_in_triangle(n, k)
-    return reu_from_s2fac_triangle(prog, n).entry(n, k)
 
 
 def s2fac_from_reu_triangle(prog: Progression, size: int) -> Triangle:
     """Inverse direction, each rEu row reordered once through :func:`reorder_a_to_b`:
     S2(n,m) m! = sum_k C(n-k, m-k) rEu(n,k).
+
+    >>> s2fac_from_reu_triangle(Progression(1, 0), 2).row(2)
+    (0, 1, 2)
     """
     return Triangle(reorder_a_to_b(row, n) for n, row in enumerate(reu_triangle(prog, size).rows))
-
-
-def s2fac_from_reu(prog: Progression, n: int, m: int) -> Fraction:
-    """Entry (n, m) of :func:`s2fac_from_reu_triangle`.
-
-    >>> [int(s2fac_from_reu(Progression(1, 0), 2, m)) for m in range(3)]
-    [0, 1, 2]
-    """
-    _require_in_triangle(n, m)
-    return s2fac_from_reu_triangle(prog, n).entry(n, m)
 
 
 def reu_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
@@ -153,9 +140,3 @@ def reu_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
             row.append(acc)
         rows.append(row)
     return Triangle(rows)
-
-
-def reu_from_ordinary(prog: Progression, n: int, k: int) -> int:
-    """Entry (n, k) of :func:`reu_from_ordinary_triangle`."""
-    _require_in_triangle(n, k)
-    return reu_from_ordinary_triangle(prog, n).entry(n, k)

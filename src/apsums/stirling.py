@@ -18,9 +18,9 @@ closed forms (alternating sums, basis changes, the two Schloemilch triple
 sums, symmetric functions) and the Sheffer pairs are kept as independent
 cross-check routes.  The basis changes and the triple sums are triangle
 builders ``..._triangle(prog, size)`` that build their input triangle,
-powers and inner sums once per (prog, size); the per-entry function of
-the same name without the suffix reads entry (n, m) off the builder's rows
-0..n.
+powers and inner sums once per (prog, size).  The alternating sum
+:func:`s2_explicit` and the symmetric-function route
+:func:`s1phat_from_sigma` give one entry (n, m) each, as a Fraction.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .exact import Progression, binomial_general
 from .fps import Fps
-from .sheffer import ShefferPair, Triangle, _triangle
+from .sheffer import ShefferPair, Triangle, _reduced_triangle, _triangle
 from .symfunc import Alphabet, elementary_sigma
 
 __all__ = [
@@ -134,19 +134,14 @@ def s2_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
     )
 
 
-def s2_from_ordinary(prog: Progression, n: int, m: int) -> int:
-    """Entry (n, m) of :func:`s2_from_ordinary_triangle`."""
-    _require_in_triangle(n, m)
-    return s2_from_ordinary_triangle(prog, n).entry(n, m)
-
-
 def s2_ordinary_from_general_triangle(prog: Progression, size: int) -> Triangle:
     """Recover the ordinary S2 rows 0..size from the [d,a] family; needs a >= 1.
 
     Inversion of the binomial expansion,
     S2(n,m) = (-a/d)^n sum_k (-1)^k C(n,k) a^(-k) S2(d,a;k,m),
     with a^n carried inside: the sum of (-1)^k C(n,k) a^(n-k) S2(d,a;k,m)
-    is taken in int over one [d,a] triangle and divided once by (-d)^n.
+    is taken in int over one [d,a] triangle, and each row is reduced once
+    over its denominator (-d)^n.
     """
     if prog.a == 0:
         raise DomainError("inversion is degenerate at a = 0")
@@ -155,16 +150,8 @@ def s2_ordinary_from_general_triangle(prog: Progression, size: int) -> Triangle:
     rows = []
     for n in range(size + 1):
         signed = [(-1 if k % 2 else 1) * math.comb(n, k) * a_powers[n - k] for k in range(n + 1)]
-        den = (-prog.d) ** n
-        rows.append([Fraction(sum(signed[k] * general.entry(k, m) for k in range(m, n + 1)), den)
-                     for m in range(n + 1)])
-    return Triangle(rows)
-
-
-def s2_ordinary_from_general(prog: Progression, n: int, m: int) -> Fraction:
-    """Entry (n, m) of :func:`s2_ordinary_from_general_triangle`."""
-    _require_in_triangle(n, m)
-    return s2_ordinary_from_general_triangle(prog, n).entry(n, m)
+        rows.append([sum(signed[k] * general.entry(k, m) for k in range(m, n + 1)) for m in range(n + 1)])
+    return _reduced_triangle(rows, [(-prog.d) ** n for n in range(size + 1)])
 
 
 # -- first kind ----------------------------------------------------------------
@@ -214,12 +201,6 @@ def s1phat_from_ordinary_triangle(prog: Progression, size: int) -> Triangle:
     )
 
 
-def s1phat_from_ordinary(prog: Progression, n: int, m: int) -> int:
-    """Entry (n, m) of :func:`s1phat_from_ordinary_triangle`."""
-    _require_in_triangle(n, m)
-    return s1phat_from_ordinary_triangle(prog, n).entry(n, m)
-
-
 def s1phat_schlomilch_triangle(prog: Progression, size: int) -> Triangle:
     """S1phat rows 0..size by the generalized Schloemilch formula, a triple
     sum over S2hat values:
@@ -262,12 +243,6 @@ def s1phat_schlomilch_triangle(prog: Progression, size: int) -> Triangle:
             row.append(acc)
         rows.append(row)
     return Triangle(rows)
-
-
-def s1phat_schlomilch(prog: Progression, n: int, m: int) -> int:
-    """Entry (n, m) of :func:`s1phat_schlomilch_triangle`."""
-    _require_in_triangle(n, m)
-    return s1phat_schlomilch_triangle(prog, n).entry(n, m)
 
 
 def s1phat_schlomilch_v2_triangle(prog: Progression, size: int) -> Triangle:
@@ -316,12 +291,6 @@ def s1phat_schlomilch_v2_triangle(prog: Progression, size: int) -> Triangle:
             row.append(Fraction(m * math.comb(n, m) * acc, den * lcm))
         rows.append(row)
     return Triangle(rows)
-
-
-def s1phat_schlomilch_v2(prog: Progression, n: int, m: int) -> Fraction | int:
-    """Entry (n, m) of :func:`s1phat_schlomilch_v2_triangle`."""
-    _require_in_triangle(n, m)
-    return s1phat_schlomilch_v2_triangle(prog, n).entry(n, m)
 
 
 # -- Sheffer pairs for the families ---------------------------------------------

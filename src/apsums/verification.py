@@ -22,13 +22,14 @@ inputs calls that law's function.
 An entry that compares two triangles entry by entry is a row of ``_ROUTES``
 registered by ``_Suite.compare``: its grid, its builder and its named
 routes, with the table's one mismatch text.  Every route is a triangle
-builder ``(prog, size)`` that stages what depends on (prog, size) once;
-``_entries`` turns a per-entry closed form ``(prog, n, m)`` into a builder
-and remains only for the routes that have no staged form (``s2_explicit``,
-``s1phat_from_sigma``, ``reu_explicit`` and the two ``complete_h`` routes).
-The entry builds its row each time its check runs, so a patched module
-attribute reaches it.  The route-mutation test in ``tests/test_cli.py``
-breaks every route of every row in turn.
+builder ``(prog, size)`` that stages what depends on (prog, size) once,
+but for five closed forms ``(prog, n, m)`` of one entry each, which
+``_entries`` turns into builders.  ``s2_explicit``, ``s1phat_from_sigma``
+and ``reu_explicit`` stay per entry because the benchmark's oracle
+(``bench/oracle.py``) calls them per entry; the two ``complete_h`` routes
+have no staged form.  The entry builds its row each time its check runs,
+so a patched module attribute reaches it.  The route-mutation test in
+``tests/test_cli.py`` breaks every route of every row in turn.
 
 ``Identity.run`` alone decides an entry's verdict, the ``status`` of its
 ``CheckResult``; callers print and count it.
@@ -942,7 +943,7 @@ def _binomial_splitting(size, rng):
 def _stacked_coefficients(size, rng):
     for prog in _progressions(3):
         for n in range(size + 1):
-            reu_row = [eul.reu_explicit(prog, n, i) for i in range(n + 1)] + [Fraction(0)]
+            reu_row = [eul.reu_explicit(prog, n, i) for i in range(n + 1)] + [0]
             b_side = eul.reorder_a_to_b(reu_row, n + 1)
             for j in range(n + 2):
                 if b_side[j] != ps.sigma_s2(prog, n, j):

@@ -73,7 +73,7 @@ def test_criterion_02_worked_volume_examples():
             assert st.s1phat_triangle(prog, n).entry(n, m) == value  # recurrence route
             assert elementary_sigma(Alphabet(prog, n), n - m) == value  # symmetric function
             assert cuboid_volume_oracle(Alphabet(prog, n), n - m, distinct=True) == value
-            assert st.s1phat_schlomilch(prog, n, m) == value  # closed form
+            assert st.s1phat_schlomilch_triangle(prog, n).entry(n, m) == value  # closed form
     _passed(2, "all six worked hyper-cuboid values reproduced by >= 3 routes each")
 
 

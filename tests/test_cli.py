@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -516,6 +517,17 @@ class TestVerifyCommand:
         assert unreached == []
         # a function named here is reached by its entry alone
         assert [fn.__name__ for fn in named_by_entry if fn.__code__ in reached] == []
+
+    def test_every_public_triangle_function_is_listed(self):
+        """The reach check above walks ``__all__``, so a public function that
+        ``stirling``, ``eulerian`` or ``lah`` defines outside it would escape."""
+        unlisted = [
+            f"{module.__name__}.{name}"
+            for module in (stirling, eulerian, lah)
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not name.startswith("_") and name not in module.__all__
+        ]
+        assert unlisted == []
 
 
 class TestExportBfile:

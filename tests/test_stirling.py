@@ -13,18 +13,13 @@ from apsums.stirling import (
     s1_triangle,
     s1hat_pair,
     s1p_triangle,
-    s1phat_from_ordinary,
     s1phat_from_ordinary_triangle,
     s1phat_from_sigma,
-    s1phat_schlomilch,
     s1phat_schlomilch_triangle,
-    s1phat_schlomilch_v2,
     s1phat_schlomilch_v2_triangle,
     s1phat_triangle,
     s2_explicit,
-    s2_from_ordinary,
     s2_from_ordinary_triangle,
-    s2_ordinary_from_general,
     s2_ordinary_from_general_triangle,
     s2_pair,
     s2_triangle,
@@ -32,7 +27,6 @@ from apsums.stirling import (
     s2hat_triangle,
 )
 from apsums.verification import (
-    _entries,
     _ordinary_s2_triangle,
     _progressions,
     _s1_falling_egf_violation,
@@ -89,24 +83,22 @@ class TestSecondKindTriangle:
             s2_explicit(Progression(1, 0), 2, 3)
 
     def test_from_ordinary(self):
-        assert s2_from_ordinary(Progression(2, 1), 2, 1) == 8
-        assert s2_from_ordinary(Progression(2, 1), 0, 0) == 1
+        assert s2_from_ordinary_triangle(Progression(2, 1), 2).entry(2, 1) == 8
+        assert s2_from_ordinary_triangle(Progression(2, 1), 0).entry(0, 0) == 1
+        classical = s2_from_ordinary_triangle(Progression(1, 0), 5)
         for n in range(6):
             for m in range(n + 1):
-                assert s2_from_ordinary(Progression(1, 0), n, m) == s2_explicit(
-                    Progression(1, 0), n, m
-                )
+                assert classical.entry(n, m) == s2_explicit(Progression(1, 0), n, m)
 
     def test_ordinary_recovered_from_general(self):
-        assert s2_ordinary_from_general(Progression(2, 1), 3, 2) == 3
-        assert s2_ordinary_from_general(Progression(2, 1), 1, 1) == 1
-        assert s2_ordinary_from_general(Progression(3, 2), 2, 1) == 1
+        assert s2_ordinary_from_general_triangle(Progression(2, 1), 3).entry(3, 2) == 3
+        assert s2_ordinary_from_general_triangle(Progression(2, 1), 1).entry(1, 1) == 1
+        assert s2_ordinary_from_general_triangle(Progression(3, 2), 2).entry(2, 1) == 1
 
     def test_recovery_rejects_zero_offset(self):
-        with pytest.raises(DomainError):
-            s2_ordinary_from_general(Progression(2, 0), 2, 1)
-        with pytest.raises(DomainError, match="degenerate at a = 0"):
-            s2_ordinary_from_general_triangle(Progression(2, 0), 0)
+        for size in (0, 2):
+            with pytest.raises(DomainError, match="degenerate at a = 0"):
+                s2_ordinary_from_general_triangle(Progression(2, 0), size)
 
     def test_four_route_agreement(self, identity):
         # the Sheffer route materializes every column e.g.f. e^(at) (e^(dt)-1)^m / m!
@@ -180,20 +172,19 @@ class TestFirstKindTriangle:
         assert s1phat_from_sigma(Progression(1, 0), 4, 2) == 11
 
     def test_from_ordinary(self):
-        assert s1phat_from_ordinary(Progression(2, 1), 3, 1) == 23
+        assert s1phat_from_ordinary_triangle(Progression(2, 1), 3).entry(3, 1) == 23
+        classical = s1phat_from_ordinary_triangle(Progression(1, 0), 5)
         for n in range(6):
             for m in range(n + 1):
-                assert s1phat_from_ordinary(Progression(1, 0), n, m) == s1phat_triangle(
-                    Progression(1, 0), n
-                ).entry(n, m)
-        assert s1phat_from_ordinary(Progression(3, 1), 2, 0) == 4
+                assert classical.entry(n, m) == s1phat_triangle(Progression(1, 0), n).entry(n, m)
+        assert s1phat_from_ordinary_triangle(Progression(3, 1), 2).entry(2, 0) == 4
 
     def test_ordinary_double_binomial(self):
-        ordinary = Progression(1, 0)
-        assert s1phat_schlomilch(ordinary, 4, 2) == 11
-        assert s1phat_schlomilch(ordinary, 7, 7) == 1
-        assert s1phat_schlomilch(ordinary, 0, 0) == 1
-        assert s1phat_schlomilch(ordinary, 5, 1) == 24
+        tri = s1phat_schlomilch_triangle(Progression(1, 0), 7)
+        assert tri.entry(4, 2) == 11
+        assert tri.entry(7, 7) == 1
+        assert tri.entry(0, 0) == 1
+        assert tri.entry(5, 1) == 24
 
     def test_reduces_to_the_classical_double_binomial_sum(self):
         # At (1, 0) the triple sum is the classical
@@ -211,6 +202,7 @@ class TestFirstKindTriangle:
         for n in range(1, rows + 1):
             for m in range(1, n + 1):
                 c[n][m] = (n - 1) * c[n - 1][m] + c[n - 1][m - 1]
+        triple_sum = s1phat_schlomilch_triangle(Progression(1, 0), rows)
         for n in range(1, rows + 1):
             for m in range(1, n + 1):
                 classical = sum(
@@ -221,20 +213,19 @@ class TestFirstKindTriangle:
                     for k in range(n - m + 1)
                 )
                 assert classical == c[n][m], (n, m)
-                assert s1phat_schlomilch(Progression(1, 0), n, m) == classical, (n, m)
+                assert triple_sum.entry(n, m) == classical, (n, m)
 
     def test_triple_sum(self):
-        assert s1phat_schlomilch(Progression(2, 1), 4, 1) == 176
-        assert s1phat_schlomilch(Progression(5, 0), 3, 1) == 50
-        assert s1phat_schlomilch(Progression(2, 1), 6, 6) == 1
+        assert s1phat_schlomilch_triangle(Progression(2, 1), 4).entry(4, 1) == 176
+        assert s1phat_schlomilch_triangle(Progression(5, 0), 3).entry(3, 1) == 50
+        assert s1phat_schlomilch_triangle(Progression(2, 1), 6).entry(6, 6) == 1
 
     def test_triple_sum_reordered(self):
-        assert s1phat_schlomilch_v2(Progression(2, 1), 3, 1) == 23
+        assert s1phat_schlomilch_v2_triangle(Progression(2, 1), 3).entry(3, 1) == 23
+        tri = s1phat_schlomilch_v2_triangle(Progression(2, 1), 5)
         for n in range(6):
-            assert s1phat_schlomilch_v2(Progression(2, 1), n, 0) == risefac(
-                Progression(2, 1), 0, n
-            )
-        assert s1phat_schlomilch_v2(Progression(1, 0), 4, 2) == 11
+            assert tri.entry(n, 0) == risefac(Progression(2, 1), 0, n)
+        assert s1phat_schlomilch_v2_triangle(Progression(1, 0), 4).entry(4, 2) == 11
 
     def test_five_route_agreement(self, identity):
         identity("s1: five routes agree (recurrence, symmetric fn, via ordinary, both triple sums)")
@@ -346,21 +337,18 @@ STAGED_GRID = [*_progressions(3), Progression(7, 5), Progression(2**64 - 1, 2**6
 
 
 class TestStagedTriangleForms:
-    """Each staged triangle form builds rows 0..12 at once: every row equals
-    the per-entry route read off it and the family's own recurrence."""
+    """Each staged triangle form builds rows 0..12 at once, and they equal
+    the family's own recurrence."""
 
-    @pytest.mark.parametrize("staged, per_entry, builder, grid", [
+    @pytest.mark.parametrize("staged, builder, grid", [
         pytest.param(*case, id=case[0].__name__) for case in [
-            (s2_from_ordinary_triangle, s2_from_ordinary, s2_triangle, STAGED_GRID),
-            (s2_ordinary_from_general_triangle, s2_ordinary_from_general, _ordinary_s2_triangle,
-             [prog for prog in STAGED_GRID if prog.a]),
-            (s1phat_from_ordinary_triangle, s1phat_from_ordinary, s1phat_triangle, STAGED_GRID),
-            (s1phat_schlomilch_triangle, s1phat_schlomilch, s1phat_triangle, STAGED_GRID),
-            (s1phat_schlomilch_v2_triangle, s1phat_schlomilch_v2, s1phat_triangle, STAGED_GRID),
+            (s2_from_ordinary_triangle, s2_triangle, STAGED_GRID),
+            (s2_ordinary_from_general_triangle, _ordinary_s2_triangle, [prog for prog in STAGED_GRID if prog.a]),
+            (s1phat_from_ordinary_triangle, s1phat_triangle, STAGED_GRID),
+            (s1phat_schlomilch_triangle, s1phat_triangle, STAGED_GRID),
+            (s1phat_schlomilch_v2_triangle, s1phat_triangle, STAGED_GRID),
         ]
     ])
-    def test_matches_per_entry_route_and_builder(self, staged, per_entry, builder, grid):
+    def test_matches_builder(self, staged, builder, grid):
         for prog in grid:
-            tri = staged(prog, 12)
-            assert tri == _entries(per_entry)(prog, 12), prog
-            assert tri == builder(prog, 12), prog
+            assert staged(prog, 12) == builder(prog, 12), prog
