@@ -119,6 +119,12 @@ class TestConversions:
             for k in range(n + 1):
                 assert classical.entry(n, k) == reu_explicit(Progression(1, 0), n, k)
 
+    @pytest.mark.parametrize("n, k", [(-1, 0), (2, -1), (3, 0)])
+    @pytest.mark.parametrize("build", [reu_from_s2fac_triangle, s2fac_from_reu_triangle, reu_from_ordinary_triangle])
+    def test_out_of_triangle(self, build, n, k):
+        with pytest.raises(DomainError, match="outside triangle of size 2"):
+            build(Progression(1, 0), 2).entry(n, k)
+
     @pytest.mark.parametrize("build", [reu_from_s2fac_triangle, s2fac_from_reu_triangle, _entries(reu_explicit)],
                              ids=["reu_from_s2fac_triangle", "s2fac_from_reu_triangle", "reu_explicit"])
     def test_integer_routes_hand_the_triangle_ints(self, build):
