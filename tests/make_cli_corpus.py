@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 tests/make_cli_corpus.py --show='ARGV'  # print one command's output
 
 Each command runs in process through ``apsums.cli.main``.  The corpus maps the
-command line (its arguments joined by single spaces) to its exit code and the
-sha256 of its stdout and of its stderr.  ``test_cli_corpus.py`` replays the grid
+command line (its arguments joined by ``shlex.join``, which ``--show`` splits back
+with ``shlex.split``) to its exit code and the sha256 of its stdout and of its
+stderr.  ``test_cli_corpus.py`` replays the grid
 against the file.  Rewriting the file is a reviewed change: the commit that does
 it names every command whose entry changed, and why.  ``--show`` at the commit
 that last wrote the file prints the recorded output of a command the test
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -86,8 +88,7 @@ def parse_level() -> list[list[str]]:
     """Requests that argparse answers itself (help and usage errors), plus valid
     requests whose spelling argparse must resolve: a "--" separator, an
     abbreviated option, an "=" form, a repeat, or an int that is not an
-    optional minus and ASCII digits.  A value with a space is left out: the
-    corpus joins a command's words with spaces."""
+    optional minus and ASCII digits."""
     ok = ["--d", "2", "--a", "1", "--n", "2", "--m", "2"]  # a valid powersum request
     tri = ["--family", "s2", "--d", "2", "--rows", "3"]
     grid = [["-h"], ["--help"], []]
@@ -128,6 +129,7 @@ def parse_level() -> list[list[str]]:
         ["powersum", "--d", "+2", "--a", "1", "--n", "2", "--m", "2"],  # other spellings of an int
         ["powersum", "--d", "2", "--a", "1", "--n", "2", "--m", "2_0"],
         ["powersum", "--d", "2", "--a", "1", "--n", "\u0662", "--m", "2"],  # ARABIC-INDIC DIGIT TWO
+        ["powersum", "--d", " 2", "--a", "1", "--n", "2", "--m", "2"],  # whitespace inside a word
         ["powersum", "--d", "1" + "0" * 4300, "--a", "1", "--n", "2", "--m", "2"],  # int() refuses
         ["powersum", "--d", "-", "--a", "1", "--n", "2", "--m", "2"],
         ["powersum", "--d=2", "--a", "1", "--n", "2", "--m", "2"],
@@ -165,19 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
 def show_hint(line: str) -> str:
     """The shell command that prints the output of the corpus command ``line``.
 
-    The value is attached with ``=``: as a separate word, a command that
-    starts with ``-`` (``-h``, ``--help``) would be read as an option.
+    The value is quoted through ``shlex`` and attached with ``=``: as a
+    separate word, a command that starts with ``-`` (``-h``, ``--help``) would
+    be read as an option.
     """
-    return f"python3 tests/make_cli_corpus.py --show='{line}'"
+    return f"python3 tests/make_cli_corpus.py --show={shlex.quote(line)}"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.show is not None:
-        code, out, err = run(args.show.split())
+        code, out, err = run(shlex.split(args.show))
         sys.stdout.write(f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
         return 0
-    entries = {" ".join(cmd): record(*run(cmd)) for cmd in commands()}
+    entries = {shlex.join(cmd): record(*run(cmd)) for cmd in commands()}
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps({"commands": entries}, indent=1) + "\n")
     print(f"wrote {len(entries)} commands to {CORPUS}")

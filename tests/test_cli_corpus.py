@@ -18,12 +18,12 @@ def recorded():
 
 
 def test_grid_is_the_recorded_one(recorded):
-    assert list(recorded) == [" ".join(cmd) for cmd in commands()]
+    assert list(recorded) == [shlex.join(cmd) for cmd in commands()]
 
 
 def test_every_command_prints_its_recorded_bytes(recorded):
     for cmd in commands():
-        line = " ".join(cmd)
+        line = shlex.join(cmd)
         code, out, err = run(cmd)
         got = record(code, out, err)
         if got != recorded[line]:
@@ -40,9 +40,9 @@ def test_every_command_prints_its_recorded_bytes(recorded):
 
 def test_every_show_hint_parses_back_to_its_command():
     """The hint printed for a changed command shows that command, also for
-    ``-h``, ``--help`` and the empty argv."""
+    ``-h``, ``--help``, the empty argv and words with whitespace inside."""
     parser = build_parser()
     for cmd in commands():
-        words = shlex.split(show_hint(" ".join(cmd)))
+        words = shlex.split(show_hint(shlex.join(cmd)))
         assert words[:2] == ["python3", "tests/make_cli_corpus.py"]
-        assert parser.parse_args(words[2:]).show.split() == cmd
+        assert shlex.split(parser.parse_args(words[2:]).show) == cmd
