@@ -3,21 +3,21 @@
 Every quantity in this package is an exact rational, never a float.  The
 integer triangle families (s2, s2hat, s2fac, s1phat, reu, lah, lahinv)
 come from integer recurrences and hold plain ``int``.  ``Fps`` and
-``Polynomial`` hold one canonical pair ``(nums, den)`` of integer
+``Polynomial`` store only one canonical pair ``(nums, den)`` of integer
 numerators over one denominator, reduced by :func:`_reduced` with one
-multi-argument gcd, and hand out ``Fraction`` coefficients on demand;
-``Triangle`` stores integer numerator rows over one denominator per row
-in the same canonical form.
+multi-argument gcd, and ``Triangle`` stores only integer numerator rows
+over one denominator per row in the same canonical form; each builds the
+``Fraction`` values it hands out on every read and caches none.
 Every other value is a :class:`fractions.Fraction`, which keeps the
 canonical reduced form gcd(num, den) = 1 with den >= 1 that bit-exact
 comparison relies on, as the pairs do.  An ``int`` equals the ``Fraction``
 of the same value.  :func:`rational_str` gives the canonical text form
 ``p/q`` of either type, with ``/q`` omitted when q = 1, and every
-exporter prints that text (a ``Triangle`` reads it off its pair, one gcd
-per fractional entry).  An ``int`` or a ``Fraction`` already prints
-that text through its own ``str`` (a ``Fraction`` is reduced with a
-positive denominator whenever it is built), so only other inputs pass
-through a new ``Fraction`` on the way.
+exporter prints that text.  The three pair types print it from their
+pairs through :func:`_texts`, one gcd per fractional entry.  An ``int``
+or a ``Fraction`` already prints that text through its own ``str`` (a
+``Fraction`` is reduced with a positive denominator whenever it is
+built), so only other inputs pass through a new ``Fraction`` on the way.
 
 The package's small value types (:class:`Progression` here, ``ShefferPair``,
 ``Alphabet`` and the verifier's records) are immutable ``__slots__`` classes
@@ -146,15 +146,13 @@ def _ratio(value: Fraction | int) -> tuple[int, int]:
     return _exact(value).as_integer_ratio()
 
 
-def _exact_list(values: Iterable[Fraction | int]) -> tuple[list[Fraction | int], bool]:
-    """``values`` as a list of ``int`` and ``Fraction`` (any other value goes
-    through :func:`_exact`), and whether every entry is a ``Fraction``."""
+def _exact_list(values: Iterable[Fraction | int]) -> list[Fraction | int]:
+    """``values`` as a list of ``int`` and ``Fraction``; any other value goes
+    through :func:`_exact`."""
     coeffs = list(values)
-    kinds = set(map(type, coeffs))
-    if not kinds <= _EXACT_TYPES:
+    if not set(map(type, coeffs)) <= _EXACT_TYPES:
         coeffs = [c if type(c) is int else _exact(c) for c in coeffs]
-        kinds = set(map(type, coeffs))
-    return coeffs, kinds == {Fraction}
+    return coeffs
 
 
 def _common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -186,11 +184,28 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple([n // g for n in nums]), den // g
 
 
-def _terms(coeffs: Sequence[Fraction], var: str) -> str:
-    """The text ``c0 + c1*var + c2*var^2 + ...``, one term per coefficient."""
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The values nums[k] / den as ``Fraction``."""
+    return tuple([Fraction(p, den) for p in nums])
+
+
+def _texts(nums: Sequence[int], den: int) -> list[str]:
+    """The canonical texts ``p/q`` (bare ``p`` when q = 1) of the values
+    nums[k] / den for den >= 1, the texts :func:`rational_str` gives, one gcd
+    per entry."""
+    if den == 1:
+        return list(map(str, nums))
+    return [
+        str(p // g) if g == den else f"{p // g}/{den // g}"
+        for p, g in zip(nums, map(math.gcd, nums, [den] * len(nums)))
+    ]
+
+
+def _terms(nums: Sequence[int], den: int, var: str) -> str:
+    """The text ``c0 + c1*var + c2*var^2 + ...`` of the coefficients nums[k] / den."""
     return " + ".join([
-        str(c) if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}"
-        for k, c in enumerate(coeffs)
+        c if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}"
+        for k, c in enumerate(_texts(nums, den))
     ])
 
 

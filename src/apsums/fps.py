@@ -17,12 +17,12 @@ multi-argument gcd; none builds a ``Fraction`` per coefficient.  The
 modules of this package that consume a series's numerators (``sheffer``)
 read the pair directly.
 
-The constructor accepts only ``int`` (not ``bool``) and ``Fraction``
-coefficients.  ``coefficients``, ``[k]`` and
-:meth:`~Fps.coefficient_times_factorial` return ``Fraction``, built on
-demand; a series constructed from ``Fraction`` coefficients keeps them, so
-printing it builds none.  The power runs J. C. P. Miller's recurrence
-directly, not through log and exp.
+The pair is all a series stores.  The constructor accepts only ``int``
+(not ``bool``) and ``Fraction`` coefficients and keeps none of them;
+``coefficients``, ``[k]`` and :meth:`~Fps.coefficient_times_factorial`
+build their ``Fraction`` values on each read, and ``str`` prints the pair.
+The power runs J. C. P. Miller's recurrence directly, not through log and
+exp.
 
 Two conventions matter throughout:
 
@@ -40,14 +40,12 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import _common_denominator, _exact_list, _mul_ints, _ratio, _reduced, _terms
+from .exact import _common_denominator, _exact_list, _fractions, _mul_ints, _ratio, _reduced, _terms
 
 __all__ = ["Fps", "DEFAULT_ORDER", "reverse_coefficient_lagrange"]
 
 # Order used by the verification suites unless a caller picks another one.
 DEFAULT_ORDER = 12
-
-_ZERO = Fraction(0)
 
 # A pair (nums, den) stands for the coefficients nums[k] / den.  The kernels
 # below return pairs that need not be canonical; ``_reduced`` makes them so.
@@ -107,30 +105,28 @@ def _fps(nums: Sequence[int], den: int) -> Fps:
     """The series with coefficients nums[k] / den, in canonical form."""
     series = object.__new__(Fps)
     series._nums, series._den = _reduced(nums, den)
-    series._fracs = None
     return series
 
 
 class Fps:
     """A formal power series truncated at an explicit order."""
 
-    __slots__ = ("_nums", "_den", "_fracs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Fraction | int], order: int | None = None):
-        coeffs, all_fractions = _exact_list(coefficients)
+        coeffs = _exact_list(coefficients)
         if order is not None:
             if order < 0:
                 raise DomainError(f"order must be non-negative, got {order}")
             if len(coeffs) > order + 1:
                 del coeffs[order + 1 :]
             else:
-                coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
+                coeffs.extend([0] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise DomainError("a series needs at least its constant coefficient")
         # reduced inputs over their least common denominator are already canonical
         nums, self._den = _common_denominator(coeffs)
         self._nums = tuple(nums)
-        self._fracs = tuple(coeffs) if all_fractions else None
 
     # -- construction helpers -------------------------------------------------
 
@@ -174,10 +170,7 @@ class Fps:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        if self._fracs is None:
-            den = self._den
-            self._fracs = tuple([Fraction(c, den) for c in self._nums])
-        return self._fracs
+        return _fractions(self._nums, self._den)
 
     def _numerator(self, k: int) -> int:
         if k < 0:
@@ -187,8 +180,7 @@ class Fps:
         return self._nums[k]
 
     def __getitem__(self, k: int) -> Fraction:
-        num = self._numerator(k)
-        return Fraction(num, self._den) if self._fracs is None else self._fracs[k]
+        return Fraction(self._numerator(k), self._den)
 
     def coefficient_times_factorial(self, n: int) -> Fraction:
         """n! * [t^n], the e.g.f. reading of coefficient n."""
@@ -213,7 +205,7 @@ class Fps:
         return f"Fps({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        return _terms(self.coefficients, "t") + f" ; order={self.order}"
+        return _terms(self._nums, self._den, "t") + f" ; order={self.order}"
 
     # -- ring operations ------------------------------------------------------
 

@@ -12,9 +12,10 @@ nums[k] / den, with den >= 1, gcd(den, *nums) = 1 and no trailing zero
 numerator (the zero polynomial is ``((), 1)``).  Equal polynomials hold
 equal pairs.  Sum, product (the integer Cauchy product in ``exact`` that
 ``Fps`` shares), scaling, derivative, shift and evaluation work on the
-pairs in ``int`` and reduce once.  The constructor accepts only ``int``
-(not ``bool``) and ``Fraction``; ``coefficients`` and ``[k]`` return
-``Fraction``, built on demand unless the constructor was given them.
+pairs in ``int`` and reduce once.  The pair is all a polynomial stores:
+the constructor accepts only ``int`` (not ``bool``) and ``Fraction`` and
+computes the pair at once, ``coefficients`` and ``[k]`` build their
+``Fraction`` values on each read, and ``str`` prints the pair.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression, _common_denominator, _exact_list, _mul_ints, _ratio, _reduced, _terms
+from .exact import Progression, _common_denominator, _exact_list, _fractions, _mul_ints, _ratio, _reduced, _terms
 
 __all__ = ["Polynomial", "fallfac_poly", "risefac_poly"]
 
@@ -37,39 +38,21 @@ def _poly(nums: list[int], den: int) -> Polynomial:
         nums.pop()
     poly = object.__new__(Polynomial)
     poly._nums, poly._den = _reduced(nums, den)
-    poly._fracs = None
     return poly
 
 
 class Polynomial:
     """Coefficient vector indexed by exponent, trailing zeros trimmed."""
 
-    __slots__ = ("_nums", "_den", "_fracs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs, all_fractions = _exact_list(coefficients)
+        coeffs = _exact_list(coefficients)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        if all_fractions:
-            # the pair waits for its first use (see __getattr__), so a
-            # polynomial that is only printed never computes it
-            self._fracs = tuple(coeffs)
-        else:
-            self._set_pair(coeffs)
-            self._fracs = None
-
-    def _set_pair(self, coeffs: list[Fraction | int] | tuple[Fraction, ...]) -> None:
         # reduced inputs over their least common denominator are already canonical
         nums, self._den = _common_denominator(coeffs)
         self._nums = tuple(nums)
-
-    def __getattr__(self, name: str) -> object:
-        """The pair of a polynomial built from ``Fraction`` coefficients, on
-        first use; reached only while its slots are unset."""
-        if name != "_nums" and name != "_den":
-            raise AttributeError(name)
-        self._set_pair(self._fracs)
-        return getattr(self, name)
 
     @classmethod
     def constant(cls, value: Fraction | int) -> Polynomial:
@@ -87,10 +70,7 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        if self._fracs is None:
-            den = self._den
-            self._fracs = tuple([Fraction(c, den) for c in self._nums])
-        return self._fracs
+        return _fractions(self._nums, self._den)
 
     @property
     def degree(self) -> int:
@@ -102,7 +82,7 @@ class Polynomial:
             raise DomainError("exponent must be non-negative")
         if k >= len(self._nums):
             return _ZERO
-        return Fraction(self._nums[k], self._den) if self._fracs is None else self._fracs[k]
+        return Fraction(self._nums[k], self._den)
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -119,8 +99,7 @@ class Polynomial:
         return f"Polynomial({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
-        coeffs = self.coefficients
-        return _terms(coeffs, "x") if coeffs else "0"
+        return _terms(self._nums, self._den, "x") if self._nums else "0"
 
     def _plus(self, other: Polynomial | Fraction | int, sign: int) -> Polynomial:
         """self + sign * other, over the lcm of the two denominators."""

@@ -13,11 +13,12 @@ and the triangle of a product is the matrix product of the triangles.
 nothing else, so triangles built along different routes compare equal
 exactly when their entries do.  It stores them as one canonical pair of
 integer numerator rows and one denominator per row (none for an integer
-triangle).  The sign flips read and build pairs; the triangle product,
-the triangle inverse and the pair materialization, which reads the
-numerator pairs that its two series already store, sum in ``int`` and
-reduce once per row.  The text forms are read off the pairs, one gcd per
-fractional entry.
+triangle), and that pair is all it stores.  The sign flips read and build
+pairs; the triangle product, the triangle inverse and the pair
+materialization, which reads the numerator pairs that its two series
+already store, sum in ``int`` and reduce once per row.  The ``Fraction``
+entries of a fractional triangle are built on each read, and the text
+forms are printed from the pairs through ``exact._texts``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import DomainError
-from .exact import _EXACT_TYPES, _FrozenRecord, _mul_ints, _ratio, _reduced
+from .exact import _EXACT_TYPES, _FrozenRecord, _fractions, _mul_ints, _ratio, _reduced, _texts
 from .fps import Fps
-from .poly import Polynomial
+from .poly import Polynomial, _poly
 
 __all__ = ["ShefferPair", "Triangle", "identity_triangle"]
 
@@ -51,13 +52,13 @@ class Triangle:
     gcd(den, *row) = 1, and entry (n, m) is nums[n][m] / dens[n].  Equal
     values therefore hold equal pairs (an integer row of ``None`` is the
     row over 1), and ``==`` compares pairs.  An integer triangle hands out
-    its stored tuples of ``int``; a fractional one builds its entries as
-    ``Fraction`` once, on first read, and every entry is then a
+    its stored tuples of ``int``; a fractional one builds the ``Fraction``
+    entries that are read, on each read, and every entry it hands out is a
     ``Fraction``.  No entry is ever a float.  A triangle carries no family
     name or progression: the caller that built it already knows both.
     """
 
-    __slots__ = ("_nums", "_dens", "_fracs")
+    __slots__ = ("_nums", "_dens")
 
     def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         given = []
@@ -70,7 +71,6 @@ class Triangle:
             kinds.update(map(type, row))
         if not given:
             raise DomainError("a triangle needs at least row 0")
-        self._fracs = None
         if kinds == {int}:
             self._nums, self._dens = tuple(given), None
             return
@@ -83,18 +83,12 @@ class Triangle:
             nums.append(tuple([p * (den // q) for p, q in ratios] if den > 1 else [p for p, _ in ratios]))
             dens.append(den)
         self._nums, self._dens = tuple(nums), tuple(dens)
-        if kinds == {Fraction}:
-            self._fracs = tuple(given)
 
     @property
     def rows(self) -> tuple[tuple[Fraction | int, ...], ...]:
         if self._dens is None:
             return self._nums
-        if self._fracs is None:
-            self._fracs = tuple(
-                tuple([Fraction(p, den) for p in row]) for row, den in zip(self._nums, self._dens)
-            )
-        return self._fracs
+        return tuple(map(_fractions, self._nums, self._dens))
 
     @property
     def size(self) -> int:
@@ -103,18 +97,22 @@ class Triangle:
 
     def entry(self, n: int, m: int) -> Fraction | int:
         """Entry (n, m); entries above the diagonal are zero."""
-        rows = self.rows
-        if n < 0 or m < 0 or n >= len(rows):
+        if n < 0 or m < 0 or n > self.size:
             raise DomainError(f"row {n}, column {m} outside triangle of size {self.size}")
         if m > n:
             return _ZERO
-        return rows[n][m]
+        c = self._nums[n][m]
+        return c if self._dens is None else Fraction(c, self._dens[n])
+
+    def _row_pair(self, n: int) -> tuple[tuple[int, ...], int]:
+        """Row n's numerators and denominator."""
+        if n < 0 or n > self.size:
+            raise DomainError(f"row {n} outside triangle of size {self.size}")
+        return self._nums[n], 1 if self._dens is None else self._dens[n]
 
     def row(self, n: int) -> tuple[Fraction | int, ...]:
-        rows = self.rows
-        if n < 0 or n >= len(rows):
-            raise DomainError(f"row {n} outside triangle of size {self.size}")
-        return rows[n]
+        nums, den = self._row_pair(n)
+        return nums if self._dens is None else _fractions(nums, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangle):
@@ -131,18 +129,17 @@ class Triangle:
 
     def row_texts(self) -> Iterator[list[str]]:
         """Each row as the canonical text ``p/q`` (bare ``p`` when q = 1) of its
-        entries, the text ``exact.rational_str`` gives, read off the pair."""
-        if self._dens is None:
-            return map(_int_texts, self._nums)
-        return map(_ratio_texts, self._nums, self._dens)
+        entries, the text ``exact.rational_str`` gives, printed from the pair."""
+        return map(_texts, self._nums, self._dens or repeat(1))
 
     def text(self, sep: str = " ") -> str:
         """One row per line, canonical rationals, entries joined by ``sep``."""
         return "\n".join(map(sep.join, self.row_texts()))
 
     def row_polynomial(self, n: int) -> Polynomial:
-        """sum_m entry(n, m) * x^m."""
-        return Polynomial(self.row(n))
+        """sum_m entry(n, m) * x^m, built from row n's pair."""
+        nums, den = self._row_pair(n)
+        return _poly(list(nums), den)
 
     def signed(self) -> Triangle:
         """Checkerboard signs: entry (n, m) times (-1)^(n-m)."""
@@ -230,7 +227,7 @@ def _triangle(nums: _Rows, dens: tuple[int, ...] | None) -> Triangle:
     ``nums`` is a tuple of n + 1 ``int``, and ``dens`` is ``None`` or one
     denominator per row with den >= 1 and gcd(den, *row) = 1."""
     tri = object.__new__(Triangle)
-    tri._nums, tri._dens, tri._fracs = nums, dens, None
+    tri._nums, tri._dens = nums, dens
     return tri
 
 
@@ -239,20 +236,6 @@ def _reduced_triangle(rows: Iterable[Sequence[int]], dens: Iterable[int]) -> Tri
     canonical form with one gcd; a denominator may be negative but not zero."""
     nums, reduced = zip(*map(_reduced, rows, dens))
     return _triangle(nums, reduced)
-
-
-def _int_texts(row: Sequence[int]) -> list[str]:
-    return list(map(str, row))
-
-
-def _ratio_texts(row: Sequence[int], den: int) -> list[str]:
-    """The texts of row[m] / den, one gcd per entry."""
-    if den == 1:
-        return _int_texts(row)
-    return [
-        str(p // g) if g == den else f"{p // g}/{den // g}"
-        for p, g in zip(row, map(math.gcd, row, [den] * len(row)))
-    ]
 
 
 def identity_triangle(size: int) -> Triangle:

@@ -10,7 +10,7 @@ from hypothesis import strategies as stn
 from apsums.cli import _triangle_lines
 from apsums.errors import DomainError
 from apsums.eulerian import reu_triangle
-from apsums.exact import Progression
+from apsums.exact import Progression, rational_str
 from apsums.fps import Fps
 from apsums.lah import lah_pair
 from apsums.poly import Polynomial
@@ -259,7 +259,6 @@ class TestTrianglePairs:
             for m, c in enumerate(row):
                 assert tri.entry(n, m) == c and type(tri.entry(n, m)) is want_type
             assert tri.entry(n, n + 1) == 0
-        assert tri.rows is tri.rows  # built once
 
     @given(_mixed_rows())
     @example([[1], [F(1, 2), F(-1, 3)], [F(EDGE, 2), 0, F(4, EDGE - 1)]])
@@ -357,6 +356,37 @@ class TestRowPolynomials:
     def test_classical_eulerian_row(self):
         tri = reu_triangle(Progression(1, 0), 3)
         assert tri.row_polynomial(3) == Polynomial([0, 1, 4, 1])
+
+    @pytest.mark.parametrize("build", [s1_triangle, s1p_triangle])
+    @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(2, 1), Progression(7, 5), Progression(EDGE, 3)])
+    def test_first_kind_row_polynomial_is_the_row(self, build, prog):
+        tri = build(prog, 8)
+        for n in range(9):
+            assert tri.row_polynomial(n) == Polynomial(tri.row(n))
+
+
+def _terms(values, var):
+    """c0 + c1*var + c2*var^2 + ..., each coefficient printed by rational_str."""
+    texts = [rational_str(c) for c in values]
+    return " + ".join(text if k == 0 else f"{text}*{var}" + (f"^{k}" if k > 1 else "") for k, text in enumerate(texts))
+
+
+class TestOneStoredForm:
+    """Fps, Polynomial and Triangle store only their integer pair, and print
+    from it the text that rational_str gives each value."""
+
+    def test_slots_name_only_the_pair(self):
+        assert Fps.__slots__ == ("_nums", "_den")
+        assert Polynomial.__slots__ == ("_nums", "_den")
+        assert Triangle.__slots__ == ("_nums", "_dens")
+
+    @given(stn.lists(stn.one_of(_INTS, _FRACTIONS), min_size=1, max_size=8))
+    @example([0, Fraction(-3, 6), -2, Fraction(0, 5), 0])
+    def test_series_and_polynomials_print_each_coefficient(self, coeffs):
+        assert str(Fps(coeffs)) == _terms(coeffs, "t") + f" ; order={len(coeffs) - 1}"
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        assert str(Polynomial(coeffs)) == (_terms(coeffs, "x") if coeffs else "0")
 
 
 class TestSequences:
