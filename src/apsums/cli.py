@@ -54,9 +54,9 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
 # Built by the first build_parser() call and shared by every later one in the
 # process; not at import, so importing cli without parsing costs nothing more.
 # Sharing is safe because parse_args keeps no state between calls.  The same
-# call fills _subparsers with the parser of each subcommand of _parser, which
-# main() hands a request to directly, and _tables with the fast path's table
-# derived from each of them (see _parse_args).
+# call fills _subparsers with the parser of each subcommand of _parser, and
+# _tables with the fast path's table derived from each of them (see
+# _fast_args).
 #
 # A table holds each option string's (dest, const, type, choices, default,
 # required, group), where type None marks an option that takes no value and
@@ -248,27 +248,12 @@ def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without argparse where it can be.
-
-    A well-formed request gets its namespace from the fast path's table (see
-    _fast_args).  Any other argv whose argv[0] is exactly a subcommand name
-    takes one argparse pass: the root pass would only hand argv[1:] to that
-    subcommand's parser and refuse what it leaves over, so this does both
-    itself, in the root parser's words; every other argv (empty, help, an
-    unknown or abbreviated command, "--") takes the root pass.
-    """
+    """``build_parser().parse_args(argv)``, without argparse where it can be:
+    a well-formed request gets its namespace from the fast path's table (see
+    _fast_args), and every other argv takes argparse."""
     parser = build_parser()
     args = _fast_args(argv)
-    if args is not None:
-        return args
-    sub = _subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    return parser.parse_args(argv) if args is None else args
 
 
 # -- subcommand bodies -----------------------------------------------------------

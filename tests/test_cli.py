@@ -819,9 +819,9 @@ def _parse_outcome(parse, argv):
 
 
 class TestDispatch:
-    """main() reads a well-formed request from the fast path's table, and parses
-    any other whose argv[0] names a subcommand in one argparse pass; the outcome
-    equals the root parser's own, namespace or exit code and bytes."""
+    """main() reads a well-formed request from the fast path's table and hands
+    any other to argparse; the outcome equals the root parser's own, namespace
+    or exit code and bytes."""
 
     @staticmethod
     def assert_same_as_the_root_pass(argv):
