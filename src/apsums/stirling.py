@@ -258,9 +258,10 @@ def s1phat_schlomilch_v2_triangle(prog: Progression, size: int) -> Triangle:
     k <= size, over one S2hat triangle of rows 0..2*size, as an integer
     numerator over the common denominator M = lcm_{p,r<=size} C(p+r,r).
     With 1/(r! (k-r)!) = C(k,r)/k!, 1/(k! (n-m-k)!) = C(n-m,k)/(n-m)! and
-    n!/((m-1)! (n-m)!) = m C(n,m), each entry is the int sum of
+    n!/((m-1)! (n-m)!) = m C(n,m), each entry of row n is the int sum of
     (-1)^r R(n-m-k) C(2k+m,k+m) C(k,r) C(n-m,k) P_num(k,r) L/(k+m+r),
-    over L = lcm(m..2n-m), times m C(n,m), divided once by M L.
+    over L = lcm(1..2n-1), which every k+m+r of the row divides, times
+    m C(n,m); the row is reduced once over its denominator M L.
     """
     if size < 0:
         raise DomainError("size must be non-negative")
@@ -276,21 +277,22 @@ def s1phat_schlomilch_v2_triangle(prog: Progression, size: int) -> Triangle:
          for r in range(k + 1)]
         for k in range(size + 1)
     ]
-    rows = []
+    rows, dens = [], []
     for n in range(size + 1):
-        row = [rising[n]]
+        lcm = math.lcm(*range(1, 2 * n))
+        row = [rising[n] * den * lcm]
         for m in range(1, n + 1):
             span = n - m
-            lcm = math.lcm(*range(m, 2 * n - m + 1))
             acc = 0
             for r in range(span + 1):
                 for k in range(r, span + 1):
                     term = (rising[span - k] * math.comb(2 * k + m, k + m) * math.comb(k, r)
                             * math.comb(span, k) * p_sum[k][r] * (lcm // (k + m + r)))
                     acc += -term if r % 2 else term
-            row.append(Fraction(m * math.comb(n, m) * acc, den * lcm))
+            row.append(m * math.comb(n, m) * acc)
         rows.append(row)
-    return Triangle(rows)
+        dens.append(den * lcm)
+    return _reduced_triangle(rows, dens)
 
 
 # -- Sheffer pairs for the families ---------------------------------------------
