@@ -1,6 +1,13 @@
 """Command-line surface: triangle emission, power-sum queries, Bernoulli
 values, the identity verifier, and b-file export.
 
+Each subcommand's options are declared once, in ``_SUBCOMMANDS``.  A
+well-formed request is read from that declaration by ``_fast_args``; only an
+argv it declines imports ``argparse`` and builds the parser, from the same
+declaration, so help, usage and every parse error are argparse's own bytes.
+``verify`` imports the identity registry when it runs; no other request
+loads it.
+
 Exit codes: 0 success, 1 verification failure (including power-sum route
 disagreement), 2 usage or domain error or a closed stdout.  All output is
 deterministic: identical invocations produce byte-identical bytes.
@@ -8,12 +15,12 @@ deterministic: identical invocations produce byte-identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import bernoulli as bern
 from . import eulerian as eul
@@ -23,14 +30,13 @@ from . import stirling as st
 from .errors import DomainError
 from .exact import Progression, rational_str
 from .sheffer import Triangle
-from .verification import MAX_DEPTH, SUITE_NAMES, run_suite
 
 # The largest value of every open-ended input (the smallest is 0, or 1 for
 # --depth and --d); a request outside exits 2, one inside finishes within
 # seconds.
 LIMITS = {
     "rows": 64,  # triangle --rows: largest row index
-    "depth": MAX_DEPTH,  # verify --depth
+    "depth": 12,  # verify --depth: verification.MAX_DEPTH, which a test checks
     "power": 60,  # powersum --n
     "index": 5000,  # powersum --m: upper summation index
     "bernoulli": 60,  # largest Bernoulli index: bernoulli --poly / --count, b-file sequences
@@ -50,39 +56,83 @@ FAMILY_BUILDERS: dict[str, Callable[[Progression, int], Triangle]] = {
     "lahinv": lahmod.lah_inverse,
 }
 
+_FAMILIES = sorted(FAMILY_BUILDERS)
+
+# Every subcommand as (help, the required flag of each of its mutually
+# exclusive groups, its options), each option as flag -> (add_argument
+# keywords, index of its exclusive group or None), in add_argument order.
+# An option is a store_true or takes one value, an int or one of its choices;
+# _fast_args reads no other kind.  The --suite choices are "all" and
+# verification.SUITE_NAMES, which a test checks.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[bool, ...], dict[str, tuple[dict, int | None]]]] = {
+    "triangle": ("emit a number triangle", (), {
+        "--family": ({"required": True, "choices": _FAMILIES}, None),
+        "--d": ({"type": int, "required": True, "help": "common difference d >= 1"}, None),
+        "--a": ({"type": int, "default": 0, "help": "initial term a >= 0 (default 0)"}, None),
+        "--rows": ({"type": int, "required": True,
+                    "help": f"largest row index N, 0..{LIMITS['rows']}"}, None),
+        "--format": ({"choices": ("pretty", "csv", "json", "bfile"), "default": "pretty"}, None),
+        "--rational": ({"action": "store_true", "help": "allow non-integer b-file values"}, None),
+    }),
+    "powersum": ("evaluate a power sum over a progression", (False,), {
+        "--d": ({"type": int, "required": True}, None),
+        "--a": ({"type": int, "required": True}, None),
+        "--n": ({"type": int, "required": True, "help": f"power, 0..{LIMITS['power']}"}, None),
+        "--m": ({"type": int, "required": True,
+                 "help": f"upper summation index, 0..{LIMITS['index']}"}, None),
+        "--method": ({"choices": ps.METHOD_NAMES, "help": "one route (default direct)"}, 0),
+        "--all-methods": ({"action": "store_true",
+                           "help": "print a method/value table; exit 1 if any route disagrees"}, 0),
+    }),
+    "bernoulli": ("Bernoulli numbers and polynomials", (True,), {
+        "--d": ({"type": int, "required": True}, None),
+        "--a": ({"type": int, "default": None}, None),
+        "--count": ({"type": int, "help": "emit values for n = 0..count-1, "
+                     f"count 0..{LIMITS['bernoulli'] + 1}"}, 0),
+        "--poly": ({"type": int, "help": "emit the degree-n polynomial instead, "
+                    f"n 0..{LIMITS['bernoulli']}"}, 0),
+    }),
+    "verify": ("run the exact identity suites", (), {
+        "--suite": ({"choices": ("all", "fps", "s2", "s1", "eulerian", "bernoulli", "faulhaber",
+                                 "lah", "symfunc"), "default": "all"}, None),
+        "--depth": ({"type": int, "default": 8,
+                     "help": f"row/order scale, 1..{LIMITS['depth']} (default 8)"}, None),
+        "--explain": ({"action": "store_true",
+                       "help": "show the first mismatch per failure"}, None),
+        "--include-printed-three-term": ({"action": "store_true", "help": "also run the "
+                                          "published Lah three-term variant (expected-fail for "
+                                          "d >= 2)"}, None),
+    }),
+    "export-bfile": ("emit an OEIS-style b-file", (True,), {
+        "--family": ({"choices": _FAMILIES}, 0),
+        "--sequence": ({"choices": ("bernoulli-num", "bernoulli-den")}, 0),
+        "--d": ({"type": int, "required": True}, None),
+        "--a": ({"type": int, "default": None}, None),
+        "--count": ({"type": int, "required": True,
+                     "help": f"number of lines; offset + count at most {LIMITS['bfile']} "
+                     f"({LIMITS['bernoulli'] + 1} for a sequence)"}, None),
+        "--offset": ({"type": int, "default": 0, "help": "index of the first line"}, None),
+        "--rational": ({"action": "store_true", "help": "allow non-integer values"}, None),
+    }),
+}
 
 # Built by the first build_parser() call and shared by every later one in the
-# process; not at import, so importing cli without parsing costs nothing more.
-# Sharing is safe because parse_args keeps no state between calls.  The same
-# call fills _subparsers with the parser of each subcommand of _parser, and
-# _tables with the fast path's table derived from each of them (see
-# _fast_args).
-#
-# A table holds each option string's (dest, const, type, choices, default,
-# required, group), where type None marks an option that takes no value and
-# stores const, and group indexes its mutually exclusive group; the default of
-# every dest; the number of required options; and whether each mutually
-# exclusive group is required.
-_Table = tuple[dict[str, tuple], dict[str, object], int, tuple[bool, ...]]
-_parser: argparse.ArgumentParser | None = None
-_subparsers: dict[str, argparse.ArgumentParser] = {}
-_tables: dict[str, _Table | None] = {}
+# process; sharing is safe because parse_args keeps no state between calls.
+_parser = None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process and then reused."""
+def build_parser():
+    """The CLI's argparse parser, built once per process and then reused."""
     global _parser
     if _parser is None:
-        _parser = _new_parser(_subparsers)
-        _tables.update((name, _fast_table(sub)) for name, sub in _subparsers.items())
+        _parser = _new_parser()
     return _parser
 
 
-def _new_parser(
-    subparsers: dict[str, argparse.ArgumentParser] | None = None,
-) -> argparse.ArgumentParser:
-    """A fresh root parser; ``subparsers``, when given, receives the parser of
-    each subcommand by name."""
+def _new_parser():
+    """A fresh root parser with the options of _SUBCOMMANDS."""
+    import argparse  # only an argv that the fast path declines needs it
+
     parser = argparse.ArgumentParser(
         prog="apsums",
         description=(
@@ -91,111 +141,23 @@ def _new_parser(
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tri = sub.add_parser("triangle", help="emit a number triangle")
-    tri.add_argument("--family", required=True, choices=sorted(FAMILY_BUILDERS))
-    tri.add_argument("--d", type=int, required=True, help="common difference d >= 1")
-    tri.add_argument("--a", type=int, default=0, help="initial term a >= 0 (default 0)")
-    tri.add_argument(
-        "--rows", type=int, required=True, help=f"largest row index N, 0..{LIMITS['rows']}"
-    )
-    tri.add_argument(
-        "--format", choices=("pretty", "csv", "json", "bfile"), default="pretty"
-    )
-    tri.add_argument("--rational", action="store_true", help="allow non-integer b-file values")
-
-    pw = sub.add_parser("powersum", help="evaluate a power sum over a progression")
-    pw.add_argument("--d", type=int, required=True)
-    pw.add_argument("--a", type=int, required=True)
-    pw.add_argument("--n", type=int, required=True, help=f"power, 0..{LIMITS['power']}")
-    pw.add_argument(
-        "--m", type=int, required=True, help=f"upper summation index, 0..{LIMITS['index']}"
-    )
-    route = pw.add_mutually_exclusive_group()
-    route.add_argument("--method", choices=ps.METHOD_NAMES, help="one route (default direct)")
-    route.add_argument(
-        "--all-methods",
-        action="store_true",
-        help="print a method/value table; exit 1 if any route disagrees",
-    )
-
-    be = sub.add_parser("bernoulli", help="Bernoulli numbers and polynomials")
-    be.add_argument("--d", type=int, required=True)
-    be.add_argument("--a", type=int, default=None)
-    wanted = be.add_mutually_exclusive_group(required=True)
-    wanted.add_argument(
-        "--count",
-        type=int,
-        help=f"emit values for n = 0..count-1, count 0..{LIMITS['bernoulli'] + 1}",
-    )
-    wanted.add_argument(
-        "--poly",
-        type=int,
-        help=f"emit the degree-n polynomial instead, n 0..{LIMITS['bernoulli']}",
-    )
-
-    ver = sub.add_parser("verify", help="run the exact identity suites")
-    ver.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    ver.add_argument(
-        "--depth", type=int, default=8, help=f"row/order scale, 1..{LIMITS['depth']} (default 8)"
-    )
-    ver.add_argument("--explain", action="store_true", help="show the first mismatch per failure")
-    ver.add_argument(
-        "--include-printed-three-term",
-        action="store_true",
-        help="also run the published Lah three-term variant (expected-fail for d >= 2)",
-    )
-
-    bf = sub.add_parser("export-bfile", help="emit an OEIS-style b-file")
-    target = bf.add_mutually_exclusive_group(required=True)
-    target.add_argument("--family", choices=sorted(FAMILY_BUILDERS))
-    target.add_argument("--sequence", choices=("bernoulli-num", "bernoulli-den"))
-    bf.add_argument("--d", type=int, required=True)
-    bf.add_argument("--a", type=int, default=None)
-    bf.add_argument(
-        "--count",
-        type=int,
-        required=True,
-        help=f"number of lines; offset + count at most {LIMITS['bfile']} "
-        f"({LIMITS['bernoulli'] + 1} for a sequence)",
-    )
-    bf.add_argument("--offset", type=int, default=0, help="index of the first line")
-    bf.add_argument("--rational", action="store_true", help="allow non-integer values")
-    if subparsers is not None:
-        subparsers.update(sub.choices)
+    for name, (summary, groups, options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        members = [command.add_mutually_exclusive_group(required=must) for must in groups]
+        for flag, (keywords, group) in options.items():
+            (command if group is None else members[group]).add_argument(flag, **keywords)
     return parser
 
 
-def _fast_table(sub: argparse.ArgumentParser) -> _Table | None:
-    """The fast path's table of a subcommand's parser, derived from its actions;
-    None when an action is not a help, a store-const or a one-value store of an
-    int or of listed choices, so that every request to it takes argparse."""
-    groups = sub._mutually_exclusive_groups
-    group_of = {id(action): i for i, group in enumerate(groups) for action in group._group_actions}
-    options: dict[str, tuple] = {}
-    defaults: dict[str, object] = {}
-    for action in sub._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if isinstance(action, argparse._StoreConstAction):
-            kind = None
-        elif type(action) is argparse._StoreAction and action.nargs is None and (
-            action.type is int or action.type is None and action.choices is not None
-        ):
-            kind = action.type or str
-        else:
-            return None
-        defaults[action.dest] = action.default
-        spec = (action.dest, action.const, kind, action.choices, action.default,
-                action.required, group_of.get(id(action)))
-        options.update(dict.fromkeys(action.option_strings, spec))
-    required = sum(action.required for action in sub._actions)
-    return options, defaults, required, tuple(group.required for group in groups)
+def _default(keywords: dict) -> object:
+    """The value argparse gives an option that argv leaves out."""
+    return keywords.get("default", False if keywords.get("action") == "store_true" else None)
 
 
-def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace of a well-formed request, built from the table of its
-    subcommand argv[0], or None when the table does not settle argv.
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace of a well-formed request, read from the declaration of
+    its subcommand argv[0] in _SUBCOMMANDS, or None when that does not settle
+    argv.
 
     Well-formed: every later word is an exact option of the subcommand, given
     once, and one that takes a value has the next word as its value, an int
@@ -205,25 +167,24 @@ def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
     leaves argparse nothing to resolve or refuse, so it would build this
     same namespace.
     """
-    table = _tables.get(argv[0]) if argv else None
-    if table is None:
+    declared = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if declared is None:
         return None
-    options, defaults, required, groups = table
-    values = dict(defaults)
-    given = set()
+    _, groups, options = declared
+    given: dict[str, object] = {}
     members = [0] * len(groups)
     words = iter(argv[1:])
     for word in words:
-        spec = options.get(word)
-        if spec is None or spec[0] in given:
+        if word not in options or word in given:
             return None
-        dest, value, kind, choices, default, is_required, group = spec
-        given.add(dest)
-        if kind is not None:
+        keywords, group = options[word]
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
             value = next(words, None)
             if value is None:
                 return None
-            if kind is int:
+            if keywords.get("type") is int:
                 # an optional minus and ASCII digits; every other spelling that
                 # int() takes ("+5", "5_000", " 5", non-ASCII digits) is left
                 # to argparse, as is one it refuses (more than 4,300 digits)
@@ -234,26 +195,28 @@ def _fast_args(argv: Sequence[str]) -> argparse.Namespace | None:
                     value = int(value)
                 except ValueError:
                     return None
-            if choices is not None and value not in choices:
+            elif value not in keywords["choices"]:
                 return None
-        values[dest] = value
-        required -= is_required
+        given[word] = value
         # argparse counts a member of a group only when its value is not the default
-        if group is not None and value is not default:
+        if group is not None and value is not _default(keywords):
             members[group] += 1
-    if required or any(n > 1 or (n == 0 and must) for n, must in zip(members, groups)):
+    if any(keywords.get("required") and flag not in given
+           for flag, (keywords, _) in options.items()):
         return None
-    values["command"] = argv[0]
-    return argparse.Namespace(**values)
+    if any(n > 1 or (n == 0 and must) for n, must in zip(members, groups)):
+        return None
+    values = {flag[2:].replace("-", "_"): given[flag] if flag in given else _default(keywords)
+              for flag, (keywords, _) in options.items()}
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without argparse where it can be:
-    a well-formed request gets its namespace from the fast path's table (see
-    _fast_args), and every other argv takes argparse."""
-    parser = build_parser()
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """``build_parser().parse_args(argv)`` as a SimpleNamespace, without
+    argparse where it can be: a well-formed request is read by _fast_args,
+    and only another argv builds the parser."""
     args = _fast_args(argv)
-    return parser.parse_args(argv) if args is None else args
+    return SimpleNamespace(**vars(build_parser().parse_args(argv))) if args is None else args
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -264,7 +227,7 @@ def _check_range(flag: str, value: int, low: int, high: int) -> None:
         raise DomainError(f"{flag} must lie in {low}..{high}")
 
 
-def _check_parameters(args: argparse.Namespace) -> None:
+def _check_parameters(args: SimpleNamespace) -> None:
     """Refuse --d or --a above LIMITS["parameter"]; a value below its domain
     is refused by Progression or the Bernoulli builders in their own words."""
     for flag, value, low in (("--d", args.d, 1), ("--a", args.a, 0)):
@@ -285,7 +248,7 @@ def _bfile_lines(texts: Iterable[str], start: int, rational: bool) -> str:
     return lines
 
 
-def _bernoulli_values(args: argparse.Namespace, count: int) -> list[Fraction]:
+def _bernoulli_values(args: SimpleNamespace, count: int) -> list[Fraction]:
     """B(d; 0..count-1), or B(d, a; 0..count-1) when --a is given.
 
     --d and --a are checked against their domain even when count is 0.
@@ -296,7 +259,7 @@ def _bernoulli_values(args: argparse.Namespace, count: int) -> list[Fraction]:
     return bern.b_gen_numbers(Progression(args.d, args.a), n_max)[:count]
 
 
-def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
+def _triangle_lines(tri: Triangle, args: SimpleNamespace) -> str:
     if args.format == "pretty":
         return tri.text(" ") + "\n"
     if args.format == "csv":
@@ -316,7 +279,7 @@ def _triangle_lines(tri: Triangle, args: argparse.Namespace) -> str:
     raise DomainError(f"unknown format {args.format!r}")
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: SimpleNamespace) -> int:
     if args.rational and args.format != "bfile":
         raise DomainError("--rational applies only to --format bfile")
     _check_parameters(args)
@@ -327,7 +290,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_powersum(args: argparse.Namespace) -> int:
+def _cmd_powersum(args: SimpleNamespace) -> int:
     _check_parameters(args)
     _check_range("--n", args.n, 0, LIMITS["power"])
     _check_range("--m", args.m, 0, LIMITS["index"])
@@ -346,7 +309,7 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bernoulli(args: argparse.Namespace) -> int:
+def _cmd_bernoulli(args: SimpleNamespace) -> int:
     _check_parameters(args)
     if args.d < 1:
         raise DomainError("--d must be a positive integer")
@@ -364,12 +327,14 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
+    from . import verification  # only verify needs the identity registry
+
     _check_range("--depth", args.depth, 1, LIMITS["depth"])
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    names = verification.SUITE_NAMES if args.suite == "all" else (args.suite,)
     counts = {"ok": 0, "xfail": 0, "FAIL": 0}
     for name in names:
-        for res in run_suite(name, args.depth, args.include_printed_three_term):
+        for res in verification.run_suite(name, args.depth, args.include_printed_three_term):
             counts[res.status] += 1
             sys.stdout.write(f"{res.status:<6}{res.suite}: {res.name}\n")
             if args.explain and res.detail:
@@ -381,7 +346,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if counts["FAIL"] else 0
 
 
-def _bfile_window(args: argparse.Namespace) -> Iterable[str]:
+def _bfile_window(args: SimpleNamespace) -> Iterable[str]:
     """The texts of the values offset..offset+count-1; a triangle family is read
     row by row."""
     needed = args.offset + args.count
@@ -396,7 +361,7 @@ def _bfile_window(args: argparse.Namespace) -> Iterable[str]:
     return islice(chain.from_iterable(tri.row_texts()), args.offset, needed)
 
 
-def _cmd_export_bfile(args: argparse.Namespace) -> int:
+def _cmd_export_bfile(args: SimpleNamespace) -> int:
     _check_parameters(args)
     lines = LIMITS["bfile"] if args.sequence is None else LIMITS["bernoulli"] + 1
     _check_range("--offset", args.offset, 0, lines)
@@ -416,7 +381,7 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse uses exit code 2 on usage errors
         return int(exc.code or 0)
     try:

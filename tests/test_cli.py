@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
-from apsums import cli, eulerian, lah, powersum, stirling
+from apsums import cli, eulerian, lah, powersum, stirling, verification
 from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
@@ -238,7 +238,7 @@ class TestVerifyCommand:
         assert first == second
 
     def test_failure_reporting_and_explain(self, capsys, monkeypatch):
-        from apsums import cli as cli_module
+        from apsums import verification
         from apsums.verification import CheckResult
 
         def fake_run_suite(name, depth, include_printed_three_term=False):
@@ -247,7 +247,7 @@ class TestVerifyCommand:
                 CheckResult("fps", "a broken identity", "FAIL", "entry (2,1): 5 != 7"),
             ]
 
-        monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
+        monkeypatch.setattr(verification, "run_suite", fake_run_suite)
         code, out, _ = run_cli(capsys, "verify", "--suite", "fps", "--explain")
         assert code == 1
         assert "FAIL  fps: a broken identity" in out
@@ -807,6 +807,11 @@ def _one_word_off(draw):
     return draw(stn.sampled_from(variants[kind]))
 
 
+def _subparsers():
+    """Each subcommand's argparse parser, read off the root parser's subparsers action."""
+    return build_parser()._subparsers._group_actions[0].choices
+
+
 def _parse_outcome(parse, argv):
     """The namespace ``parse(argv)`` returns, or its exit code, with what it printed."""
     out, err = io.StringIO(), io.StringIO()
@@ -825,7 +830,7 @@ class TestDispatch:
 
     @staticmethod
     def assert_same_as_the_root_pass(argv):
-        one_pass = _parse_outcome(cli._parse_args, argv)
+        one_pass = _parse_outcome(cli.parse_args, argv)
         assert one_pass == _parse_outcome(cli._new_parser().parse_args, argv)
 
     @given(_argv())
@@ -842,35 +847,37 @@ class TestDispatch:
 
     @given(_fast_argv())
     def test_well_formed_request_takes_the_fast_path(self, argv):
-        build_parser()
         assert cli._fast_args(argv) is not None
         self.assert_same_as_the_root_pass(argv)
 
     @given(_one_word_off())
     def test_request_one_word_off_takes_argparse(self, argv):
-        build_parser()
         assert cli._fast_args(argv) is None
         self.assert_same_as_the_root_pass(argv)
 
     def test_parse_level_requests_but_negative_values_leave_the_fast_path(self):
-        build_parser()
         served = [" ".join(argv) for argv in parse_level() if cli._fast_args(argv) is not None]
         assert served == ["powersum --d -2 --a 1 --n 2 --m 2", "powersum --d 2 --a -0 --n 2 --m 2"]
 
     def test_every_grid_request_takes_the_fast_path(self):
         """The corpus grid, the requests the CLI serves, never reaches argparse."""
-        build_parser()
         assert [cmd for cmd in grid() if cli._fast_args(cmd) is None] == []
 
     def test_fast_table_has_every_option_but_help(self):
-        build_parser()
-        for name, sub in cli._subparsers.items():
-            options, _, _, _ = cli._tables[name]
+        for name, sub in _subparsers().items():
+            _, _, options = cli._SUBCOMMANDS[name]
             assert sorted(options) == sorted(set(sub._option_string_actions) - {"-h", "--help"})
 
     def test_every_subcommand_has_its_parser(self):
-        build_parser()
-        assert sorted(cli._subparsers) == sorted(cli._COMMANDS)
+        assert sorted(_subparsers()) == sorted(cli._SUBCOMMANDS) == sorted(cli._COMMANDS)
+
+    def test_depth_limit_is_the_registry_depth(self):
+        assert LIMITS["depth"] == verification.MAX_DEPTH
+
+    def test_suite_choices_are_the_registry_suites(self):
+        _, _, options = cli._SUBCOMMANDS["verify"]
+        keywords, _ = options["--suite"]
+        assert keywords["choices"] == ("all",) + verification.SUITE_NAMES
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["apsums", "powersum", "--d", "2", "--a", "1",
@@ -948,6 +955,52 @@ class TestLeanImport:
             '{"family": "lah", "d": 2, "a": 1, "rows": [["1"], ["2", "1"], ["8", "8", "1"]]}\n'
         )
 
+    def test_well_formed_requests_load_neither_argparse_nor_the_registry(self, src_dir):
+        """Without ``site``, a well-formed request of each subcommand but verify
+        imports neither ``argparse`` nor ``apsums.verification``; verify loads
+        the registry, and help loads argparse."""
+        script = (
+            "import sys\n"
+            "import apsums.cli\n"
+            "def loaded():\n"
+            "    print(sorted({'argparse', 'apsums.verification'} & set(sys.modules)),"
+            " file=sys.stderr)\n"
+            "for argv in (['triangle', '--family', 's2', '--d', '2', '--a', '1', '--rows', '3',"
+            " '--format', 'csv'],\n"
+            "             ['powersum', '--d', '3', '--a', '2', '--n', '5', '--m', '10',"
+            " '--all-methods'],\n"
+            "             ['bernoulli', '--d', '2', '--a', '1', '--count', '4'],\n"
+            "             ['export-bfile', '--family', 'lah', '--d', '2', '--a', '1',"
+            " '--count', '5']):\n"
+            "    assert apsums.cli.main(argv) == 0\n"
+            "loaded()\n"
+            "assert apsums.cli.main(['verify', '--suite', 'fps', '--depth', '1']) == 0\n"
+            "loaded()\n"
+            "assert apsums.cli.main(['-h']) == 0\n"
+            "loaded()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src_dir)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[]\n['apsums.verification']\n['apsums.verification', 'argparse']\n"
+        requests = (
+            "1\n1,2\n1,8,4\n1,26,36,8\n"
+            + "".join(f"{name:<12} 77737957\n" for name in powersum.METHOD_NAMES)
+            + "1\n0\n-1/3\n0\n"
+            + "0 1\n1 2\n2 1\n3 8\n4 8\n"
+        )
+        verify = (
+            "ok    fps: scalars: risefac/fallfac duality and d-rescaling\n"
+            "ok    fps: series: ring laws of truncated multiplication\n"
+            "ok    fps: series: reversion roundtrip, identity composition, Lagrange crosscheck\n"
+            "ok    fps: series: exp/log inversion and rational-power additivity\n"
+            "ok    fps: series: factorial-scaling transform roundtrip\n"
+            "checks: 5 total, 5 ok, 0 expected-fail, 0 failed (suite=fps, depth=1)\n"
+        )
+        assert result.stdout.startswith(requests + verify + "usage: apsums ")
+
 
 class TestParserReuse:
     """main() parses every request with one parser per process; no request sees another's."""
@@ -981,7 +1034,8 @@ class TestParserReuse:
 
     def test_import_builds_no_parser(self, src_dir):
         """``import apsums.cli`` constructs no ArgumentParser; the first main() call
-        builds the parser and its subparsers once, and a second call builds none."""
+        that the fast path declines (``--d=2``) builds the parser and its subparsers
+        once, and a second such call builds none."""
         script = (
             "import argparse\n"
             "progs = []\n"
@@ -992,8 +1046,8 @@ class TestParserReuse:
             "argparse.ArgumentParser.__init__ = counting\n"
             "import apsums.cli\n"
             "print(len(progs))\n"
-            "apsums.cli.main(['powersum', '--d', '2', '--a', '1', '--n', '2', '--m', '2'])\n"
-            "apsums.cli.main(['bernoulli', '--d', '2', '--count', '1'])\n"
+            "apsums.cli.main(['powersum', '--d=2', '--a', '1', '--n', '2', '--m', '2'])\n"
+            "apsums.cli.main(['bernoulli', '--d=2', '--count', '1'])\n"
             "print(progs.count('apsums'), len(progs) == len(set(progs)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(src_dir)}
