@@ -62,7 +62,7 @@ _FAMILIES = sorted(FAMILY_BUILDERS)
 # exclusive groups, its options), each option as flag -> (add_argument
 # keywords, index of its exclusive group or None), in add_argument order.
 # An option is a store_true or takes one value, an int or one of its choices;
-# _fast_args reads no other kind.  The --suite choices are "all" and
+# _fast_table reads no other kind.  The --suite choices are "all" and
 # verification.SUITE_NAMES, which a test checks.
 _SUBCOMMANDS: dict[str, tuple[str, tuple[bool, ...], dict[str, tuple[dict, int | None]]]] = {
     "triangle": ("emit a number triangle", (), {
@@ -149,15 +149,27 @@ def _new_parser():
     return parser
 
 
-def _default(keywords: dict) -> object:
-    """The value argparse gives an option that argv leaves out."""
-    return keywords.get("default", False if keywords.get("action") == "store_true" else None)
+def _fast_table(groups: tuple[bool, ...], options: dict[str, tuple[dict, int | None]]) -> tuple:
+    """The fast path's table of one subcommand: each flag's (dest, type, choices,
+    default, required, group), where type None marks a store_true; the default
+    of every dest; the number of required options; and the groups' required
+    flags.  Dest and defaults are argparse's for these keywords."""
+    specs = {}
+    for flag, (keywords, group) in options.items():
+        store_true = keywords.get("action") == "store_true"
+        specs[flag] = (flag[2:].replace("-", "_"), None if store_true else keywords.get("type", str),
+                       keywords.get("choices"), keywords.get("default", False if store_true else None),
+                       keywords.get("required", False), group)
+    defaults = {dest: default for dest, _, _, default, _, _ in specs.values()}
+    return specs, defaults, sum(spec[4] for spec in specs.values()), groups
+
+
+_TABLES = {name: _fast_table(groups, options) for name, (_, groups, options) in _SUBCOMMANDS.items()}
 
 
 def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace of a well-formed request, read from the declaration of
-    its subcommand argv[0] in _SUBCOMMANDS, or None when that does not settle
-    argv.
+    """The namespace of a well-formed request, read from the table of its
+    subcommand argv[0], or None when the table does not settle argv.
 
     Well-formed: every later word is an exact option of the subcommand, given
     once, and one that takes a value has the next word as its value, an int
@@ -167,24 +179,26 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     leaves argparse nothing to resolve or refuse, so it would build this
     same namespace.
     """
-    declared = _SUBCOMMANDS.get(argv[0]) if argv else None
-    if declared is None:
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
         return None
-    _, groups, options = declared
-    given: dict[str, object] = {}
+    specs, defaults, required, groups = table
+    values = dict(defaults)
+    given = set()
     members = [0] * len(groups)
     words = iter(argv[1:])
     for word in words:
-        if word not in options or word in given:
+        spec = specs.get(word)
+        if spec is None or word in given:
             return None
-        keywords, group = options[word]
-        if keywords.get("action") == "store_true":
-            value = True
-        else:
+        given.add(word)
+        dest, kind, choices, default, is_required, group = spec
+        value = True
+        if kind is not None:
             value = next(words, None)
             if value is None:
                 return None
-            if keywords.get("type") is int:
+            if kind is int:
                 # an optional minus and ASCII digits; every other spelling that
                 # int() takes ("+5", "5_000", " 5", non-ASCII digits) is left
                 # to argparse, as is one it refuses (more than 4,300 digits)
@@ -195,19 +209,15 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
                     value = int(value)
                 except ValueError:
                     return None
-            elif value not in keywords["choices"]:
+            if choices is not None and value not in choices:
                 return None
-        given[word] = value
+        values[dest] = value
+        required -= is_required
         # argparse counts a member of a group only when its value is not the default
-        if group is not None and value is not _default(keywords):
+        if group is not None and value is not default:
             members[group] += 1
-    if any(keywords.get("required") and flag not in given
-           for flag, (keywords, _) in options.items()):
+    if required or any(n > 1 or (n == 0 and must) for n, must in zip(members, groups)):
         return None
-    if any(n > 1 or (n == 0 and must) for n, must in zip(members, groups)):
-        return None
-    values = {flag[2:].replace("-", "_"): given[flag] if flag in given else _default(keywords)
-              for flag, (keywords, _) in options.items()}
     return SimpleNamespace(command=argv[0], **values)
 
 
