@@ -150,25 +150,29 @@ def _new_parser():
 
 
 def _fast_table(groups: tuple[bool, ...], options: dict[str, tuple[dict, int | None]]) -> tuple:
-    """The fast path's table of one subcommand: each flag's (dest, type, choices,
-    default, required, group), where type None marks a store_true; the default
-    of every dest; the number of required options; and the groups' required
-    flags.  Dest and defaults are argparse's for these keywords."""
-    specs = {}
+    """The fast path's table of one subcommand, derived from its declaration:
+    each option string's (dest, const, type, choices, default, required,
+    group), where type None marks a store_true, which stores const; the
+    default of every dest; the number of required options; and whether each
+    mutually exclusive group is required.  Dest, const and default are what
+    argparse gives these keywords."""
+    specs: dict[str, tuple] = {}
     for flag, (keywords, group) in options.items():
         store_true = keywords.get("action") == "store_true"
-        specs[flag] = (flag[2:].replace("-", "_"), None if store_true else keywords.get("type", str),
-                       keywords.get("choices"), keywords.get("default", False if store_true else None),
-                       keywords.get("required", False), group)
-    defaults = {dest: default for dest, _, _, default, _, _ in specs.values()}
-    return specs, defaults, sum(spec[4] for spec in specs.values()), groups
+        default = keywords.get("default", False if store_true else None)
+        kind = None if store_true else keywords.get("type", str)
+        specs[flag] = (flag[2:].replace("-", "_"), store_true or None, kind,
+                       keywords.get("choices"), default, keywords.get("required", False), group)
+    defaults = {spec[0]: spec[4] for spec in specs.values()}
+    return specs, defaults, sum(spec[5] for spec in specs.values()), groups
 
 
-_TABLES = {name: _fast_table(groups, options) for name, (_, groups, options) in _SUBCOMMANDS.items()}
+_TABLES = {name: _fast_table(groups, options)
+           for name, (_, groups, options) in _SUBCOMMANDS.items()}
 
 
 def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace of a well-formed request, read from the table of its
+    """The namespace of a well-formed request, built from the table of its
     subcommand argv[0], or None when the table does not settle argv.
 
     Well-formed: every later word is an exact option of the subcommand, given
@@ -182,18 +186,17 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     table = _TABLES.get(argv[0]) if argv else None
     if table is None:
         return None
-    specs, defaults, required, groups = table
+    options, defaults, required, groups = table
     values = dict(defaults)
     given = set()
     members = [0] * len(groups)
     words = iter(argv[1:])
     for word in words:
-        spec = specs.get(word)
-        if spec is None or word in given:
+        spec = options.get(word)
+        if spec is None or spec[0] in given:
             return None
-        given.add(word)
-        dest, kind, choices, default, is_required, group = spec
-        value = True
+        dest, value, kind, choices, default, is_required, group = spec
+        given.add(dest)
         if kind is not None:
             value = next(words, None)
             if value is None:

@@ -238,7 +238,6 @@ class TestVerifyCommand:
         assert first == second
 
     def test_failure_reporting_and_explain(self, capsys, monkeypatch):
-        from apsums import verification
         from apsums.verification import CheckResult
 
         def fake_run_suite(name, depth, include_printed_three_term=False):
