@@ -8,6 +8,12 @@ the exponential and ordinary generating functions.  Route disagreement is
 the package's primary diagnostic signal, so all of them stay public and
 the CLI exposes each one by name.
 
+Every route returns the exact sum as a plain ``int``.  ``ordinary`` and
+``faulhaber`` divide one integer by one denominator at the end; where
+that division leaves a remainder the route is broken, and it returns the
+exact ``Fraction`` instead of a floor, so the disagreement shows.
+``sigma_s2`` alone returns a ``Fraction``, since its callers divide it.
+
 The generating-function routes read the one coefficient m that was asked
 for off a binomial closed form over one integer row, summed in ``int``, so
 a query costs O(n) products once the row is built:
@@ -59,7 +65,7 @@ __all__ = [
 ]
 
 
-def ps_direct(prog: Progression, n: int, m: int) -> Fraction:
+def ps_direct(prog: Progression, n: int, m: int) -> int:
     """The defining sum; exact integer value, oracle for every other route.
 
     >>> print(ps_direct(Progression(2, 1), 2, 2))   # 1 + 9 + 25
@@ -69,7 +75,7 @@ def ps_direct(prog: Progression, n: int, m: int) -> Fraction:
         raise DomainError("indices must be non-negative")
     # the range yields the terms a + d*j for j = 0..m; pow(0, 0) == 1
     terms = range(prog.a, prog.a + prog.d * m + 1, prog.d)
-    return Fraction(sum(map(pow, terms, repeat(n))))
+    return sum(map(pow, terms, repeat(n)))
 
 
 def _check(index: int) -> None:
@@ -77,7 +83,13 @@ def _check(index: int) -> None:
         raise DomainError("indices must be non-negative")
 
 
-def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
+def _quotient(acc: int, den: int) -> int | Fraction:
+    """acc / den as an ``int`` when it divides, else as the exact ``Fraction``."""
+    q, r = divmod(acc, den)
+    return q if r == 0 else Fraction(acc, den)
+
+
+def ps_via_ordinary(prog: Progression, n: int, m: int) -> int | Fraction:
     """Binomial a/d expansion over the ordinary Faulhaber formula:
 
     PS = sum_k C(n,k) a^(n-k) d^k [delta_{k,0} + (B(k+1,m+1) - B(k+1,1))/(k+1)].
@@ -95,7 +107,7 @@ def ps_via_ordinary(prog: Progression, n: int, m: int) -> Fraction:
     return _ordinary(prog, n)(m)
 
 
-def _ordinary(prog: Progression, n: int) -> Callable[[int], Fraction]:
+def _ordinary(prog: Progression, n: int) -> Callable[[int], int | Fraction]:
     _check(n)
     nums, den = _bernoulli_table(n + 1)
     d, a = prog.d, prog.a
@@ -108,16 +120,16 @@ def _ordinary(prog: Progression, n: int) -> Callable[[int], Fraction]:
             terms.append((weight, [math.comb(top, j) * nums[top - j] for j in range(1, top + 1)]))
     base = (n + 1) * den * a**n  # 0 ** 0 == 1
 
-    def at(m: int) -> Fraction:
+    def at(m: int) -> int | Fraction:
         _check(m)
         rises = [power - 1 for power in accumulate(repeat(m + 1, n), mul, initial=m + 1)]  # j = 1..n+1
         acc = base + sum(weight * sum(map(mul, inner, rises)) for weight, inner in terms)
-        return Fraction(acc, (n + 1) * den)
+        return _quotient(acc, (n + 1) * den)
 
     return at
 
 
-def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
+def ps_faulhaber(prog: Progression, n: int, m: int) -> int | Fraction:
     """Generalized Faulhaber formula in the one-parameter polynomials:
 
     PS = [B(d;n+1, a+d(m+1)) - B(d;n+1, d) - B(d;n+1, a) + B(d;n+1, 0)
@@ -131,7 +143,7 @@ def ps_faulhaber(prog: Progression, n: int, m: int) -> Fraction:
     return _faulhaber(prog, n)(m)
 
 
-def _faulhaber(prog: Progression, n: int) -> Callable[[int], Fraction]:
+def _faulhaber(prog: Progression, n: int) -> Callable[[int], int | Fraction]:
     _check(n)
     nums, den = _bernoulli_table(n + 1)
     d, a = prog.d, prog.a
@@ -139,9 +151,9 @@ def _faulhaber(prog: Progression, n: int) -> Callable[[int], Fraction]:
     coeffs = [math.comb(top, i) * d ** (top - i) * nums[top - i] for i in range(top + 1)]
     fixed = -_horner(coeffs, d) - _horner(coeffs, a) + coeffs[0] + (d * den if n == 0 else 0)
 
-    def at(m: int) -> Fraction:
+    def at(m: int) -> int | Fraction:
         _check(m)
-        return Fraction(_horner(coeffs, a + d * (m + 1)) + fixed, d * top * den)
+        return _quotient(_horner(coeffs, a + d * (m + 1)) + fixed, d * top * den)
 
     return at
 
@@ -175,7 +187,7 @@ def sigma_s2(prog: Progression, n: int, j: int) -> Fraction:
     return Fraction(_sigma_row(prog, n)[j])
 
 
-def eps_coefficients(prog: Progression, n: int, m: int) -> Fraction:
+def eps_coefficients(prog: Progression, n: int, m: int) -> int:
     """PS(d,a;n,m) read off the e.g.f. e^t sum_j SigmaS2(n,j) t^j/j!.
 
     m! [t^m] of that series is sum_j C(m,j) SigmaS2(n,j).
@@ -183,18 +195,18 @@ def eps_coefficients(prog: Progression, n: int, m: int) -> Fraction:
     return _egf(prog, n)(m)
 
 
-def _egf(prog: Progression, n: int) -> Callable[[int], Fraction]:
+def _egf(prog: Progression, n: int) -> Callable[[int], int]:
     _check(n)
     row = _sigma_row(prog, n)
 
-    def at(m: int) -> Fraction:
+    def at(m: int) -> int:
         _check(m)
-        return Fraction(sum(math.comb(m, j) * s for j, s in enumerate(row)))
+        return sum(math.comb(m, j) * s for j, s in enumerate(row))
 
     return at
 
 
-def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") -> Fraction:
+def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") -> int:
     """PS(d,a;n,m) read off the o.g.f., by either closed form.
 
     route "stacked":  sum_k S2(n,k) k! x^k / (1-x)^(k+2),
@@ -208,21 +220,21 @@ def gps_coefficients(prog: Progression, n: int, m: int, route: str = "stacked") 
     return _ogf(prog, n, route)(m)
 
 
-def _ogf(prog: Progression, n: int, route: str) -> Callable[[int], Fraction]:
+def _ogf(prog: Progression, n: int, route: str) -> Callable[[int], int]:
     _check(n)
     if route == "stacked":
         row = _s2_factorial_row(prog, n)
 
-        def at(m: int) -> Fraction:
+        def at(m: int) -> int:
             _check(m)
-            return Fraction(sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row)))
+            return sum(c * math.comb(m + 1, k + 1) for k, c in enumerate(row))
 
     elif route == "eulerian":
         row = reu_triangle(prog, n).row(n)
 
-        def at(m: int) -> Fraction:
+        def at(m: int) -> int:
             _check(m)
-            return Fraction(sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row)))
+            return sum(c * math.comb(m - k + n + 1, n + 1) for k, c in enumerate(row))
 
     else:
         raise DomainError(f"unknown o.g.f. route {route!r}")
@@ -243,14 +255,14 @@ _METHODS = {
 METHOD_NAMES = tuple(_METHODS)
 
 
-def evaluate_method(method: str, prog: Progression, n: int, m: int) -> Fraction:
+def evaluate_method(method: str, prog: Progression, n: int, m: int) -> int | Fraction:
     """Evaluate one named route at a single (n, m) query."""
     if method not in METHOD_NAMES:
         raise DomainError(f"unknown method {method!r}")
     return _METHODS[method](prog, n, m)
 
 
-def _direct(prog: Progression, n: int) -> Callable[[int], Fraction]:
+def _direct(prog: Progression, n: int) -> Callable[[int], int]:
     _check(n)
     return functools.partial(ps_direct, prog, n)
 
@@ -267,7 +279,7 @@ _STAGES = {
 }
 
 
-def method_evaluator(method: str, prog: Progression, n: int) -> Callable[[int], Fraction]:
+def method_evaluator(method: str, prog: Progression, n: int) -> Callable[[int], int | Fraction]:
     """One named route staged at (prog, n): a function of m alone.
 
     The stage builds once what the route needs from (d, a, n), its

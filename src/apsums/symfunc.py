@@ -9,13 +9,12 @@ boxes whose side lengths are drawn from the alphabet (distinct sides for
 the elementary case, repetition allowed for the complete case).
 
 Every symbol is an integer, so all three expand and sum on plain ``int``
-coefficient lists and convert only the result, which is a ``Fraction``.
+coefficient lists and return a plain ``int``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import DomainError
@@ -43,14 +42,14 @@ class Alphabet(_FrozenRecord):
         return tuple(self.prog.term(j) for j in range(self.count))
 
 
-def elementary_sigma(alphabet: Alphabet, degree: int) -> Fraction:
+def elementary_sigma(alphabet: Alphabet, degree: int) -> int:
     """Sum of all degree-sized distinct products; sigma_0 = 1.
 
     Three of the four odd numbers 1, 3, 5, 7 at a time: the volumes of the
     four boxes 1*3*5, 1*3*7, 1*5*7 and 3*5*7.
 
     >>> elementary_sigma(Alphabet(Progression(2, 1), 4), 3)
-    Fraction(176, 1)
+    176
     """
     if degree < 0 or degree > alphabet.count:
         raise DomainError(
@@ -60,16 +59,16 @@ def elementary_sigma(alphabet: Alphabet, degree: int) -> Fraction:
     coeffs = [1]
     for symbol in alphabet.symbols:
         coeffs = [c + symbol * p for c, p in zip(coeffs + [0], [0] + coeffs)]
-    return Fraction(coeffs[degree])
+    return coeffs[degree]
 
 
-def complete_h(alphabet: Alphabet, degree: int) -> Fraction:
+def complete_h(alphabet: Alphabet, degree: int) -> int:
     """Sum of all degree-sized multiset products; h_0 = 1.
 
     Squares built from the sides 2 and 5: 2*2 + 2*5 + 5*5.
 
     >>> complete_h(Alphabet(Progression(3, 2), 2), 2)
-    Fraction(39, 1)
+    39
     """
     if degree < 0:
         raise DomainError(f"degree must be non-negative, got {degree}")
@@ -79,10 +78,10 @@ def complete_h(alphabet: Alphabet, degree: int) -> Fraction:
     for symbol in alphabet.symbols:
         for k in range(1, degree + 1):
             coeffs[k] += symbol * coeffs[k - 1]
-    return Fraction(coeffs[degree])
+    return coeffs[degree]
 
 
-def cuboid_volume_oracle(alphabet: Alphabet, dimension: int, distinct: bool = False) -> Fraction:
+def cuboid_volume_oracle(alphabet: Alphabet, dimension: int, distinct: bool = False) -> int:
     """Total volume of all dimension-d boxes with sides from the alphabet.
 
     Explicit enumeration: subsets when ``distinct``, multisets otherwise.
@@ -108,4 +107,4 @@ def cuboid_volume_oracle(alphabet: Alphabet, dimension: int, distinct: bool = Fa
         expected = 1 if dimension == 0 else math.comb(alphabet.count + dimension - 1, dimension)
     if len(boxes) != expected:
         raise AssertionError("enumeration miscounted its boxes")  # pragma: no cover
-    return Fraction(sum(math.prod(sides) for sides in boxes))
+    return sum(math.prod(sides) for sides in boxes)

@@ -928,7 +928,7 @@ def _single_powers(size_n, rng):
 def _binomial_splitting(size, rng):
     base = Progression(1, 0)
     # the ordinary sums do not depend on prog; each is an integer
-    ordinary = [[ps.ps_direct(base, k, m).numerator for m in range(9)] for k in range(size + 1)]
+    ordinary = [[ps.ps_direct(base, k, m) for m in range(9)] for k in range(size + 1)]
     for prog in _progressions(4):
         for n in range(size + 1):
             for m in range(0, 9):
@@ -1066,13 +1066,9 @@ def _symfunc_enumeration(size, rng):
 
 
 def _symfunc_duality_violation(alphabet: Alphabet, r: int) -> str | None:
-    """The first r' in 1..r where sum_k (-1)^k sigma_k h_(r'-k) is not 0.
-
-    Every symbol is an integer, so both lists are summed by numerator.
-    """
-    sigma = [(-1) ** k * elementary_sigma(alphabet, k).numerator
-             for k in range(min(r, alphabet.count) + 1)]
-    h = [complete_h(alphabet, j).numerator for j in range(r + 1)]
+    """The first r' in 1..r where sum_k (-1)^k sigma_k h_(r'-k) is not 0."""
+    sigma = [(-1) ** k * elementary_sigma(alphabet, k) for k in range(min(r, alphabet.count) + 1)]
+    h = [complete_h(alphabet, j) for j in range(r + 1)]
     for top in range(1, r + 1):
         acc = sum(sigma[k] * h[top - k] for k in range(min(top, alphabet.count) + 1))
         if acc != 0:

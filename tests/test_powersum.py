@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
-from apsums import cli
+from apsums import cli, powersum
 from apsums.errors import DomainError
 from apsums.exact import Progression, integer_power
 from apsums.powersum import (
@@ -19,6 +19,7 @@ from apsums.powersum import (
     ps_via_ordinary,
     sigma_s2,
 )
+from apsums.stirling import s1phat_from_sigma
 from apsums.verification import _progressions
 
 F = Fraction
@@ -48,7 +49,7 @@ class TestDirect:
             term = a + d * j
             expected += 1 if n == 0 else term**n
         value = ps_direct(Progression(d, a), n, m)
-        assert type(value) is Fraction
+        assert type(value) is int
         assert value == expected
 
 
@@ -62,6 +63,37 @@ class TestOrdinaryFaulhaber:
     def test_zero_power(self):
         for m in range(6):
             assert ps_via_ordinary(Progression(3, 2), 0, m) == m + 1
+
+
+class TestBrokenDividedRoute:
+    """A divided route whose sum leaves a remainder returns the exact Fraction.
+
+    With N(2) raised from 1 to 2 over L = 6, B(2) reads 1/3 instead of 1/6,
+    which moves both Bernoulli routes at d = 1, a = 0, n = 2 by m/6: at
+    m = 2 they give 5 + 1/3, where a floor would give direct's 5.
+    """
+
+    @pytest.fixture
+    def broken_table(self, monkeypatch):
+        table = powersum._bernoulli_table
+
+        def off_by_one(n_max):
+            nums, den = table(n_max)
+            return [num + (i == 2) for i, num in enumerate(nums)], den
+
+        monkeypatch.setattr(powersum, "_bernoulli_table", off_by_one)
+
+    @pytest.mark.parametrize("route", [ps_via_ordinary, ps_faulhaber], ids=lambda f: f.__name__)
+    def test_route_returns_the_exact_fraction(self, broken_table, route):
+        value = route(Progression(1, 0), 2, 2)
+        assert type(value) is Fraction and value == F(16, 3)
+
+    def test_all_methods_prints_the_fraction_and_disagrees(self, broken_table, capsys):
+        argv = ["powersum", "--d", "1", "--a", "0", "--n", "2", "--m", "2", "--all-methods"]
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{name:<12} {'16/3' if name in ('ordinary', 'faulhaber') else '5'}"
+                         for name in METHOD_NAMES] + ["DISAGREEMENT detected"]
 
 
 class TestGeneralizedFaulhaber:
@@ -115,6 +147,13 @@ class TestStackedCoefficients:
         with pytest.raises(DomainError):
             sigma_s2(Progression(1, 0), 2, 4)
 
+    def test_values_stay_fractions(self):
+        # callers divide these by j! and d^n, which int / int would make a float
+        value = sigma_s2(Progression(1, 0), 2, 2)
+        assert type(value) is Fraction and value == 3
+        sigma = s1phat_from_sigma(Progression(2, 1), 4, 1)
+        assert type(sigma) is Fraction and sigma == 176
+
     def test_matches_reordered_explicit_row(self, identity):
         identity("faulhaber: stacked e.g.f. coefficients equal the reordered Eulerian row")
 
@@ -166,7 +205,7 @@ class TestUniversalOracle:
         ]
         for row in rows:
             assert row == direct
-            assert all(type(value) is Fraction for value in row)
+            assert all(type(value) is int for value in row)
 
     def test_cli_all_methods_at_n60_m600(self, capsys):
         argv = ["powersum", "--d", "3", "--a", "2", "--n", "60", "--m", "600", "--all-methods"]
@@ -196,7 +235,20 @@ class TestMethodEvaluator:
             for m in (0, 1, 2, 7, 5000):
                 value = at(m)
                 assert value == evaluate_method(method, prog, n, m), (n, m)
-                assert type(value) is Fraction
+                assert type(value) is int
+
+    @pytest.mark.parametrize("n", [0, 1, 30, 60])
+    def test_every_route_returns_an_int_at_the_largest_parameters(self, n):
+        # type(...) is int also rules out bool
+        prog = Progression(_LIMIT, _LIMIT)
+        per_m = [ps_direct, ps_via_ordinary, ps_faulhaber, eps_coefficients,
+                 lambda prog, n, m: gps_coefficients(prog, n, m, "stacked"),
+                 lambda prog, n, m: gps_coefficients(prog, n, m, "eulerian")]
+        stages = [method_evaluator(method, prog, n) for method in METHOD_NAMES]
+        for m in (0, 1, 5000):
+            values = [route(prog, n, m) for route in per_m] + [at(m) for at in stages]
+            assert [type(value) for value in values] == [int] * len(values), m
+            assert len(set(values)) == 1, m
 
     def test_domain(self):
         prog = Progression(2, 1)
