@@ -8,7 +8,11 @@ as integer numerators over one common denominator L, so the routes that
 sum over it (the two-parameter and one-parameter numbers and the
 shifted-power route of the two-parameter polynomials here, the ordinary
 and generalized Faulhaber formulas in ``powersum``) add in ``int`` and
-reduce each output value to a ``Fraction`` exactly once.
+reduce each output value once.  The two-parameter and one-parameter
+numbers are kept the same way, as private pair tables over L
+(``_b_gen_table``, ``_b_d_table``); their Appell polynomials are built
+from the pairs in ``int``, and only the public number lists build
+``Fraction`` values, at the end.
 The defining recursion survives only as the verifier's independent
 cross-check.  The two-parameter numbers B(d,a;n) arise from an
 alternating factorial-weighted sum over the S2[d,a] row (``b_gen``, which
@@ -96,9 +100,10 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return [Fraction(num, den) for num in nums]
 
 
-def _appell(numbers: list[Fraction], n: int) -> Polynomial:
-    """The Appell polynomial sum_m C(n,m) numbers[n-m] x^m of a number table."""
-    return Polynomial([math.comb(n, m) * numbers[n - m] for m in range(n + 1)])
+def _appell(nums: list[int], den: int, n: int) -> Polynomial:
+    """The Appell polynomial sum_m C(n,m) B[n-m] x^m of a number table
+    B[k] = nums[k] / den, built in int over ``den`` and reduced once."""
+    return _poly([math.comb(n, m) * nums[n - m] for m in range(n + 1)], den)
 
 
 def b_gen(prog: Progression, n: int) -> Fraction:
@@ -115,16 +120,13 @@ def b_gen(prog: Progression, n: int) -> Fraction:
     return Fraction(acc, den)
 
 
-def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
-    """B(d,a;0..n_max) by the binomial a/d expansion over one table of B(0..n_max):
+def _b_gen_table(prog: Progression, n_max: int) -> tuple[list[int], int]:
+    """(nums, L) with B(d,a;n) = nums[n] / L for n = 0..n_max, by the
+    binomial a/d expansion over one table B(m) = N[m] / L:
 
     B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m),
 
-    summed in int over the numerators of the table and divided once by
-    its common denominator.
-
-    >>> print(", ".join(map(str, b_gen_numbers(Progression(2, 1), 4))))
-    1, 0, -1/3, 0, 7/15
+    summed in int; the pair is not reduced.
     """
     if n_max < 0:
         raise DomainError("index must be non-negative")
@@ -132,25 +134,36 @@ def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
     a_powers = [prog.a**i for i in range(n_max + 1)]  # 0 ** 0 == 1
     scaled = [(m, prog.d**m * num) for m, num in enumerate(nums) if num]
     return [
-        Fraction(sum(math.comb(n, m) * a_powers[n - m] * c for m, c in scaled if m <= n), den)
-        for n in range(n_max + 1)
-    ]
+        sum(math.comb(n, m) * a_powers[n - m] * c for m, c in scaled if m <= n) for n in range(n_max + 1)
+    ], den
+
+
+def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
+    """B(d,a;0..n_max), each reduced once from its numerator over the
+    common denominator of the table of :func:`_b_gen_table`.
+
+    >>> print(", ".join(map(str, b_gen_numbers(Progression(2, 1), 4))))
+    1, 0, -1/3, 0, 7/15
+    """
+    nums, den = _b_gen_table(prog, n_max)
+    return [Fraction(num, den) for num in nums]
 
 
 def b_gen_poly(prog: Progression, n: int) -> Polynomial:
-    """B(d,a;n,x) = sum_m C(n,m) B(d,a;n-m) x^m."""
+    """B(d,a;n,x) = sum_m C(n,m) B(d,a;n-m) x^m, over the pair table of
+    B(d,a;0..n)."""
     if n < 0:
         raise DomainError("degree must be non-negative")
-    return _appell(b_gen_numbers(prog, n), n)
+    return _appell(*_b_gen_table(prog, n), n)
 
 
 def b_gen_poly_rows(prog: Progression, size: int) -> list[Polynomial]:
-    """[B(d,a;n,x) for n = 0..size], all over one list B(d,a;0..size);
-    row n equals ``b_gen_poly(prog, n)``."""
+    """[B(d,a;n,x) for n = 0..size], all over one pair table of
+    B(d,a;0..size); row n equals ``b_gen_poly(prog, n)``."""
     if size < 0:
         raise DomainError("degree must be non-negative")
-    numbers = b_gen_numbers(prog, size)
-    return [_appell(numbers, n) for n in range(size + 1)]
+    nums, den = _b_gen_table(prog, size)
+    return [_appell(nums, den, n) for n in range(size + 1)]
 
 
 def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
@@ -176,31 +189,39 @@ def b_gen_poly_via_ordinary(prog: Progression, n: int) -> Polynomial:
     return _poly(acc, den)
 
 
-def b_d_numbers(d: int, n_max: int) -> list[Fraction]:
-    """One-parameter numbers B(d;n) = d^n B(n) for n = 0..n_max, each
-    reduced once from d^n times its table numerator."""
+def _b_d_table(d: int, n_max: int) -> tuple[list[int], int]:
+    """(nums, L) with B(d;n) = d^n B(n) = nums[n] / L for n = 0..n_max,
+    d^n times the numerators of one table B(n) = N[n] / L; not reduced."""
     if d < 1:
         raise DomainError("d must be a positive integer")
     nums, den = _bernoulli_table(n_max)
-    return [Fraction(d**n * num, den) for n, num in enumerate(nums)]
+    return [d**n * num for n, num in enumerate(nums)], den
+
+
+def b_d_numbers(d: int, n_max: int) -> list[Fraction]:
+    """One-parameter numbers B(d;n) = d^n B(n) for n = 0..n_max, each
+    reduced once from its numerator in the pair table of :func:`_b_d_table`."""
+    nums, den = _b_d_table(d, n_max)
+    return [Fraction(num, den) for num in nums]
 
 
 def b_d_poly(d: int, n: int) -> Polynomial:
-    """B(d;n,x) = sum_m C(n,m) B(d;n-m) x^m; B(d;n,0) = B(d;n)."""
+    """B(d;n,x) = sum_m C(n,m) B(d;n-m) x^m, over the pair table of
+    B(d;0..n); B(d;n,0) = B(d;n)."""
     if d < 1:
         raise DomainError("d must be a positive integer")
     if n < 0:
         raise DomainError("degree must be non-negative")
-    return _appell(b_d_numbers(d, n), n)
+    return _appell(*_b_d_table(d, n), n)
 
 
 def b_d_poly_rows(d: int, size: int) -> list[Polynomial]:
-    """[B(d;n,x) for n = 0..size], all over one list B(d;0..size);
+    """[B(d;n,x) for n = 0..size], all over one pair table of B(d;0..size);
     row n equals ``b_d_poly(d, n)``."""
     if size < 0:
         raise DomainError("degree must be non-negative")
-    numbers = b_d_numbers(d, size)
-    return [_appell(numbers, n) for n in range(size + 1)]
+    nums, den = _b_d_table(d, size)
+    return [_appell(nums, den, n) for n in range(size + 1)]
 
 
 def b_gen_egf(prog: Progression, order: int) -> Fps:

@@ -8,6 +8,8 @@ numerators over one denominator, reduced by :func:`_reduced` with one
 multi-argument gcd, and ``Triangle`` stores only integer numerator rows
 over one denominator per row in the same canonical form; each builds the
 ``Fraction`` values it hands out on every read and caches none.
+:func:`integer_power`, :func:`fallfac` and :func:`risefac` return an
+``int`` for an integral argument and one ``Fraction`` otherwise.
 Every other value is a :class:`fractions.Fraction`, which keeps the
 canonical reduced form gcd(num, den) = 1 with den >= 1 that bit-exact
 comparison relies on, as the pairs do.  An ``int`` equals the ``Fraction``
@@ -184,6 +186,13 @@ def _reduced(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple([n // g for n in nums]), den // g
 
 
+def _quotient(acc: int, den: int) -> int | Fraction:
+    """acc / den as an ``int`` when it divides, else as the exact ``Fraction``,
+    so that a route whose division leaves a remainder still disagrees."""
+    q, r = divmod(acc, den)
+    return q if r == 0 else Fraction(acc, den)
+
+
 def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
     """The values nums[k] / den as ``Fraction``."""
     return tuple([Fraction(p, den) for p in nums])
@@ -223,21 +232,27 @@ def binomial_general(r: int, k: int) -> int:
     return (-1) ** k * math.comb(k - 1 - r, k)
 
 
-def integer_power(base: Fraction | int, n: int) -> Fraction:
-    """base**n for n >= 0 with the convention 0**0 = 1."""
+def integer_power(base: Fraction | int, n: int) -> Fraction | int:
+    """base**n for n >= 0 with the convention 0**0 = 1: an ``int`` for an
+    ``int`` base, a ``Fraction`` for a ``Fraction`` base.
+
+    >>> integer_power(3, 2), integer_power(Fraction(-1, 2), 3)
+    (9, Fraction(-1, 8))
+    """
     if n < 0:
         raise DomainError(f"exponent must be non-negative, got {n}")
     if type(base) is int:
-        return Fraction(base**n)
+        return base**n
     return _exact(base) ** n
 
 
-def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
+def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction | int:
     """Generalized falling factorial: product of (x - (a + j*d)) for j < m.
 
     The empty product (m = 0) is 1.  Satisfies
     fallfac(d,a; x, m) = d^m * fallfac(1,0; (x-a)/d, m).  With x = p/q the
-    product of the integers p - (a + j*d)*q is divided by q^m once.
+    product of the integers p - (a + j*d)*q is divided by q^m once, into
+    one ``Fraction``; an integral x (q = 1) gives the ``int`` product.
 
     >>> print(fallfac(Progression(1, 0), 4, 2))   # 4 * 3
     12
@@ -246,26 +261,25 @@ def fallfac(prog: Progression, x: Fraction | int, m: int) -> Fraction:
     """
     if m < 0:
         raise DomainError(f"length must be non-negative, got {m}")
-    x = _exact(x)
-    p, q = x.numerator, x.denominator
+    p, q = _ratio(x)
     prod = 1
     for j in range(m):
         prod *= p - prog.term(j) * q
-    return Fraction(prod, q**m)
+    return prod if q == 1 else Fraction(prod, q**m)
 
 
-def risefac(prog: Progression, x: Fraction | int, n: int) -> Fraction:
+def risefac(prog: Progression, x: Fraction | int, n: int) -> Fraction | int:
     """Generalized rising factorial: product of (x + (a + j*d)) for j < n.
 
     The empty product (n = 0) is 1.  Dual to the falling version:
     risefac(d,a; x, n) = (-1)^n * fallfac(d,a; -x, n).  With x = p/q the
-    product of the integers p + (a + j*d)*q is divided by q^n once.
+    product of the integers p + (a + j*d)*q is divided by q^n once, into
+    one ``Fraction``; an integral x (q = 1) gives the ``int`` product.
     """
     if n < 0:
         raise DomainError(f"length must be non-negative, got {n}")
-    x = _exact(x)
-    p, q = x.numerator, x.denominator
+    p, q = _ratio(x)
     prod = 1
     for j in range(n):
         prod *= p + prog.term(j) * q
-    return Fraction(prod, q**n)
+    return prod if q == 1 else Fraction(prod, q**n)

@@ -27,10 +27,11 @@ evaluates that variant so the verifier can confirm the discrepancy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import Progression
+from .exact import Progression, _quotient
 from .fps import Fps
 from .sheffer import ShefferPair, Triangle, _triangle
 from .stirling import _recurrence_triangle
@@ -66,12 +67,13 @@ def lah_inverse_pair(prog: Progression, order: int) -> ShefferPair:
     return _pair(-prog.d, -prog.a, order)
 
 
-def lah_column0(prog: Progression, size: int) -> list[Fraction]:
-    """Column m = 0: n! [t^n] (1 - d*t)^(-2a/d), extracted from the series."""
+def lah_column0(prog: Progression, size: int) -> list[int | Fraction]:
+    """Column m = 0: n! [t^n] (1 - d*t)^(-2a/d), extracted from the series
+    in int; each value is an integer, and a remainder would stay a ``Fraction``."""
     if size < 0:
         raise DomainError("size must be non-negative")
     g = Fps([1, -prog.d], order=size).pow(Fraction(-2 * prog.a, prog.d))
-    return [g.coefficient_times_factorial(n) for n in range(size + 1)]
+    return [_quotient(g._numerator(n) * math.factorial(n), g._den) for n in range(size + 1)]
 
 
 def lah_triangle(prog: Progression, size: int) -> Triangle:
@@ -126,7 +128,9 @@ def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Trian
 
     with column 0 taken from the e.g.f.  ``printed=True`` swaps the d*n
     coefficient for the published plain n, which is expected to disagree
-    with the other routes whenever d >= 2.
+    with the other routes whenever d >= 2.  Each entry is the int quotient
+    of n L(n-1,m-1) + m (d*n) L(n-1,m) by m; a remainder keeps the exact
+    ``Fraction``, so a route that does not divide still disagrees.
     """
     if size < 0:
         raise DomainError("size must be non-negative")
@@ -136,11 +140,10 @@ def lah_three_term(prog: Progression, size: int, printed: bool = False) -> Trian
     for n in range(1, size + 1):
         prev = rows[-1]
         row = [column0[n]]
+        growth = n if printed else d * n
         for m in range(1, n + 1):
-            left = prev[m - 1]
-            right = prev[m] if m < n else Fraction(0)
-            growth = n if printed else d * n
-            row.append(Fraction(n, m) * left + growth * right)
+            right = prev[m] if m < n else 0
+            row.append(_quotient(n * prev[m - 1] + m * growth * right, m))
         rows.append(row)
     return Triangle(rows)
 

@@ -48,7 +48,7 @@ from operator import mul
 
 from .bernoulli import _bernoulli_table
 from .errors import DomainError
-from .exact import Progression
+from .exact import Progression, _quotient
 from .eulerian import reu_triangle
 from .stirling import s2_triangle
 
@@ -81,12 +81,6 @@ def ps_direct(prog: Progression, n: int, m: int) -> int:
 def _check(index: int) -> None:
     if index < 0:
         raise DomainError("indices must be non-negative")
-
-
-def _quotient(acc: int, den: int) -> int | Fraction:
-    """acc / den as an ``int`` when it divides, else as the exact ``Fraction``."""
-    q, r = divmod(acc, den)
-    return q if r == 0 else Fraction(acc, den)
 
 
 def ps_via_ordinary(prog: Progression, n: int, m: int) -> int | Fraction:

@@ -49,7 +49,7 @@ from . import lah as lahmod
 from . import powersum as ps
 from . import stirling as st
 from .errors import DomainError
-from .exact import Progression, _common_denominator, _FrozenRecord, fallfac, integer_power, risefac
+from .exact import Progression, _FrozenRecord, fallfac, integer_power, risefac
 from .fps import DEFAULT_ORDER, Fps, reverse_coefficient_lagrange
 from .poly import Polynomial, fallfac_poly, risefac_poly
 from .sheffer import ShefferPair, Triangle, _triangle, identity_triangle
@@ -406,25 +406,25 @@ def _s2_column_ogf(size, rng):
                 return mismatch
 
 
+def _geometric_weights(roots: list[int], m: int) -> tuple[list[int], int]:
+    """(weights, common) with r_j^m / prod_{k != j} (r_j - r_k) = weights[j] / common
+    for distinct integer roots r_j: ``common`` is the lcm of the products."""
+    products = [math.prod(rj - rk for k, rk in enumerate(roots) if k != j) for j, rj in enumerate(roots)]
+    common = math.lcm(*products)
+    return [rj**m * (common // p) for rj, p in zip(roots, products)], common
+
+
 @_S2.identity("column o.g.f. partial fractions (geometric sums) agree")
 def _s2_partial_fractions(size, rng):
     for prog in _progressions(3):
         tri = st.s2_triangle(prog, size)
         for m in range(min(6, size) + 1):
-            roots = [Fraction(prog.term(j)) for j in range(m + 1)]
-            weights = []
-            for j, rj in enumerate(roots):
-                denom = Fraction(1)
-                for k, rk in enumerate(roots):
-                    if k != j:
-                        denom *= rj - rk
-                weights.append(integer_power(rj, m) / denom)
+            roots = [prog.term(j) for j in range(m + 1)]
+            weights, common = _geometric_weights(roots, m)
+            scale = prog.d**m
             for n in range(m, size + 1):
-                value = Fraction(prog.d) ** m * sum(
-                    (w * integer_power(r, n - m) for w, r in zip(weights, roots)),
-                    Fraction(0),
-                )
-                if value != tri.entry(n, m):
+                acc = scale * sum(w * r ** (n - m) for w, r in zip(weights, roots))
+                if acc != tri.entry(n, m) * common:
                     return f"{prog} column {m}: partial-fraction value at n={n} mismatch"
 
 
@@ -716,7 +716,7 @@ def _reu_row_sums(size, rng):
     for prog in _progressions(4):
         tri = eul.reu_triangle(prog, size)
         for n in range(size + 1):
-            if sum(tri.row(n), Fraction(0)) != Fraction(prog.d) ** n * math.factorial(n):
+            if sum(tri.row(n)) != prog.d**n * math.factorial(n):
                 return f"{prog} n={n}: row sum is not d^n n!"
 
 
@@ -732,7 +732,7 @@ def _reu_degree_bound(size, rng):
         for n in range(size + 1):
             # the coefficient beyond the triangle must vanish: the numerator
             # polynomial of the partial-sum o.g.f. has degree n, not n+1.
-            acc = Fraction(0)
+            acc = 0
             for p in range(n + 2):
                 sign = -1 if (n + 1 - p) % 2 else 1
                 acc += sign * math.comb(n + 1, n + 1 - p) * integer_power(prog.term(p), n)
@@ -852,13 +852,13 @@ def _b_d_poly_egf(order, rng):
 @_BERNOULLI.identity("the (-a)-convolution contracts to the a-independent numbers")
 def _b_gen_contraction(n_cap, rng):
     for d in range(1, 5):
-        expected = bern.b_d_numbers(d, n_cap)
+        expected, expected_den = bern._b_d_table(d, n_cap)
         for a in range(0, 5):
-            nums, den = _common_denominator(bern.b_gen_numbers(Progression(d, a), n_cap))
+            nums, den = bern._b_gen_table(Progression(d, a), n_cap)
             powers = [(-a) ** m for m in range(n_cap + 1)]  # 0 ** 0 == 1
             for n in range(n_cap + 1):
                 acc = sum(math.comb(n, m) * nums[n - m] * powers[m] for m in range(n + 1))
-                if Fraction(acc, den) != expected[n]:
+                if acc * expected_den != expected[n] * den:
                     return f"d={d} a={a} n={n}: contraction does not drop a"
 
 

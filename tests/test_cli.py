@@ -2,16 +2,18 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as stn
 
-from apsums import cli, eulerian, lah, powersum, stirling, verification
+from apsums import bernoulli, cli, eulerian, lah, powersum, stirling, verification
 from apsums.cli import FAMILY_BUILDERS, LIMITS, build_parser, main
 from apsums.exact import Progression
 from apsums.sheffer import Triangle
@@ -236,6 +238,22 @@ class TestVerifyCommand:
         _, first, _ = run_cli(capsys, "verify", "--suite", "eulerian", "--depth", "3")
         _, second, _ = run_cli(capsys, "verify", "--suite", "eulerian", "--depth", "3")
         assert first == second
+
+    def test_deepest_pass_builds_few_fractions(self, capsys, monkeypatch):
+        """Inside the package values stay int or integer pairs; a Fraction is
+        built only where the API hands one out or a law draws a random rational."""
+        built = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--depth", str(LIMITS["depth"]))
+        monkeypatch.undo()
+        assert code == 0
+        assert built[0] < 15_000
 
     def test_failure_reporting_and_explain(self, capsys, monkeypatch):
         from apsums.verification import CheckResult
@@ -679,6 +697,78 @@ class TestInputLimits:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(out.splitlines()) == lines
+
+
+def _cap_digits() -> int:
+    """CPython's limit on the digits of an int converted to text; 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _magnitudes(values):
+    """The numerator and denominator magnitudes of int or Fraction values."""
+    for value in values:
+        p, q = Fraction(value).as_integer_ratio()
+        yield abs(p)
+        yield q
+
+
+class TestDigitCap:
+    """Every value a subcommand prints at the edge of ``LIMITS`` has fewer
+    digits than CPython converts to text, so no request inside the limits can
+    raise "Exceeds the limit ... for integer string conversion".  Each test
+    derives an integer bound on the numerators and denominators printed at the
+    edge, compares it with the cap without converting it, and checks that the
+    values at the edge's corner d = a = LIMITS["parameter"] lie under it.
+    ``verify`` prints values only in a mismatch detail, at the fixed desk-scale
+    sizes of ``MAX_DEPTH``, and is not bounded here."""
+
+    P = LIMITS["parameter"]
+
+    @staticmethod
+    def assert_below_the_cap(bound):
+        cap = _cap_digits()
+        assert cap == 0 or bound < 10**cap, f"the bound has {bound.bit_length() * math.log10(2):.0f} digits"
+
+    def test_triangle_and_export_bfile_entries(self):
+        # export-bfile reads the rows that hold its first LIMITS["bfile"] entries
+        rows = LIMITS["rows"]
+        while (rows + 1) * (rows + 2) // 2 < LIMITS["bfile"]:
+            rows += 1
+        # every integer family runs T(n,m) = left(n,m) T(n-1,m-1) + right(n,m) T(n-1,m)
+        # with |left| + |right| <= 1 + 2a + d(2n+1), which bounds the sum of |row n|;
+        # s1 and s1p put the s1phat rows over d^n
+        d = a = self.P
+        bound = max(math.prod(1 + 2 * a + d * (2 * n + 1) for n in range(1, rows + 1)), d**rows)
+        self.assert_below_the_cap(bound)
+        for family, build in FAMILY_BUILDERS.items():
+            tri = build(Progression(d, a), rows)
+            assert max(_magnitudes(chain.from_iterable(tri.rows))) <= bound, family
+
+    def test_power_sums(self):
+        # m + 1 terms, each at most (a + d m)^n
+        d = a = self.P
+        n, m = LIMITS["power"], LIMITS["index"]
+        bound = (m + 1) * (a + d * m) ** n
+        self.assert_below_the_cap(bound)
+        assert powersum.evaluate_method("faulhaber", Progression(d, a), n, m) <= bound
+
+    def test_bernoulli_numbers_and_polynomials(self):
+        # B(d,a;j) = sum_m C(j,m) a^(j-m) d^m B(m) is at most (a+d)^j max|B(m)|, and the
+        # coefficient C(n,k) B(d,a;n-k) of a polynomial at most C(n, n//2) times that;
+        # each reduced denominator divides the lcm L of those of B(0..n), so each
+        # numerator is at most L times the value
+        d = a = self.P
+        n = LIMITS["bernoulli"]
+        numbers = bernoulli.bernoulli_numbers(n)
+        den = math.lcm(*(value.denominator for value in numbers))
+        largest = max(math.ceil(abs(value)) for value in numbers)
+        bound = den * math.comb(n, n // 2) * (a + d) ** n * largest
+        self.assert_below_the_cap(bound)
+        printed = [
+            *bernoulli.b_gen_numbers(Progression(d, a), n), *bernoulli.b_d_numbers(d, n),
+            *bernoulli.b_gen_poly(Progression(d, a), n).coefficients, *bernoulli.b_d_poly(d, n).coefficients,
+        ]
+        assert max(_magnitudes(printed)) <= bound
 
 
 _SMALL = stn.integers(-1, 6)

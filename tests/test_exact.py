@@ -78,14 +78,16 @@ class TestFactorialProducts:
     def test_duality_and_rescaling_to_unit_step(self, x, d, a, n):
         assert _factorial_duality_violation(Progression(d, a), x, n) is None
 
-    @pytest.mark.parametrize("x", [Fraction(-7, 3), Fraction(5, 2), Fraction(1, 2**64 - 1), Fraction(4)])
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), Fraction(5, 2), Fraction(1, 2**64 - 1), Fraction(4), 4])
     @pytest.mark.parametrize("prog", [Progression(1, 0), Progression(3, 2), Progression(2**64 - 1, 2**64 - 1)])
     def test_products_match_a_fraction_product(self, prog, x):
+        # an integral x (denominator 1) gives the int product, any other x one Fraction
+        kind = int if Fraction(x).denominator == 1 else Fraction
         falling = rising = Fraction(1)
         for m in range(10):
             products = fallfac(prog, x, m), risefac(prog, x, m)
             assert products == (falling, rising)
-            assert all(type(value) is Fraction for value in products)
+            assert all(type(value) is kind for value in products)
             falling *= x - (prog.a + m * prog.d)
             rising *= x + (prog.a + m * prog.d)
 
@@ -111,6 +113,12 @@ class TestIntegerPower:
 
     def test_fraction_base(self):
         assert integer_power(Fraction(-1, 2), 3) == Fraction(-1, 8)
+
+    @pytest.mark.parametrize(
+        "base, kind", [(3, int), (0, int), (-2, int), (Fraction(-1, 2), Fraction), (Fraction(4), Fraction)]
+    )
+    def test_type_follows_the_base(self, base, kind):
+        assert all(type(integer_power(base, n)) is kind for n in range(5))
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):

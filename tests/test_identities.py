@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from apsums import verification
+from apsums import bernoulli, verification
 from apsums.errors import DomainError
 from apsums.fps import DEFAULT_ORDER
 from apsums.verification import IDENTITIES, MAX_DEPTH, CheckResult, Identity, _SizeRule, run_suite
@@ -82,6 +82,31 @@ def test_every_law_has_a_test_and_an_entry(entry_calls, sources, law):
     assert re.search(rf"\b{law}\(", sources), f"no test calls {law}"
     reached = any((verification.__name__, law) in called for called in entry_calls.values())
     assert reached, f"no entry calls {law}"
+
+
+@pytest.mark.parametrize(
+    "owner, name, label",
+    [
+        (bernoulli, "_b_gen_table", "bernoulli: two-parameter numbers agree along both routes"),
+        (bernoulli, "_b_d_table", "bernoulli: the (-a)-convolution contracts to the a-independent numbers"),
+        (verification, "_geometric_weights", "s2: column o.g.f. partial fractions (geometric sums) agree"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_integer_table_off_by_one_fails_its_entry(monkeypatch, owner, name, label):
+    """The last numerator of an integer ``(nums, den)`` table, one unit off,
+    fails the entry that reads the table, with a mismatch and not an exception."""
+    table = getattr(owner, name)
+
+    def broken(*args):
+        nums, den = table(*args)
+        return [*nums[:-1], nums[-1] + 1], den
+
+    monkeypatch.setattr(owner, name, broken)
+    entry = next(entry for entry in IDENTITIES if entry.label == label)
+    result = entry.run(3)
+    assert result.status == "FAIL"
+    assert "Error" not in result.detail and result.detail.startswith(("Progression(", "d="))
 
 
 def test_unknown_suite_is_a_domain_error():
