@@ -121,13 +121,9 @@ def b_gen(prog: Progression, n: int) -> Fraction:
 
 
 def _b_gen_table(prog: Progression, n_max: int) -> tuple[list[int], int]:
-    """(nums, L) with B(d,a;n) = nums[n] / L for n = 0..n_max, by the
-    binomial a/d expansion over one table B(m) = N[m] / L:
-
-    B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m),
-
-    summed in int; the pair is not reduced.
-    """
+    """(nums, L) with B(d,a;n) = nums[n] / L for n = 0..n_max: the binomial
+    a/d expansion of :func:`b_gen_numbers` summed in int over the numerators
+    N[m] of one table B(m) = N[m] / L; the pair is not reduced."""
     if n_max < 0:
         raise DomainError("index must be non-negative")
     nums, den = _bernoulli_table(n_max)
@@ -139,8 +135,12 @@ def _b_gen_table(prog: Progression, n_max: int) -> tuple[list[int], int]:
 
 
 def b_gen_numbers(prog: Progression, n_max: int) -> list[Fraction]:
-    """B(d,a;0..n_max), each reduced once from its numerator over the
-    common denominator of the table of :func:`_b_gen_table`.
+    """B(d,a;0..n_max) by the binomial a/d expansion over one table of B(0..n_max):
+
+    B(d,a;n) = sum_m C(n,m) a^(n-m) d^m B(m),
+
+    summed in int over the numerators of the table (:func:`_b_gen_table`)
+    and reduced once per value.
 
     >>> print(", ".join(map(str, b_gen_numbers(Progression(2, 1), 4))))
     1, 0, -1/3, 0, 7/15

@@ -727,7 +727,8 @@ class TestDigitCap:
     @staticmethod
     def assert_below_the_cap(bound):
         cap = _cap_digits()
-        assert cap == 0 or bound < 10**cap, f"the bound has {bound.bit_length() * math.log10(2):.0f} digits"
+        fits = cap == 0 or bound < 10**cap
+        assert fits, f"the bound has {math.floor(math.log10(bound)) + 1} digits, past the cap of {cap}"
 
     def test_triangle_and_export_bfile_entries(self):
         # export-bfile reads the rows that hold its first LIMITS["bfile"] entries
